@@ -1,7 +1,7 @@
 //! BENCH-file regression comparison (the `bench_diff` binary's engine).
 //!
 //! Compares two benchmark JSON documents (a committed baseline like
-//! `BENCH_observability.json` and a freshly regenerated copy) metric by
+//! `BENCH_bdd.json` and a freshly regenerated copy) metric by
 //! metric. Each numeric leaf is classified by its key into a comparison
 //! direction:
 //!

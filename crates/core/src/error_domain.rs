@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use eco_netlist::{sim, Circuit, NetlistError};
-use eco_sat::cec::{assist_equivalences, CecOptions};
+use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
 use eco_sat::{tseitin, Lit, SolveResult, Solver, SolverStats};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -29,6 +29,16 @@ pub enum Equivalence {
     Unknown,
 }
 
+/// A fresh solver, armed with the governor's deadline and cancel flag before
+/// any query runs — the internal-equivalence pass included.
+pub(crate) fn armed_solver(governor: Option<&Budget>) -> Solver {
+    let mut solver = Solver::new();
+    if let Some(g) = governor {
+        g.arm_solver(&mut solver);
+    }
+    solver
+}
+
 /// Checks one output pair for equivalence with a conflict budget.
 ///
 /// # Errors
@@ -41,22 +51,32 @@ pub fn check_output_pair(
     budget: Option<u64>,
     governor: Option<&Budget>,
 ) -> Result<Equivalence, NetlistError> {
-    check_output_pair_with_stats(implementation, spec, pair, budget, governor).map(|(e, _)| e)
+    check_output_pair_with_stats(
+        implementation,
+        spec,
+        pair,
+        budget,
+        governor,
+        &mut ProofCache::new(),
+    )
+    .map(|(e, _)| e)
 }
 
-/// [`check_output_pair`] plus the SAT effort the query consumed.
+/// [`check_output_pair`] plus the SAT effort the query consumed, with the
+/// internal-equivalence pass reading and extending `proofs`.
 ///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from encoding.
-pub fn check_output_pair_with_stats(
+pub fn check_output_pair_with_stats<'s>(
     implementation: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     pair: &OutputPair,
     budget: Option<u64>,
     governor: Option<&Budget>,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<(Equivalence, SolverStats), NetlistError> {
-    let mut solver = Solver::new();
+    let mut solver = armed_solver(governor);
     let lnet = implementation.outputs()[pair.impl_index as usize].net();
     let rnet = spec.outputs()[pair.spec_index as usize].net();
     let miter = tseitin::encode_pairs(&mut solver, implementation, spec, &[(lnet, rnet)])?;
@@ -67,12 +87,10 @@ pub fn check_output_pair_with_stats(
         &miter.left,
         &miter.right,
         &CecOptions::default(),
+        proofs,
     )?;
     solver.add_clause(&miter.diff_lits);
     solver.set_conflict_budget(budget);
-    if let Some(g) = governor {
-        g.arm_solver(&mut solver);
-    }
     let verdict = match solver.solve(&[]) {
         SolveResult::Unsat => Equivalence::Equivalent,
         SolveResult::Sat => {
@@ -99,20 +117,30 @@ pub fn classify_outputs(
     budget: Option<u64>,
     governor: Option<&Budget>,
 ) -> Result<Vec<Equivalence>, NetlistError> {
-    classify_outputs_with_stats(implementation, spec, corr, budget, governor).map(|(v, _)| v)
+    classify_outputs_with_stats(
+        implementation,
+        spec,
+        corr,
+        budget,
+        governor,
+        &mut ProofCache::new(),
+    )
+    .map(|(v, _)| v)
 }
 
-/// [`classify_outputs`] plus the SAT effort the classification consumed.
+/// [`classify_outputs`] plus the SAT effort the classification consumed,
+/// with the internal-equivalence pass reading and extending `proofs`.
 ///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from encoding.
-pub fn classify_outputs_with_stats(
+pub fn classify_outputs_with_stats<'s>(
     implementation: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     corr: &Correspondence,
     budget: Option<u64>,
     governor: Option<&Budget>,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<(Vec<Equivalence>, SolverStats), NetlistError> {
     let pairs: Vec<_> = corr
         .outputs
@@ -124,7 +152,7 @@ pub fn classify_outputs_with_stats(
             )
         })
         .collect();
-    let mut solver = Solver::new();
+    let mut solver = armed_solver(governor);
     let miter = tseitin::encode_pairs(&mut solver, implementation, spec, &pairs)?;
     // Internal-equivalence assistance: the implementation is structurally
     // dissimilar from the specification by construction, so monolithic
@@ -136,11 +164,9 @@ pub fn classify_outputs_with_stats(
         &miter.left,
         &miter.right,
         &CecOptions::default(),
+        proofs,
     )?;
     solver.set_conflict_budget(budget);
-    if let Some(g) = governor {
-        g.arm_solver(&mut solver);
-    }
     let mut out = Vec::with_capacity(pairs.len());
     for &d in &miter.diff_lits {
         out.push(match solver.solve(&[d]) {
@@ -191,11 +217,13 @@ pub fn collect_samples(
         seed_sample,
         rng,
         governor,
+        &mut ProofCache::new(),
     )
     .map(|(s, _)| s)
 }
 
-/// [`collect_samples`] plus the SAT effort of the enumeration stage.
+/// [`collect_samples`] plus the SAT effort of the enumeration stage, whose
+/// internal-equivalence pass reads and extends `proofs`.
 ///
 /// The returned [`SolverStats`] is zero when random simulation alone filled
 /// the request (stage 2 never built a solver).
@@ -204,9 +232,9 @@ pub fn collect_samples(
 ///
 /// Propagates [`NetlistError`] from simulation or encoding.
 #[allow(clippy::too_many_arguments)]
-pub fn collect_samples_with_stats(
+pub fn collect_samples_with_stats<'s>(
     implementation: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     corr: &Correspondence,
     pair: &OutputPair,
     want: usize,
@@ -214,6 +242,7 @@ pub fn collect_samples_with_stats(
     seed_sample: Option<&[bool]>,
     rng: &mut SmallRng,
     governor: Option<&Budget>,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<(Vec<Vec<bool>>, SolverStats), NetlistError> {
     let mut sat_stats = SolverStats::default();
     let mut samples: Vec<Vec<bool>> = Vec::new();
@@ -302,7 +331,7 @@ pub fn collect_samples_with_stats(
 
     // Stage 2: SAT enumeration to top up (also proves exhaustion).
     if samples.len() < want {
-        let mut solver = Solver::new();
+        let mut solver = armed_solver(governor);
         let miter =
             tseitin::encode_pairs(&mut solver, implementation, spec, &[(impl_out, spec_out)])?;
         assist_equivalences(
@@ -312,6 +341,7 @@ pub fn collect_samples_with_stats(
             &miter.left,
             &miter.right,
             &CecOptions::default(),
+            proofs,
         )?;
         solver.add_clause(&miter.diff_lits);
         // Block already-found samples.
@@ -334,9 +364,6 @@ pub fn collect_samples_with_stats(
             solver.add_clause(&block);
         }
         solver.set_conflict_budget(Some(200_000));
-        if let Some(g) = governor {
-            g.arm_solver(&mut solver);
-        }
         while samples.len() < want {
             match solver.solve(&[]) {
                 SolveResult::Sat => {
@@ -410,6 +437,42 @@ mod tests {
             }
             other => panic!("expected counterexample, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn expired_deadline_stops_classification_before_any_conflict() {
+        let case = eco_workload::build_case(&eco_workload::CaseParams {
+            id: 9300,
+            name: "expired-deadline",
+            seed: 11,
+            input_words: 2,
+            width: 3,
+            logic_signals: 6,
+            output_words: 3,
+            revisions: vec![(0, eco_workload::RevisionKind::GateTermAdded)],
+            heavy_optimization: false,
+            aggressive_optimization: false,
+        });
+        let (c, s) = (&case.implementation, &case.spec);
+        let corr = Correspondence::build(c, s).unwrap();
+        let classify = |governor: Option<&Budget>| {
+            classify_outputs_with_stats(c, s, &corr, None, governor, &mut ProofCache::new())
+                .unwrap()
+        };
+        let (_, unarmed) = classify(None);
+        assert!(
+            unarmed.conflicts > 0,
+            "the pass must have real work to skip"
+        );
+        // The deadline is armed before the internal-equivalence pass, so no
+        // query of either stage runs a single conflict past it.
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        let (verdicts, stats) = classify(Some(&expired));
+        assert!(
+            verdicts.iter().all(|v| *v == Equivalence::Unknown),
+            "{verdicts:?}"
+        );
+        assert_eq!(stats.conflicts, 0);
     }
 
     #[test]

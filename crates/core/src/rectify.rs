@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use eco_bdd::{Bdd, BddCounters, BddError, BddManager};
 use eco_netlist::{topo, Circuit, NetId, Pin};
+use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
 use eco_telemetry::{
     ArgValue, Counter, Gauge, Histogram, MetricsShard, SpanRecord, Telemetry, TraceBuffer,
@@ -133,6 +134,13 @@ pub struct RectifyStats {
     pub sat_learnt_clauses: u64,
     /// SAT learnt literals across every learnt clause (same scope).
     pub sat_learnt_literals: u64,
+    /// Internal equivalences the SAT solver proved and recorded in the
+    /// run's proof cache (same scope).
+    pub cec_proofs: u64,
+    /// Internal equivalences asserted from the run's proof cache without
+    /// solving (same scope). The reuse rate is
+    /// `cec_reused / (cec_proofs + cec_reused)`.
+    pub cec_reused: u64,
     /// BDD operation-cache hits/misses summed over every per-output manager.
     pub bdd: BddCounters,
     /// Largest node count any single BDD manager reached.
@@ -200,6 +208,8 @@ struct SearchStats {
     prefilter_screened: usize,
     prefilter_passed: usize,
     sat: SolverStats,
+    cec_proofs: u64,
+    cec_reused: u64,
     bdd: BddCounters,
     bdd_peak_nodes: usize,
     bdd_unique_entries: usize,
@@ -374,6 +384,17 @@ fn note_sat(stats: &mut RectifyStats, shard: &MetricsShard, s: SolverStats) {
     }
 }
 
+/// Folds one coordinator-side proof cache's counters into the run stats and
+/// the metrics shard.
+fn note_proofs(stats: &mut RectifyStats, shard: &MetricsShard, proofs: &ProofCache) {
+    stats.cec_proofs += proofs.proofs();
+    stats.cec_reused += proofs.reused();
+    if shard.is_enabled() {
+        shard.add(Counter::CecProofs, proofs.proofs());
+        shard.add(Counter::CecReused, proofs.reused());
+    }
+}
+
 /// Flushes one finished search's local counters into a worker shard: a
 /// handful of relaxed atomic adds at search end, nothing on the hot path.
 fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration) {
@@ -386,6 +407,8 @@ fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration)
     shard.add(Counter::SatRestarts, s.sat.restarts);
     shard.add(Counter::SatLearntClauses, s.sat.learnt_clauses);
     shard.add(Counter::SatLearntLiterals, s.sat.learnt_literals);
+    shard.add(Counter::CecProofs, s.cec_proofs);
+    shard.add(Counter::CecReused, s.cec_reused);
     shard.add(Counter::BddApplyHits, s.bdd.apply_hits);
     shard.add(Counter::BddApplyMisses, s.bdd.apply_misses);
     shard.add(Counter::BddIteHits, s.bdd.ite_hits);
@@ -475,14 +498,22 @@ pub(crate) fn rewire_rectify_with(
     let mut seeds: HashMap<u32, Vec<bool>> = HashMap::new();
     let span_detect = tb.start();
     budget.fault_span(SpanPoint::Detect)?;
+    // Detection fills the run's proof cache, which is then frozen: every
+    // search and the merge phase get an overlay of their own on it, so
+    // each one's SAT trajectory depends only on its merge slot — never on
+    // `jobs` or on which slots a checkpoint resume skipped.
+    let mut detect_proofs = ProofCache::new();
     let (verdicts, detect_sat) = classify_outputs_with_stats(
         implementation,
         spec,
         &corr,
         Some(options.validation_budget.saturating_mul(10)),
         Some(budget),
+        &mut detect_proofs,
     )?;
     note_sat(&mut stats, &shard, detect_sat);
+    note_proofs(&mut stats, &shard, &detect_proofs);
+    let proof_base = detect_proofs.freeze();
     for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
         match verdict {
             Equivalence::Equivalent => {}
@@ -584,6 +615,7 @@ pub(crate) fn rewire_rectify_with(
         );
         let t_search = Instant::now();
         let mut local = SearchStats::default();
+        let mut proofs = proof_base.overlay();
         let mut refined: Vec<Vec<bool>> = Vec::new();
         // Trace lane i+1 belongs to merge slot i regardless of which worker
         // ran it, so the merged trace is independent of scheduling.
@@ -619,6 +651,7 @@ pub(crate) fn rewire_rectify_with(
                         &worker_shards[w],
                         output_entries.get(i).and_then(|e| e.warm.as_ref()),
                         &mut refined,
+                        &mut proofs,
                     )
                 }));
                 let verdict = match outcome {
@@ -643,6 +676,8 @@ pub(crate) fn rewire_rectify_with(
                 verdict
             }
         };
+        local.cec_proofs = proofs.proofs();
+        local.cec_reused = proofs.reused();
         let search = t_search.elapsed();
         trace!("output {}: search done in {search:?}", pair.name);
         trace.end_with(span_search, "search", "rectify", || {
@@ -691,6 +726,8 @@ pub(crate) fn rewire_rectify_with(
         stats.sat_restarts += r.stats.sat.restarts;
         stats.sat_learnt_clauses += r.stats.sat.learnt_clauses;
         stats.sat_learnt_literals += r.stats.sat.learnt_literals;
+        stats.cec_proofs += r.stats.cec_proofs;
+        stats.cec_reused += r.stats.cec_reused;
         stats.bdd += r.stats.bdd;
         stats.bdd_peak_nodes = stats.bdd_peak_nodes.max(r.stats.bdd_peak_nodes);
         stats.cache_hits += r.stats.cache_hits;
@@ -729,12 +766,20 @@ pub(crate) fn rewire_rectify_with(
     let mut refined_per_output: Vec<Vec<Vec<bool>>> = Vec::with_capacity(order.len());
     let span_merge = tb.start();
     budget.fault_span(SpanPoint::Merge)?;
-    let recheck = |implementation: &Circuit,
-                   pair: &OutputPair,
-                   stats: &mut RectifyStats|
+    // Merge rechecks and the verification pass share one overlay.
+    let mut merge_proofs = proof_base.overlay();
+    let mut recheck = |implementation: &Circuit,
+                       pair: &OutputPair,
+                       stats: &mut RectifyStats|
      -> Result<Equivalence, EcoError> {
-        let (verdict, s) =
-            check_output_pair_with_stats(implementation, spec, pair, recheck_budget, Some(budget))?;
+        let (verdict, s) = check_output_pair_with_stats(
+            implementation,
+            spec,
+            pair,
+            recheck_budget,
+            Some(budget),
+            &mut merge_proofs,
+        )?;
         note_sat(stats, &shard, s);
         Ok(verdict)
     };
@@ -942,8 +987,14 @@ pub(crate) fn rewire_rectify_with(
     if proposals_applied >= 2 || (resumed_count > 0 && proposals_applied >= 1) {
         let span_verify = tb.start();
         budget.fault_span(SpanPoint::Verify)?;
-        let (verdicts, verify_sat) =
-            classify_outputs_with_stats(implementation, spec, &corr, recheck_budget, Some(budget))?;
+        let (verdicts, verify_sat) = classify_outputs_with_stats(
+            implementation,
+            spec,
+            &corr,
+            recheck_budget,
+            Some(budget),
+            &mut merge_proofs,
+        )?;
         note_sat(&mut stats, &shard, verify_sat);
         let mut repaired = 0u64;
         for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
@@ -993,6 +1044,7 @@ pub(crate) fn rewire_rectify_with(
             vec![("repaired", ArgValue::U64(repaired))]
         });
     }
+    note_proofs(&mut stats, &shard, &merge_proofs);
 
     // Record per-output outcomes for future warm starts. A proposal is
     // stored only when it survived both the merge rechecks and the
@@ -1127,9 +1179,9 @@ fn fallback_rectify(
 /// stream is derived from the run seed and the output index so the verdict
 /// is independent of worker count and scheduling.
 #[allow(clippy::too_many_arguments)]
-fn search_one_output(
+fn search_one_output<'s>(
     base: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     corr: &Correspondence,
     pair: &OutputPair,
     seed: Option<&[bool]>,
@@ -1143,6 +1195,7 @@ fn search_one_output(
     shard: &MetricsShard,
     warm: Option<&WarmStart>,
     refined: &mut Vec<Vec<bool>>,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<SearchVerdict, EcoError> {
     let mut rng = SmallRng::seed_from_u64(per_output_seed(options.seed, pair.impl_index));
     let span_samples = buf.start();
@@ -1157,6 +1210,7 @@ fn search_one_output(
         seed,
         &mut rng,
         Some(budget),
+        proofs,
     )?;
     stats.sat += sample_sat;
     buf.end_with(span_samples, "samples", "rectify", || {
@@ -1219,6 +1273,7 @@ fn search_one_output(
                 &no_clones,
                 options.validation_budget,
                 Some(budget),
+                proofs,
             );
             let val_sat = result
                 .as_ref()
@@ -1289,6 +1344,7 @@ fn search_one_output(
             budget,
             buf,
             shard,
+            proofs,
         )? {
             Attempt::Found { rewires, cut } => {
                 return Ok(SearchVerdict::Proposal { rewires, cut });
@@ -1356,9 +1412,9 @@ fn bdd_cut(e: BddError) -> Result<Attempt, EcoError> {
 /// count can be folded into `stats` on **every** exit path of the inner
 /// search, early cuts included.
 #[allow(clippy::too_many_arguments)]
-fn attempt_with_domain(
+fn attempt_with_domain<'s>(
     base: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     corr: &Correspondence,
     pair: &OutputPair,
     samples: &[Vec<bool>],
@@ -1371,6 +1427,7 @@ fn attempt_with_domain(
     budget: &Budget,
     buf: &mut TraceBuffer,
     shard: &MetricsShard,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<Attempt, EcoError> {
     let node_limit = if budget.inject_bdd_node_limit() {
         1 // fault injection: force an immediate NodeLimit on the first op
@@ -1400,6 +1457,7 @@ fn attempt_with_domain(
         budget,
         buf,
         shard,
+        proofs,
     );
     stats.bdd += m.counters();
     stats.bdd_peak_nodes = stats.bdd_peak_nodes.max(m.peak_num_nodes());
@@ -1409,10 +1467,10 @@ fn attempt_with_domain(
 
 /// The body of [`attempt_with_domain`], running inside the supplied manager.
 #[allow(clippy::too_many_arguments)]
-fn attempt_in_manager(
+fn attempt_in_manager<'s>(
     m: &mut BddManager,
     base: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     corr: &Correspondence,
     pair: &OutputPair,
     samples: &[Vec<bool>],
@@ -1425,6 +1483,7 @@ fn attempt_in_manager(
     budget: &Budget,
     buf: &mut TraceBuffer,
     shard: &MetricsShard,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<Attempt, EcoError> {
     let root = base.outputs()[pair.impl_index as usize].net();
     let spec_root = spec.outputs()[pair.spec_index as usize].net();
@@ -1696,6 +1755,7 @@ fn attempt_in_manager(
                     &no_clones,
                     options.validation_budget,
                     Some(budget),
+                    proofs,
                 )?;
                 stats.sat += val_sat;
                 buf.end_with(span_val, "validate", "rectify", || {

@@ -11,10 +11,12 @@
 use std::collections::{HashMap, HashSet};
 
 use eco_netlist::{sim, topo, Circuit, NetId, NetlistError, Pin};
-use eco_sat::SolverStats;
+use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
+use eco_sat::{tseitin, SolveResult, SolverStats};
 
 use crate::budget::Budget;
 use crate::correspond::{Correspondence, OutputPair};
+use crate::error_domain::armed_solver;
 use crate::patch::RewireOp;
 use crate::rewire_nets::RewireCandidate;
 use crate::EcoError;
@@ -152,11 +154,13 @@ pub fn validate_rewires(
         shared_clones,
         budget,
         governor,
+        &mut ProofCache::new(),
     )
     .map(|(v, _)| v)
 }
 
-/// [`validate_rewires`] plus the SAT effort the call consumed.
+/// [`validate_rewires`] plus the SAT effort the call consumed, with the
+/// internal-equivalence pass reading and extending `proofs`.
 ///
 /// The returned [`SolverStats`] covers the validation solver only (zero when
 /// the verdict came from the simulation pre-filter or structural checks);
@@ -166,9 +170,9 @@ pub fn validate_rewires(
 ///
 /// Same contract as [`validate_rewires`].
 #[allow(clippy::too_many_arguments)]
-pub fn validate_rewires_with_stats(
+pub fn validate_rewires_with_stats<'s>(
     implementation: &Circuit,
-    spec: &Circuit,
+    spec: &'s Circuit,
     corr: &Correspondence,
     rewires: &[CandidateRewire],
     representative: &OutputPair,
@@ -177,6 +181,7 @@ pub fn validate_rewires_with_stats(
     shared_clones: &HashMap<NetId, NetId>,
     budget: u64,
     governor: Option<&Budget>,
+    proofs: &mut ProofCache<'s>,
 ) -> Result<(Validation, SolverStats), EcoError> {
     if let Some(g) = governor {
         if g.inject_sat_exhaust() {
@@ -234,8 +239,7 @@ pub fn validate_rewires_with_stats(
 
     // SAT confirmation with a single miter encoding: one difference literal
     // per affected output, queried under assumptions.
-    use eco_sat::{tseitin, SolveResult, Solver};
-    let pairs: Vec<(eco_netlist::NetId, eco_netlist::NetId)> = affected
+    let pairs: Vec<(NetId, NetId)> = affected
         .iter()
         .map(|&oi| {
             let pair = &corr.outputs[oi as usize];
@@ -245,22 +249,20 @@ pub fn validate_rewires_with_stats(
             )
         })
         .collect();
-    let mut solver = Solver::new();
+    let mut solver = armed_solver(governor);
     let miter =
         tseitin::encode_pairs(&mut solver, &scratch, spec, &pairs).map_err(EcoError::from)?;
-    eco_sat::cec::assist_equivalences(
+    assist_equivalences(
         &mut solver,
         &scratch,
         spec,
         &miter.left,
         &miter.right,
-        &eco_sat::cec::CecOptions::default(),
+        &CecOptions::default(),
+        proofs,
     )
     .map_err(EcoError::from)?;
     solver.set_conflict_budget(Some(budget));
-    if let Some(g) = governor {
-        g.arm_solver(&mut solver);
-    }
 
     // Representative output first.
     if let Some(rep_pos) = affected

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use eco_bdd::{Bdd, BddError, BddManager};
 use eco_netlist::{sim, topo, Circuit, GateKind, NetId};
-use eco_sat::cec::{assist_equivalences, CecOptions};
+use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
 use eco_sat::tseitin::{encode_pairs, model_inputs};
 use eco_sat::{SolveResult, Solver};
 use rand::rngs::SmallRng;
@@ -336,6 +336,7 @@ impl Oracle for SatOracle {
                 &miter.left,
                 &miter.right,
                 &options,
+                &mut ProofCache::new(),
             )?;
         }
         solver.set_conflict_budget(self.conflict_budget);

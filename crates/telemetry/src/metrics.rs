@@ -48,6 +48,10 @@ metric_enum! {
         SatLearntClauses => names::SAT_LEARNT_CLAUSES,
         /// SAT literals across every learnt clause.
         SatLearntLiterals => names::SAT_LEARNT_LITERALS,
+        /// Internal equivalences proven by SAT and recorded for reuse.
+        CecProofs => names::CEC_PROOFS,
+        /// Internal equivalences asserted from the proof cache.
+        CecReused => names::CEC_REUSED,
         /// BDD apply-cache hits.
         BddApplyHits => names::BDD_APPLY_HITS,
         /// BDD apply-cache misses.

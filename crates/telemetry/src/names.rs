@@ -25,6 +25,10 @@ pub const SAT_RESTARTS: &str = "sat.restarts";
 pub const SAT_LEARNT_CLAUSES: &str = "sat.learnt_clauses";
 /// SAT literals across every learnt clause (after minimization).
 pub const SAT_LEARNT_LITERALS: &str = "sat.learnt_literals";
+/// Internal equivalences proven by SAT and recorded in a run's proof cache.
+pub const CEC_PROOFS: &str = "cec.proofs";
+/// Internal equivalences asserted from a run's proof cache without solving.
+pub const CEC_REUSED: &str = "cec.reused";
 /// BDD apply-cache hits.
 pub const BDD_APPLY_HITS: &str = "bdd.apply.hits";
 /// BDD apply-cache misses.
@@ -151,6 +155,8 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     SAT_RESTARTS,
     SAT_LEARNT_CLAUSES,
     SAT_LEARNT_LITERALS,
+    CEC_PROOFS,
+    CEC_REUSED,
     BDD_APPLY_HITS,
     BDD_APPLY_MISSES,
     BDD_ITE_HITS,

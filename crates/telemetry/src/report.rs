@@ -222,8 +222,20 @@ pub fn render(profile: &Profile, metrics: &MetricsDoc, options: &ReportOptions) 
             .unwrap_or(0);
         out.push_str(&format!("| {} | {value} |\n", key.replace('_', " ")));
     }
+    // Internal equivalences asserted from the run's proof cache, over all
+    // asserted (proven by SAT or reused).
+    let reused = metrics.counter(names::CEC_REUSED);
+    let asserted = reused + metrics.counter(names::CEC_PROOFS);
+    let reuse = if asserted == 0 {
+        "—".to_string()
+    } else {
+        format!(
+            "{reused} of {asserted} ({:.1}%)",
+            100.0 * reused as f64 / asserted as f64
+        )
+    };
     out.push_str(&format!(
-        "| sat conflicts | {} |\n| bdd peak nodes | {} |\n",
+        "| sat conflicts | {} |\n| cec proofs reused | {reuse} |\n| bdd peak nodes | {} |\n",
         metrics.counter(names::SAT_CONFLICTS),
         metrics.gauge(names::BDD_PEAK_NODES),
     ));
@@ -515,6 +527,8 @@ mod tests {
         shard.add(Counter::SatConflicts, 53);
         shard.add(Counter::RectifyValidations, 5);
         shard.add(Counter::CacheRetries, 2);
+        shard.add(Counter::CecProofs, 1);
+        shard.add(Counter::CecReused, 3);
         shard.gauge_max(Gauge::BddPeakNodes, 1234);
         shard.observe(Histogram::SearchMicros, 40);
         shard.observe(Histogram::SearchMicros, 50);
@@ -535,6 +549,7 @@ mod tests {
         assert!(report.contains("## Hot paths"));
         assert!(report.contains("| outputs total | 2 |"));
         assert!(report.contains("| sat conflicts | 53 |"));
+        assert!(report.contains("| cec proofs reused | 3 of 4 (75.0%) |"));
     }
 
     #[test]

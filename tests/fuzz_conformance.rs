@@ -77,6 +77,7 @@ fn fuzz_reports_are_reproducible() {
 #[test]
 fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
     use eco_netlist::NetId;
+    use eco_sat::cec::ProofCache;
     use std::collections::{HashMap, HashSet};
     use syseco::correspond::Correspondence;
     use syseco::points::candidate_pins;
@@ -156,7 +157,17 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
                 }
             }
             let (validation, _) = validate_rewires_with_stats(
-                im, sp, &corr, &rewires, pair, &failing, &samples, &no_clones, 100_000, None,
+                im,
+                sp,
+                &corr,
+                &rewires,
+                pair,
+                &failing,
+                &samples,
+                &no_clones,
+                100_000,
+                None,
+                &mut ProofCache::new(),
             )
             .expect("validation runs");
             assert!(
@@ -167,6 +178,134 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
     }
     assert!(screened_total > 0, "the sweep never screened a candidate");
     assert!(passed_total > 0, "the sweep never passed a candidate");
+}
+
+/// Proof reuse never changes a validation verdict (DESIGN.md §17): over two
+/// hundred scenarios, each candidate is validated once through a warm
+/// overlay — on a base filled by a detection pass, as in the engine — and
+/// once through a fresh cache. Both must reach the same kind of verdict,
+/// and every counterexample must still separate the rewired implementation
+/// from the spec when re-simulated.
+#[test]
+fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
+    use eco_netlist::{NetId, Pin};
+    use eco_sat::cec::ProofCache;
+    use std::collections::{HashMap, HashSet};
+    use std::mem::discriminant;
+    use syseco::correspond::Correspondence;
+    use syseco::error_domain::classify_outputs_with_stats;
+    use syseco::points::candidate_pins;
+    use syseco::rewire_nets::RewireCandidate;
+    use syseco::validate::{
+        apply_rewires, validate_rewires_with_stats, CandidateRewire, Validation,
+    };
+
+    let config = ScenarioConfig::default();
+    let (mut compared, mut counterexamples, mut valid, mut reused) = (0u64, 0u64, 0u64, 0u64);
+    for i in 0..200u64 {
+        let seed = iteration_seed(0xCEC_CA5E, i);
+        let sc = generate(seed, &config).expect("scenario generates");
+        let (im, sp) = (&sc.implementation, &sc.spec);
+        let Ok(corr) = Correspondence::build(im, sp) else {
+            continue;
+        };
+        let mut detect = ProofCache::new();
+        classify_outputs_with_stats(im, sp, &corr, None, None, &mut detect)
+            .expect("detection runs");
+        let base = detect.freeze();
+        let mut warm = base.overlay();
+        let failing: HashSet<u32> = (0..im.outputs().len() as u32).collect();
+        let no_clones: HashMap<NetId, NetId> = HashMap::new();
+        for k in 0..6usize {
+            let pair = &corr.outputs[(seed as usize + k) % corr.outputs.len()];
+            let root = im.outputs()[pair.impl_index as usize].net();
+            let pins = candidate_pins(im, root, pair.impl_index, 16);
+            // Alternate the candidate: the pair's own spec cone at its
+            // output pin (valid by construction), a spec net, an
+            // implementation net — the last two at a cone pin.
+            let j = (seed >> (8 * (k % 8))) as usize;
+            let (pin, net, from_spec) = match k % 3 {
+                0 => (
+                    Pin::output(pair.impl_index),
+                    sp.outputs()[pair.spec_index as usize].net(),
+                    true,
+                ),
+                _ if pins.is_empty() => continue,
+                1 => (
+                    pins[j % pins.len()],
+                    NetId::from_index(j % sp.num_nodes()),
+                    true,
+                ),
+                _ => (
+                    pins[j % pins.len()],
+                    NetId::from_index(j % im.num_nodes()),
+                    false,
+                ),
+            };
+            let rewires = vec![CandidateRewire {
+                pin,
+                candidate: RewireCandidate {
+                    net,
+                    from_spec,
+                    utility: 0.0,
+                    arrival: 0.0,
+                },
+            }];
+            let cold = &mut ProofCache::new();
+            let [w, c] = [&mut warm, cold].map(|proofs| {
+                validate_rewires_with_stats(
+                    im,
+                    sp,
+                    &corr,
+                    &rewires,
+                    pair,
+                    &failing,
+                    &[],
+                    &no_clones,
+                    100_000,
+                    None,
+                    proofs,
+                )
+                .map(|(v, _)| v)
+            });
+            let (w, c) = match (w, c) {
+                (Ok(w), Ok(c)) => (w, c),
+                // A random net may be dead or unclonable: both must refuse.
+                (Err(_), Err(_)) => continue,
+                (w, c) => panic!("scenario {i}: warm {w:?} but cold {c:?}"),
+            };
+            assert_eq!(
+                discriminant(&w),
+                discriminant(&c),
+                "scenario {i}: warm {w:?} but cold {c:?}"
+            );
+            compared += 1;
+            valid += u64::from(matches!(w, Validation::Valid { .. }));
+            for v in [&w, &c] {
+                let Validation::CounterExample(x) = v else {
+                    continue;
+                };
+                counterexamples += 1;
+                let mut scratch = im.clone();
+                apply_rewires(&mut scratch, sp, &rewires, &mut HashMap::new())
+                    .expect("a validated rewire applies");
+                let got = scratch.eval(x).expect("simulates")[pair.impl_index as usize];
+                let want =
+                    sp.eval(&corr.spec_assignment(x)).expect("simulates")[pair.spec_index as usize];
+                assert_ne!(
+                    got, want,
+                    "scenario {i}: counterexample {x:?} does not separate"
+                );
+            }
+        }
+        reused += warm.reused();
+    }
+    assert!(compared >= 400, "only {compared} candidates compared");
+    assert!(
+        valid > 0 && counterexamples > 0,
+        "{valid} valid, {counterexamples} cex"
+    );
+    assert!(reused > 0, "the warm overlay never reused a proof");
 }
 
 /// The engine's prefilter accounting must reconcile on real runs: every

@@ -206,10 +206,15 @@ fn full_run_snapshot_stays_within_the_documented_name_registry() {
     let telemetry = Telemetry::enabled();
     let session =
         Session::new(EcoOptions::builder().seed(11).jobs(2).build()).with_telemetry(&telemetry);
-    session
+    let result = session
         .run(&case.implementation, &case.spec)
         .expect("rectification succeeds");
     let snap = session.metrics_snapshot();
+    // The proof-cache counters fold through the run stats unchanged, and
+    // a multi-output run reuses proofs.
+    assert_eq!(snap.counter(Counter::CecProofs), result.rectify.cec_proofs);
+    assert_eq!(snap.counter(Counter::CecReused), result.rectify.cec_reused);
+    assert!(result.rectify.cec_proofs > 0 && result.rectify.cec_reused > 0);
     let recorded: Vec<&'static str> = snap
         .counters()
         .map(|(name, _)| name)
@@ -225,6 +230,7 @@ fn full_run_snapshot_stays_within_the_documented_name_registry() {
     // And the snapshot exposes the complete registry, so exports never
     // silently drop a documented metric.
     assert_eq!(recorded.len(), names::ALL_METRIC_NAMES.len());
+    assert!(recorded.contains(&names::CEC_PROOFS) && recorded.contains(&names::CEC_REUSED));
 }
 
 /// A fully resumed run records zero-work placeholder searches instead of

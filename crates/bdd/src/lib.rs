@@ -19,17 +19,14 @@
 //! * mark-and-sweep garbage collection over an explicit root set
 //!   ([`BddManager::gc`], [`BddManager::maybe_gc`]) — surviving handles
 //!   keep their indices,
-//! * dynamic variable reordering by sifting ([`BddManager::reorder`],
-//!   [`BddManager::maybe_reorder`]) that rewrites nodes in place so
-//!   handles keep denoting the same functions,
 //! * a configurable node limit so domain computations stay
 //!   resource-bounded ([`BddError::NodeLimit`]), plus deadlines, a
-//!   cooperative interrupt, and a pre-event hook ([`BddEvent`]) used by
-//!   the fault-injection harness.
+//!   cooperative interrupt, and a pre-collection hook
+//!   ([`BddManager::set_event_hook`]) used by the fault-injection harness.
 //!
-//! Variables enter the order at allocation time; callers allocate them in
-//! the order they want them in the diagram (syseco uses `c < t < y < z`),
-//! and sifting may later permute levels without changing any semantics.
+//! The variable order is fixed: a variable's index is its level, lower
+//! indices nearer the root. Callers number their variables in the order
+//! they want them in the diagram (syseco uses `c < t < y < z`).
 //!
 //! # Example
 //!
@@ -53,9 +50,8 @@ mod cubes;
 mod error;
 mod manager;
 mod opcache;
-mod reorder;
 mod unique;
 
 pub use cubes::Cube;
 pub use error::BddError;
-pub use manager::{Bdd, BddCounters, BddEvent, BddManager, EventHook, OpCacheSizes};
+pub use manager::{Bdd, BddCounters, BddManager, EventHook, OpCacheSizes};

@@ -3,14 +3,13 @@
 //! The table stores only `u32` node indices; the `(var, lo, hi)` key of an
 //! entry is read back from the arena on probe, so there is no tuple-key
 //! hashing or per-entry key storage. Capacity is always a power of two and
-//! probing is linear, which keeps the hot `find` loop branch-light. Slots
-//! freed by reordering are tombstoned; garbage collection rebuilds the
-//! whole table instead.
+//! probing is linear, which keeps the hot `find` loop branch-light. Entries
+//! are never removed one by one: garbage collection rebuilds the whole
+//! table from the surviving nodes.
 
 use crate::arena::Arena;
 
 const EMPTY: u32 = u32::MAX;
-const TOMBSTONE: u32 = u32::MAX - 1;
 const INITIAL_CAPACITY: usize = 1 << 10;
 
 /// Hash/lookup structure mapping `(var, lo, hi)` to the canonical node.
@@ -19,7 +18,6 @@ pub(crate) struct UniqueTable {
     slots: Vec<u32>,
     mask: usize,
     len: usize,
-    tombstones: usize,
     resizes: u64,
 }
 
@@ -40,7 +38,6 @@ impl UniqueTable {
             slots: vec![EMPTY; INITIAL_CAPACITY],
             mask: INITIAL_CAPACITY - 1,
             len: 0,
-            tombstones: 0,
             resizes: 0,
         }
     }
@@ -66,11 +63,9 @@ impl UniqueTable {
             if s == EMPTY {
                 return None;
             }
-            if s != TOMBSTONE {
-                let n = arena.node(s);
-                if n.var == var && n.lo == lo && n.hi == hi {
-                    return Some(s);
-                }
+            let n = arena.node(s);
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Some(s);
             }
             i = (i + 1) & self.mask;
         }
@@ -78,42 +73,15 @@ impl UniqueTable {
 
     /// Inserts `idx` under key `(var, lo, hi)`; the key must not be present.
     pub fn insert(&mut self, arena: &Arena, idx: u32, var: u32, lo: u32, hi: u32) {
-        if (self.len + self.tombstones + 1) * 4 > self.slots.len() * 3 {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow(arena);
         }
         let mut i = hash(var, lo, hi) as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY || s == TOMBSTONE {
-                if s == TOMBSTONE {
-                    self.tombstones -= 1;
-                }
-                self.slots[i] = idx;
-                self.len += 1;
-                return;
-            }
+        while self.slots[i] != EMPTY {
             i = (i + 1) & self.mask;
         }
-    }
-
-    /// Removes the entry for node `idx` (keyed by its current arena
-    /// contents), leaving a tombstone. No-op if absent.
-    pub fn remove(&mut self, arena: &Arena, idx: u32) {
-        let n = arena.node(idx);
-        let mut i = hash(n.var, n.lo, n.hi) as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return;
-            }
-            if s == idx {
-                self.slots[i] = TOMBSTONE;
-                self.tombstones += 1;
-                self.len -= 1;
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
+        self.slots[i] = idx;
+        self.len += 1;
     }
 
     fn grow(&mut self, arena: &Arena) {
@@ -122,8 +90,8 @@ impl UniqueTable {
         self.rehash(arena, new_cap);
     }
 
-    /// Rebuilds the table from the arena's live nodes, clearing tombstones.
-    /// Used after garbage collection; does not count as a resize.
+    /// Rebuilds the table from the arena's live nodes. Used after garbage
+    /// collection; does not count as a resize.
     pub fn rebuild(&mut self, arena: &Arena) {
         let mut cap = self.slots.len();
         // Shrink toward the live set, but never below the initial capacity.
@@ -134,7 +102,6 @@ impl UniqueTable {
         self.slots.resize(cap, EMPTY);
         self.mask = cap - 1;
         self.len = 0;
-        self.tombstones = 0;
         for idx in arena.live_indices() {
             let n = arena.node(idx);
             let mut i = hash(n.var, n.lo, n.hi) as usize & self.mask;
@@ -149,9 +116,8 @@ impl UniqueTable {
     fn rehash(&mut self, arena: &Arena, new_cap: usize) {
         let old: Vec<u32> = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
         self.mask = new_cap - 1;
-        self.tombstones = 0;
         for s in old {
-            if s == EMPTY || s == TOMBSTONE {
+            if s == EMPTY {
                 continue;
             }
             let n = arena.node(s);
@@ -169,7 +135,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_find_remove_roundtrip() {
+    fn insert_find_roundtrip() {
         let mut arena = Arena::new();
         let mut t = UniqueTable::new();
         let idx = arena.alloc(3, 1, 0);
@@ -177,9 +143,7 @@ mod tests {
         t.insert(&arena, idx, 3, 1, 0);
         assert_eq!(t.len(), 1);
         assert_eq!(t.find(&arena, 3, 1, 0), Some(idx));
-        t.remove(&arena, idx);
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.find(&arena, 3, 1, 0), None);
+        assert_eq!(t.find(&arena, 3, 0, 1), None);
     }
 
     #[test]

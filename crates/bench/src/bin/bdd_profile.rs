@@ -82,11 +82,6 @@ fn main() {
             snapshot.counter(Counter::BddIteMisses),
         ),
         (
-            "not",
-            snapshot.counter(Counter::BddNotHits),
-            snapshot.counter(Counter::BddNotMisses),
-        ),
-        (
             "quant",
             snapshot.counter(Counter::BddQuantHits),
             snapshot.counter(Counter::BddQuantMisses),

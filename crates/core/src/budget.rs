@@ -206,41 +206,26 @@ impl Budget {
     /// Arms a BDD manager likewise; exhaustion surfaces as
     /// [`eco_bdd::BddError::DeadlineExceeded`] / [`eco_bdd::BddError::Cancelled`].
     ///
-    /// Under a fault plan arming `bdd-gc` / `bdd-reorder`, this also
-    /// installs an event hook that vetoes the Nth matching pass with
-    /// [`eco_bdd::BddError::Aborted`] — and forces tiny GC/reorder
-    /// thresholds so the faulted machinery is guaranteed to run.
+    /// Under a fault plan arming `bdd-gc`, this also installs an event
+    /// hook that vetoes the Nth collection with
+    /// [`eco_bdd::BddError::Aborted`] — and forces a tiny GC threshold so
+    /// the faulted machinery is guaranteed to run.
     pub fn arm_bdd(&self, manager: &mut BddManager) {
         manager.set_deadline(self.deadline);
         manager.set_interrupt(self.cancel.as_ref().map(CancelToken::shared_flag));
         #[cfg(any(test, feature = "fault-injection"))]
-        {
-            let gc_at = self.plan.policy.bdd_gc_abort_from;
-            let reorder_at = self.plan.policy.bdd_reorder_abort_from;
-            if gc_at.is_some() || reorder_at.is_some() {
-                let gc_events = Arc::clone(&self.fault_state.bdd_gc_events);
-                let reorder_events = Arc::clone(&self.fault_state.bdd_reorder_events);
-                let injected = Arc::clone(&self.fault_state.injected);
-                manager.set_event_hook(Some(Box::new(move |event| {
-                    let (counter, at) = match event {
-                        eco_bdd::BddEvent::Gc => (&gc_events, gc_at),
-                        eco_bdd::BddEvent::Reorder => (&reorder_events, reorder_at),
-                        _ => return Ok(()),
-                    };
-                    let n = counter.fetch_add(1, Ordering::Relaxed) + 1;
-                    if matches!(at, Some(a) if n >= a) {
-                        injected.fetch_add(1, Ordering::Relaxed);
-                        return Err(eco_bdd::BddError::Aborted);
-                    }
-                    Ok(())
-                })));
-                if gc_at.is_some() {
-                    manager.set_gc_threshold(Some(64));
+        if let Some(at) = self.plan.policy.bdd_gc_abort_from {
+            let gc_events = Arc::clone(&self.fault_state.bdd_gc_events);
+            let injected = Arc::clone(&self.fault_state.injected);
+            manager.set_event_hook(Some(Box::new(move || {
+                let n = gc_events.fetch_add(1, Ordering::Relaxed) + 1;
+                if n >= at {
+                    injected.fetch_add(1, Ordering::Relaxed);
+                    return Err(eco_bdd::BddError::Aborted);
                 }
-                if reorder_at.is_some() {
-                    manager.set_reorder_threshold(Some(128));
-                }
-            }
+                Ok(())
+            })));
+            manager.set_gc_threshold(Some(64));
         }
     }
 

@@ -39,36 +39,15 @@ pub(crate) fn armed_solver(governor: Option<&Budget>) -> Solver {
     solver
 }
 
-/// Checks one output pair for equivalence with a conflict budget.
+/// Checks one output pair for equivalence with a conflict budget, and
+/// returns the SAT effort the query consumed. The internal-equivalence pass
+/// reads and extends `proofs`; pass a fresh [`ProofCache`] for a cold
+/// query.
 ///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from encoding.
-pub fn check_output_pair(
-    implementation: &Circuit,
-    spec: &Circuit,
-    pair: &OutputPair,
-    budget: Option<u64>,
-    governor: Option<&Budget>,
-) -> Result<Equivalence, NetlistError> {
-    check_output_pair_with_stats(
-        implementation,
-        spec,
-        pair,
-        budget,
-        governor,
-        &mut ProofCache::new(),
-    )
-    .map(|(e, _)| e)
-}
-
-/// [`check_output_pair`] plus the SAT effort the query consumed, with the
-/// internal-equivalence pass reading and extending `proofs`.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from encoding.
-pub fn check_output_pair_with_stats<'s>(
+pub fn check_output_pair<'s>(
     implementation: &Circuit,
     spec: &'s Circuit,
     pair: &OutputPair,
@@ -181,7 +160,9 @@ pub fn classify_outputs_with_stats<'s>(
     Ok((out, stats))
 }
 
-/// Collects up to `want` samples for the sampling domain of one output pair.
+/// Collects up to `want` samples for the sampling domain of one output
+/// pair, and returns the SAT effort of the enumeration stage, whose
+/// internal-equivalence pass reads and extends `proofs`.
 ///
 /// With `error_domain` set, samples are drawn from `𝔼`: random simulation
 /// finds cheap error patterns, SAT enumeration (with blocking clauses) tops
@@ -191,40 +172,6 @@ pub fn classify_outputs_with_stats<'s>(
 /// always included so the domain distinguishes `f` from `f'` at all.
 ///
 /// Returned samples are in implementation input order and deduplicated.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from simulation or encoding.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_samples(
-    implementation: &Circuit,
-    spec: &Circuit,
-    corr: &Correspondence,
-    pair: &OutputPair,
-    want: usize,
-    policy: SamplePolicy,
-    seed_sample: Option<&[bool]>,
-    rng: &mut SmallRng,
-    governor: Option<&Budget>,
-) -> Result<Vec<Vec<bool>>, NetlistError> {
-    collect_samples_with_stats(
-        implementation,
-        spec,
-        corr,
-        pair,
-        want,
-        policy,
-        seed_sample,
-        rng,
-        governor,
-        &mut ProofCache::new(),
-    )
-    .map(|(s, _)| s)
-}
-
-/// [`collect_samples`] plus the SAT effort of the enumeration stage, whose
-/// internal-equivalence pass reads and extends `proofs`.
-///
 /// The returned [`SolverStats`] is zero when random simulation alone filled
 /// the request (stage 2 never built a solver).
 ///
@@ -232,7 +179,7 @@ pub fn collect_samples(
 ///
 /// Propagates [`NetlistError`] from simulation or encoding.
 #[allow(clippy::too_many_arguments)]
-pub fn collect_samples_with_stats<'s>(
+pub fn collect_samples<'s>(
     implementation: &Circuit,
     spec: &'s Circuit,
     corr: &Correspondence,
@@ -422,7 +369,9 @@ mod tests {
         let s = c.clone();
         let (_, p) = pair0(&c, &s);
         assert_eq!(
-            check_output_pair(&c, &s, &p, None, None).unwrap(),
+            check_output_pair(&c, &s, &p, None, None, &mut ProofCache::new())
+                .unwrap()
+                .0,
             Equivalence::Equivalent
         );
     }
@@ -431,7 +380,10 @@ mod tests {
     fn different_pair_yields_counterexample() {
         let (c, s) = and_vs_or();
         let (_, p) = pair0(&c, &s);
-        match check_output_pair(&c, &s, &p, None, None).unwrap() {
+        match check_output_pair(&c, &s, &p, None, None, &mut ProofCache::new())
+            .unwrap()
+            .0
+        {
             Equivalence::Counterexample(x) => {
                 assert_ne!(c.eval(&x).unwrap()[0], s.eval(&x).unwrap()[0]);
             }
@@ -490,8 +442,10 @@ mod tests {
             None,
             &mut rng,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // The error domain has exactly two elements: 01 and 10.
         assert_eq!(samples.len(), 2);
         for x in &samples {
@@ -515,8 +469,10 @@ mod tests {
             Some(&seed),
             &mut rng,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(samples.contains(&seed));
         // The 2-input space has only 4 distinct assignments.
         assert_eq!(samples.len(), 4);
@@ -537,8 +493,10 @@ mod tests {
             None,
             &mut rng,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let set: HashSet<_> = samples.iter().cloned().collect();
         assert_eq!(set.len(), samples.len());
     }

@@ -138,8 +138,6 @@ pub struct FaultPolicy {
     /// Abort (veto through the BDD event hook) from the Nth garbage
     /// collection pass onwards, in any manager armed by this budget.
     pub bdd_gc_abort_from: Option<u64>,
-    /// Abort from the Nth sifting reorder pass onwards, likewise.
-    pub bdd_reorder_abort_from: Option<u64>,
 }
 
 /// A complete, named, replayable fault schedule for one run.
@@ -183,7 +181,6 @@ impl FaultPlan {
             "sat-exhaust".to_string(),
             "search-panic".to_string(),
             "bdd-gc".to_string(),
-            "bdd-reorder".to_string(),
         ];
         for p in SpanPoint::ALL {
             names.push(format!("cancel:{}", p.name()));
@@ -247,7 +244,6 @@ impl FaultPlan {
                 "sat-exhaust" => plan.policy.sat_exhaust_from = Some(count),
                 "search-panic" => plan.policy.panic_at = Some(count),
                 "bdd-gc" => plan.policy.bdd_gc_abort_from = Some(count),
-                "bdd-reorder" => plan.policy.bdd_reorder_abort_from = Some(count),
                 "cache-read-error" => plan.cache_io.read_error_at = window,
                 "cache-short-write" => plan.cache_io.short_write_at = window,
                 "cache-rename-error" => plan.cache_io.rename_error_at = window,
@@ -275,9 +271,6 @@ impl FaultPlan {
         }
         if let Some(n) = self.policy.bdd_gc_abort_from {
             tokens.push(format!("bdd-gc@{n}"));
-        }
-        if let Some(n) = self.policy.bdd_reorder_abort_from {
-            tokens.push(format!("bdd-reorder@{n}"));
         }
         if let Some((p, n)) = self.cancel_at {
             tokens.push(format!("cancel:{}@{n}", p.name()));
@@ -314,11 +307,10 @@ pub(crate) struct FaultState {
     pub(crate) bdd_attempts: std::sync::atomic::AtomicU64,
     pub(crate) sat_validations: std::sync::atomic::AtomicU64,
     pub(crate) searches: std::sync::atomic::AtomicU64,
-    /// GC / reorder passes observed across every manager this budget armed;
-    /// `Arc` because the counting happens inside event-hook closures that
+    /// GC passes observed across every manager this budget armed; `Arc`
+    /// because the counting happens inside event-hook closures that
     /// outlive the borrow of the budget.
     pub(crate) bdd_gc_events: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    pub(crate) bdd_reorder_events: std::sync::Arc<std::sync::atomic::AtomicU64>,
     pub(crate) spans: [std::sync::atomic::AtomicU64; SpanPoint::ALL.len()],
     pub(crate) cancelled: std::sync::atomic::AtomicBool,
     pub(crate) injected: std::sync::Arc<std::sync::atomic::AtomicU64>,
@@ -353,7 +345,7 @@ mod tests {
             assert_eq!(plan.spec(), spec, "{name} spec must roundtrip");
             assert_eq!(FaultPlan::parse(&plan.spec()).unwrap(), plan);
         }
-        assert_eq!(FaultPlan::point_names().len(), 5 + 22 + 12);
+        assert_eq!(FaultPlan::point_names().len(), 4 + 22 + 12);
     }
 
     #[test]
@@ -373,6 +365,7 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_points_and_zero_counts() {
         assert!(FaultPlan::parse("warp-core-breach").is_err());
+        assert!(FaultPlan::parse("bdd-reorder@1").is_err());
         assert!(FaultPlan::parse("cancel:nope").is_err());
         assert!(FaultPlan::parse("abort:nope@1").is_err());
         assert!(FaultPlan::parse("search-panic@0").is_err());

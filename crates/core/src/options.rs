@@ -84,10 +84,6 @@ pub struct EcoOptions {
     /// collection). Adapts upward after each pass so a genuinely large
     /// working set is not thrashed.
     pub bdd_gc_threshold: Option<usize>,
-    /// Live-node threshold that triggers a sifting reorder pass at the
-    /// next point-set boundary (`None` disables automatic reordering).
-    /// Also adapts upward after each pass.
-    pub bdd_reorder_threshold: Option<usize>,
     /// Wall-clock budget for the whole rectification run. When it expires,
     /// outputs still unrectified degrade to the output-rewire fallback and
     /// the cut is recorded in [`RectifyStats::degradations`].
@@ -140,7 +136,6 @@ impl Default for EcoOptions {
             seed: 0xEC0,
             bdd_node_limit: 2_000_000,
             bdd_gc_threshold: Some(1 << 16),
-            bdd_reorder_threshold: Some(1 << 17),
             timeout: None,
             jobs: 0,
             cache_dir: None,
@@ -240,8 +235,6 @@ impl EcoOptionsBuilder {
         bdd_node_limit: usize,
         /// Sets [`EcoOptions::bdd_gc_threshold`].
         bdd_gc_threshold: Option<usize>,
-        /// Sets [`EcoOptions::bdd_reorder_threshold`].
-        bdd_reorder_threshold: Option<usize>,
         /// Sets [`EcoOptions::jobs`] (`0` = available parallelism).
         jobs: usize,
         /// Sets [`EcoOptions::cache_mode`].

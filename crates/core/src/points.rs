@@ -252,7 +252,7 @@ pub fn feasible_point_sets(
             if decoded.is_empty() {
                 continue;
             }
-            if !topological_constraint_ok(circuit, &decoded, output_index) {
+            if !topological_constraint_ok(circuit, &decoded) {
                 continue;
             }
             if !out.contains(&decoded) {
@@ -836,8 +836,7 @@ fn decode_prime(selection: &Selection, prime: &Cube, pins: &[Pin], max: usize) -
 /// Checks the topological constraint of §3.3: no path may connect any pair
 /// of the selected pins. The output pin is downstream of the whole cone, so
 /// it only ever appears in singleton sets.
-pub fn topological_constraint_ok(circuit: &Circuit, pins: &[Pin], output_index: u32) -> bool {
-    let _ = output_index;
+pub fn topological_constraint_ok(circuit: &Circuit, pins: &[Pin]) -> bool {
     for (a, &pa) in pins.iter().enumerate() {
         for &pb in pins.iter().skip(a + 1) {
             match (pa.node(), pb.node()) {
@@ -1002,7 +1001,7 @@ mod tests {
         // H(t) is a tautology here; whatever decodes must satisfy the
         // topological constraint and reference known pins.
         for set in &sets {
-            assert!(topological_constraint_ok(&c, set, 0));
+            assert!(topological_constraint_ok(&c, set));
             for p in set {
                 assert!(pins.contains(p));
             }
@@ -1099,11 +1098,11 @@ mod tests {
         // Pins on g1 and g2: g1 feeds g2, so the pair is rejected.
         let p1 = Pin::gate(g1.source(), 0);
         let p2 = Pin::gate(g2.source(), 0);
-        assert!(!topological_constraint_ok(&c, &[p1, p2], 0));
+        assert!(!topological_constraint_ok(&c, &[p1, p2]));
         // Sibling pins of the same gate have no path between them.
         let p3 = Pin::gate(g2.source(), 1);
-        assert!(topological_constraint_ok(&c, &[p2, p3], 0));
+        assert!(topological_constraint_ok(&c, &[p2, p3]));
         // Output pin combined with a gate pin is rejected.
-        assert!(!topological_constraint_ok(&c, &[p1, Pin::output(0)], 0));
+        assert!(!topological_constraint_ok(&c, &[p1, Pin::output(0)]));
     }
 }

@@ -49,8 +49,7 @@ use crate::checkpoint::{CheckpointSession, CheckpointVerdict};
 use crate::choices::find_choices;
 use crate::correspond::{Correspondence, OutputPair};
 use crate::error_domain::{
-    check_output_pair_with_stats, classify_outputs_with_stats, collect_samples_with_stats,
-    Equivalence,
+    check_output_pair, classify_outputs_with_stats, collect_samples, Equivalence,
 };
 use crate::fault::SpanPoint;
 use crate::memo::{CacheSession, OutputEntry, WarmStart};
@@ -62,7 +61,7 @@ use crate::progress::{emit, OutputAction, ProgressCallback, ProgressEvent};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
 use crate::sampling::{eval_all_bdd, SamplingDomain};
 use crate::schedule::{per_output_seed, WorkerPool};
-use crate::validate::{apply_rewires, validate_rewires_with_stats, CandidateRewire, Validation};
+use crate::validate::{apply_rewires, validate_rewires, CandidateRewire, Validation};
 use crate::EcoError;
 
 /// BDD variable layout: choice block, selection block, rectification
@@ -308,52 +307,6 @@ enum Attempt {
     BudgetOut(DegradeReason),
 }
 
-/// Runs the full rectification flow, mutating `implementation` in place.
-///
-/// Returns the accumulated [`Patch`] and run statistics. The caller (the
-/// [`Syseco`](crate::Syseco) engine) is responsible for pre-normalizing
-/// ports and for the post-processing patch sweep.
-///
-/// With `budget: None`, a budget is built from `options.timeout` (unlimited
-/// when unset). Pass `Some(budget)` to share an externally owned
-/// [`Budget`] — e.g. one carrying a cancellation token.
-///
-/// # Errors
-///
-/// [`EcoError`] on malformed inputs; resource exhaustion inside the search
-/// degrades to the fallback instead of erroring.
-pub fn rewire_rectify(
-    implementation: &mut Circuit,
-    spec: &Circuit,
-    options: &EcoOptions,
-    budget: Option<&Budget>,
-) -> Result<(Patch, RectifyStats), EcoError> {
-    let pool = WorkerPool::new(options.effective_jobs());
-    let owned;
-    let budget = match budget {
-        Some(b) => b,
-        None => {
-            owned = match options.timeout {
-                Some(t) => Budget::with_deadline(t),
-                None => Budget::unlimited(),
-            };
-            &owned
-        }
-    };
-    rewire_rectify_with(
-        implementation,
-        spec,
-        options,
-        budget,
-        None,
-        &pool,
-        &Telemetry::disabled(),
-        None,
-        None,
-    )
-    .map(|(patch, stats, _trace, _committed)| (patch, stats))
-}
-
 /// Extracts a human-readable message from a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -413,15 +366,12 @@ fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration)
     shard.add(Counter::BddApplyMisses, s.bdd.apply_misses);
     shard.add(Counter::BddIteHits, s.bdd.ite_hits);
     shard.add(Counter::BddIteMisses, s.bdd.ite_misses);
-    shard.add(Counter::BddNotHits, s.bdd.not_hits);
-    shard.add(Counter::BddNotMisses, s.bdd.not_misses);
     shard.add(Counter::BddQuantHits, s.bdd.quant_hits);
     shard.add(Counter::BddQuantMisses, s.bdd.quant_misses);
     shard.add(Counter::BddUniqueResizes, s.bdd.unique_resizes);
     shard.add(Counter::BddEvictions, s.bdd.evictions);
     shard.add(Counter::BddGcRuns, s.bdd.gc_runs);
     shard.add(Counter::BddGcFreed, s.bdd.gc_freed_nodes);
-    shard.add(Counter::BddReorders, s.bdd.reorders);
     shard.add(Counter::RectifyRefinements, s.refinements as u64);
     shard.add(Counter::RectifyValidations, s.validations as u64);
     shard.add(Counter::RectifyPointSets, s.point_sets_tried as u64);
@@ -435,9 +385,13 @@ fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration)
     shard.observe(Histogram::SearchMicros, search.as_micros() as u64);
 }
 
-/// [`rewire_rectify`] with an explicit observer, worker pool, and telemetry
-/// handle — the internal entry used by [`Session`](crate::Session) and the
-/// batch API.
+/// Runs the full rectification flow, mutating `implementation` in place —
+/// the internal entry used by [`Session`](crate::Session) and the batch
+/// API.
+///
+/// The caller (the [`Syseco`](crate::Syseco) engine) is responsible for
+/// pre-normalizing ports and for the post-processing patch sweep, and for
+/// building `budget` from [`EcoOptions::timeout`].
 ///
 /// Per-output searches are isolated: a budget expiry, an error, or a panic
 /// inside one output's search degrades only that output to the
@@ -772,7 +726,7 @@ pub(crate) fn rewire_rectify_with(
                        pair: &OutputPair,
                        stats: &mut RectifyStats|
      -> Result<Equivalence, EcoError> {
-        let (verdict, s) = check_output_pair_with_stats(
+        let (verdict, s) = check_output_pair(
             implementation,
             spec,
             pair,
@@ -1200,7 +1154,7 @@ fn search_one_output<'s>(
     let mut rng = SmallRng::seed_from_u64(per_output_seed(options.seed, pair.impl_index));
     let span_samples = buf.start();
     budget.fault_span(SpanPoint::Samples)?;
-    let (mut samples, sample_sat) = collect_samples_with_stats(
+    let (mut samples, sample_sat) = collect_samples(
         base,
         spec,
         corr,
@@ -1262,7 +1216,7 @@ fn search_one_output<'s>(
             let t_val = Instant::now();
             let span_val = buf.start();
             budget.fault_span(SpanPoint::Validate)?;
-            let result = validate_rewires_with_stats(
+            let result = validate_rewires(
                 base,
                 spec,
                 corr,
@@ -1395,8 +1349,8 @@ fn bdd_cut(e: BddError) -> Result<Attempt, EcoError> {
         BddError::NodeLimit { .. } => Ok(Attempt::NodeLimit),
         BddError::DeadlineExceeded => Ok(Attempt::BudgetOut(DegradeReason::DeadlineExceeded)),
         BddError::Cancelled => Ok(Attempt::BudgetOut(DegradeReason::Cancelled)),
-        // An armed bdd-gc/bdd-reorder fault point vetoed the pass through
-        // the event hook: simulate a hard crash, exactly like an abort:
+        // An armed bdd-gc fault point vetoed the collection through the
+        // event hook: simulate a hard crash, exactly like an abort:
         // span fault — the run must be resumable from its checkpoints.
         #[cfg(any(test, feature = "fault-injection"))]
         BddError::Aborted => Err(EcoError::InjectedAbort),
@@ -1435,11 +1389,9 @@ fn attempt_with_domain<'s>(
         options.bdd_node_limit
     };
     let mut m = BddManager::with_node_limit(node_limit);
-    // Automatic triggers for collection and sifting, checked at point-set
-    // boundaries. Fault arming may lower these to force the machinery
-    // under test.
+    // Automatic collection trigger, checked at point-set boundaries. Fault
+    // arming may lower it to force the machinery under test.
     m.set_gc_threshold(options.bdd_gc_threshold);
-    m.set_reorder_threshold(options.bdd_reorder_threshold);
     budget.arm_bdd(&mut m);
     let result = attempt_in_manager(
         &mut m,
@@ -1520,7 +1472,7 @@ fn attempt_in_manager<'s>(
     // (a strict superset of this attempt's sampling domain): one spec
     // simulation per attempt, reused by every screen below.
     let pf_bank = prefilter::PrefilterBank::build(spec, corr, pair, sample_bank)?;
-    // Handles the search must keep across GC/reorder boundaries: the
+    // Handles the search must keep across collections: the
     // per-input domain functions and every evaluated net of both circuits
     // (`fprime` and `g_spec` entries are aliases into these).
     let mut search_roots: Vec<Bdd> =
@@ -1620,12 +1572,9 @@ fn attempt_in_manager<'s>(
             stats.point_sets_tried += 1;
             // Point-set boundary: the previous iteration's H(t) and choice
             // intermediates are garbage now. Give the manager a chance to
-            // collect and re-sift against the handles still needed; both
-            // are no-ops until their automatic thresholds trip.
-            let boundary = m
-                .maybe_gc(&search_roots)
-                .and_then(|_| m.maybe_reorder(&search_roots));
-            if let Err(e) = boundary {
+            // collect against the handles still needed; a no-op until its
+            // automatic threshold trips.
+            if let Err(e) = m.maybe_gc(&search_roots) {
                 return bdd_cut(e);
             }
             trace!(
@@ -1744,7 +1693,7 @@ fn attempt_in_manager<'s>(
                 let t_val = Instant::now();
                 let span_val = buf.start();
                 budget.fault_span(SpanPoint::Validate)?;
-                let (validation, val_sat) = validate_rewires_with_stats(
+                let (validation, val_sat) = validate_rewires(
                     base,
                     spec,
                     corr,
@@ -1862,9 +1811,33 @@ fn attempt_in_manager<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error_domain::check_output_pair;
     use eco_netlist::GateKind;
     use std::sync::{Arc, Mutex};
+
+    /// A whole run with no observer and telemetry off, under `budget` or,
+    /// when `None`, an unlimited one.
+    fn rectify(
+        c: &mut Circuit,
+        s: &Circuit,
+        options: &EcoOptions,
+        budget: Option<&Budget>,
+    ) -> (Patch, RectifyStats) {
+        let unlimited = Budget::unlimited();
+        let pool = WorkerPool::new(options.effective_jobs());
+        let (patch, stats, _trace, _committed) = rewire_rectify_with(
+            c,
+            s,
+            options,
+            budget.unwrap_or(&unlimited),
+            None,
+            &pool,
+            &Telemetry::disabled(),
+            None,
+            None,
+        )
+        .unwrap();
+        (patch, stats)
+    }
 
     /// impl: y = a & b (wrong), d = a & b reused elsewhere must survive;
     /// spec: y = a | b, d unchanged.
@@ -1891,7 +1864,9 @@ mod tests {
         let corr = Correspondence::build(c, s).unwrap();
         for pair in &corr.outputs {
             assert_eq!(
-                check_output_pair(c, s, pair, None, None).unwrap(),
+                check_output_pair(c, s, pair, None, None, &mut ProofCache::new())
+                    .unwrap()
+                    .0,
                 Equivalence::Equivalent,
                 "output {} must be rectified",
                 pair.name
@@ -1903,7 +1878,7 @@ mod tests {
     fn rectifies_and_to_or_preserving_sibling() {
         let (mut c, s) = and_or_case();
         let options = EcoOptions::with_seed(3);
-        let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (patch, stats) = rectify(&mut c, &s, &options, None);
         check_equiv(&c, &s);
         assert_eq!(stats.outputs_failing, 1, "only y fails");
         assert!(!patch.rewires().is_empty());
@@ -1919,7 +1894,7 @@ mod tests {
         let mut c = c0.clone();
         let s = c0;
         let options = EcoOptions::with_seed(1);
-        let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (patch, stats) = rectify(&mut c, &s, &options, None);
         assert_eq!(stats.outputs_failing, 0);
         assert!(patch.rewires().is_empty());
         assert_eq!(patch.stats(&c), crate::PatchStats::default());
@@ -1955,7 +1930,7 @@ mod tests {
         s.add_output("aux", sns1);
 
         let options = EcoOptions::with_seed(11);
-        let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (patch, stats) = rectify(&mut c, &s, &options, None);
         check_equiv(&c, &s);
         let pstats = patch.stats(&c);
         assert_eq!(
@@ -1990,7 +1965,7 @@ mod tests {
         s.add_output("w", h3);
 
         let options = EcoOptions::with_seed(5);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (_patch, stats) = rectify(&mut c, &s, &options, None);
         check_equiv(&c, &s);
         assert_eq!(stats.outputs_failing, 2);
         c.check_well_formed().unwrap();
@@ -2067,7 +2042,7 @@ mod tests {
         let (mut c, s) = and_or_case();
         let budget = Budget::unlimited().with_faults(faults);
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, Some(&budget)).unwrap();
+        let (_patch, stats) = rectify(&mut c, &s, &options, Some(&budget));
         (c, s, stats)
     }
 
@@ -2131,7 +2106,7 @@ mod tests {
         let (mut c, s) = and_or_case();
         let budget = Budget::with_deadline(std::time::Duration::ZERO);
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, Some(&budget)).unwrap();
+        let (_patch, stats) = rectify(&mut c, &s, &options, Some(&budget));
         assert_eq!(stats.degradations.len(), stats.outputs_failing);
         for d in &stats.degradations {
             assert_eq!(d.reason, DegradeReason::DeadlineExceeded);
@@ -2148,7 +2123,7 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_cancel(&token);
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, Some(&budget)).unwrap();
+        let (_patch, stats) = rectify(&mut c, &s, &options, Some(&budget));
         assert!(!stats.degradations.is_empty());
         for d in &stats.degradations {
             assert_eq!(d.reason, DegradeReason::Cancelled);
@@ -2160,7 +2135,7 @@ mod tests {
     fn clean_run_reports_no_degradations() {
         let (mut c, s) = and_or_case();
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (_patch, stats) = rectify(&mut c, &s, &options, None);
         assert!(stats.degradations.is_empty());
     }
 
@@ -2186,7 +2161,7 @@ mod tests {
             s.add_output("u", h1);
             s.add_output("v", h2);
             let options = EcoOptions::builder().seed(7).jobs(jobs).build();
-            let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+            let (patch, stats) = rectify(&mut c, &s, &options, None);
             (format!("{:?}", patch.rewires()), stats.normalized())
         };
         let (p1, s1) = build(1);

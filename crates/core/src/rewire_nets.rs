@@ -275,9 +275,9 @@ pub fn candidates_for_pin(
             net,
             from_spec: true,
             utility,
-            // Cloned spec logic starts at the inputs; approximate arrival by
-            // its depth, scaled pessimistically.
-            arrival: timing.map_or(0.0, |_| 0.0),
+            // Spec nets have no arrival in the implementation's timing
+            // report: level-driven ordering ranks implementation nets only.
+            arrival: 0.0,
         });
     }
 

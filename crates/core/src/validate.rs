@@ -120,47 +120,14 @@ pub fn affected_outputs(circuit: &Circuit, rewires: &[CandidateRewire]) -> Vec<u
     out
 }
 
-/// Validates a candidate rewire operation against the exact domain.
+/// Validates a candidate rewire operation against the exact domain, and
+/// returns the SAT effort the call consumed. The internal-equivalence pass
+/// reads and extends `proofs`; pass a fresh [`ProofCache`] for a cold
+/// validation.
 ///
 /// `failing` holds the output indices currently known to be wrong
 /// (including `representative`); `sample_bank` is every input assignment
 /// collected so far, used as a cheap simulation pre-filter before SAT.
-///
-/// # Errors
-///
-/// Propagates [`EcoError`] on encoding failures; resource exhaustion maps to
-/// [`Validation::Unknown`], not an error.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_rewires(
-    implementation: &Circuit,
-    spec: &Circuit,
-    corr: &Correspondence,
-    rewires: &[CandidateRewire],
-    representative: &OutputPair,
-    failing: &HashSet<u32>,
-    sample_bank: &[Vec<bool>],
-    shared_clones: &HashMap<NetId, NetId>,
-    budget: u64,
-    governor: Option<&Budget>,
-) -> Result<Validation, EcoError> {
-    validate_rewires_with_stats(
-        implementation,
-        spec,
-        corr,
-        rewires,
-        representative,
-        failing,
-        sample_bank,
-        shared_clones,
-        budget,
-        governor,
-        &mut ProofCache::new(),
-    )
-    .map(|(v, _)| v)
-}
-
-/// [`validate_rewires`] plus the SAT effort the call consumed, with the
-/// internal-equivalence pass reading and extending `proofs`.
 ///
 /// The returned [`SolverStats`] covers the validation solver only (zero when
 /// the verdict came from the simulation pre-filter or structural checks);
@@ -168,9 +135,10 @@ pub fn validate_rewires(
 ///
 /// # Errors
 ///
-/// Same contract as [`validate_rewires`].
+/// Propagates [`EcoError`] on encoding failures; resource exhaustion maps to
+/// [`Validation::Unknown`], not an error.
 #[allow(clippy::too_many_arguments)]
-pub fn validate_rewires_with_stats<'s>(
+pub fn validate_rewires<'s>(
     implementation: &Circuit,
     spec: &'s Circuit,
     corr: &Correspondence,
@@ -361,8 +329,10 @@ mod tests {
             &HashMap::new(),
             100_000,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(v, Validation::Valid { fixed: vec![] });
     }
 
@@ -392,8 +362,10 @@ mod tests {
             &HashMap::new(),
             100_000,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         match v {
             Validation::CounterExample(x) => {
                 // The counterexample distinguishes the rewired impl from spec.
@@ -436,8 +408,10 @@ mod tests {
             &HashMap::new(),
             100_000,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(v, Validation::Damaged);
     }
 
@@ -467,8 +441,10 @@ mod tests {
             &HashMap::new(),
             100_000,
             None,
+            &mut ProofCache::new(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(v, Validation::Infeasible);
     }
 

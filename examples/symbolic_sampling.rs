@@ -12,6 +12,7 @@
 
 use eco_bdd::BddManager;
 use eco_netlist::{Circuit, GateKind, Pin};
+use eco_sat::cec::ProofCache;
 use syseco::correspond::Correspondence;
 use syseco::error_domain::collect_samples;
 use syseco::points::{candidate_pins, feasible_point_sets, Selection};
@@ -68,7 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None,
         &mut rng,
         None,
-    )?;
+        &mut ProofCache::new(),
+    )?
+    .0;
     println!("error-domain samples (|E| members): {}", samples.len());
     for s in &samples {
         println!("  x̂ = {s:?}");

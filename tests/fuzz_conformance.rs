@@ -83,7 +83,7 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
     use syseco::points::candidate_pins;
     use syseco::prefilter::{PrefilterBank, Screen};
     use syseco::rewire_nets::RewireCandidate;
-    use syseco::validate::{validate_rewires_with_stats, CandidateRewire, Validation};
+    use syseco::validate::{validate_rewires, CandidateRewire, Validation};
 
     // Tiny deterministic splitmix64 stream; no RNG dependency needed.
     struct Sm(u64);
@@ -156,7 +156,7 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
                     continue;
                 }
             }
-            let (validation, _) = validate_rewires_with_stats(
+            let (validation, _) = validate_rewires(
                 im,
                 sp,
                 &corr,
@@ -196,9 +196,7 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
     use syseco::error_domain::classify_outputs_with_stats;
     use syseco::points::candidate_pins;
     use syseco::rewire_nets::RewireCandidate;
-    use syseco::validate::{
-        apply_rewires, validate_rewires_with_stats, CandidateRewire, Validation,
-    };
+    use syseco::validate::{apply_rewires, validate_rewires, CandidateRewire, Validation};
 
     let config = ScenarioConfig::default();
     let (mut compared, mut counterexamples, mut valid, mut reused) = (0u64, 0u64, 0u64, 0u64);
@@ -253,7 +251,7 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
             }];
             let cold = &mut ProofCache::new();
             let [w, c] = [&mut warm, cold].map(|proofs| {
-                validate_rewires_with_stats(
+                validate_rewires(
                     im,
                     sp,
                     &corr,

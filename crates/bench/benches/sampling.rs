@@ -53,10 +53,8 @@ fn bench_point_set_enumeration(c: &mut Criterion) {
         let root = circuit.outputs()[0].net();
         b.iter(|| {
             let mut m = BddManager::new();
-            // Layout: t at 0, y after, z last.
             let pins = candidate_pins(&circuit, root, 0, 24);
             let sel = Selection::new(0, 2, pins.len());
-            let y_base = sel.num_t_vars();
             // Target: a deliberately wrong f' (negated output) to make H(t)
             // non-trivial.
             let fprime_bits: Vec<bool> = samples
@@ -73,7 +71,6 @@ fn bench_point_set_enumeration(c: &mut Criterion) {
                     0,
                     &pins,
                     &sel,
-                    y_base,
                     8,
                     4,
                 )

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use eco_netlist::{Circuit, NetId};
+use eco_netlist::{Circuit, NetId, NetlistError};
 use eco_telemetry::{ArgValue, Counter, SpanRecord, Telemetry};
 
 use crate::budget::Budget;
@@ -15,7 +15,7 @@ use crate::memo::{CacheSession, RunRecord};
 use crate::options::EcoOptions;
 use crate::patch::{refine_patch_inputs_timed, Patch, PatchStats};
 use crate::progress::ProgressCallback;
-use crate::rectify::{rewire_rectify_with, RectifyStats};
+use crate::rectify::{rewire_rectify_with, RectifyStats, VALIDATION_BUDGET};
 use crate::schedule::WorkerPool;
 use crate::session::Session;
 use crate::validate::apply_rewires;
@@ -219,14 +219,7 @@ impl Syseco {
             let mut tb = telemetry.buffer(0);
             let span = tb.start();
             budget.fault_span(SpanPoint::RefinePatch)?;
-            let model = eco_timing::DelayModel::default();
-            refine_patch_inputs_timed(
-                &mut patched,
-                &patch,
-                self.options.validation_budget,
-                self.options.seed ^ 0x9e3779b97f4a7c15,
-                self.options.level_driven.then_some(&model),
-            )?;
+            self.refine_patch(&mut patched, &patch)?;
             let rewires = patch.rewires().len() as u64;
             tb.end_with(span, "refine_patch", "rectify", || {
                 vec![("rewires", ArgValue::U64(rewires))]
@@ -272,6 +265,21 @@ impl Syseco {
         })
     }
 
+    /// The patch-input refinement of §5.2 post-processing, seeded from the
+    /// run seed and timing-aware under level-driven selection. The cold run
+    /// and [`Syseco::replay_run`] both call it, so a cache replay reproduces
+    /// the cold run's patch byte for byte (DESIGN.md §11).
+    fn refine_patch(&self, patched: &mut Circuit, patch: &Patch) -> Result<usize, NetlistError> {
+        let model = eco_timing::DelayModel::default();
+        refine_patch_inputs_timed(
+            patched,
+            patch,
+            VALIDATION_BUDGET,
+            self.options.seed ^ 0x9e3779b97f4a7c15,
+            self.options.level_driven.then_some(&model),
+        )
+    }
+
     /// Attempts to reproduce a finished run from its cache record: applies
     /// the committed rewire groups in order, reruns the deterministic
     /// post-processing, and accepts only when a full equivalence check
@@ -304,15 +312,7 @@ impl Syseco {
         }
         patched.sweep();
         if !budget.is_exhausted() {
-            let model = eco_timing::DelayModel::default();
-            refine_patch_inputs_timed(
-                &mut patched,
-                &patch,
-                self.options.validation_budget,
-                self.options.seed ^ 0x9e3779b97f4a7c15,
-                self.options.level_driven.then_some(&model),
-            )
-            .ok()?;
+            self.refine_patch(&mut patched, &patch).ok()?;
         }
         patched.sweep();
         let corr = Correspondence::build(&patched, spec).ok()?;
@@ -320,7 +320,7 @@ impl Syseco {
             &patched,
             spec,
             &corr,
-            Some(self.options.validation_budget.saturating_mul(10)),
+            Some(VALIDATION_BUDGET * 10),
             Some(budget),
         )
         .ok()?;

@@ -27,7 +27,11 @@ use eco_netlist::{Circuit, NetId, NetlistError, Pin};
 use crate::budget::Budget;
 use crate::correspond::OutputPair;
 use crate::options::{EcoOptions, SamplePolicy};
-use crate::rectify::RectifyStats;
+use crate::rectify::{
+    RectifyStats, BDD_NODE_LIMIT, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES,
+    MAX_DECODES_PER_PRIME, MAX_POINTS, MAX_POINT_SETS, MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES,
+    MAX_VALIDATIONS_PER_OUTPUT, VALIDATION_BUDGET,
+};
 use crate::rewire_nets::RewireCandidate;
 use crate::validate::CandidateRewire;
 
@@ -46,9 +50,12 @@ const FINGERPRINT_VERSION: u64 = 1;
 /// not trigger a huge allocation before the bounds checks catch it.
 const MAX_DECODE_ITEMS: u32 = 1 << 20;
 
-/// Fingerprint of every option that influences search results. `jobs`,
-/// `timeout`, and the cache options themselves are excluded: they change
-/// wall-clock behaviour, not the (deterministic) outcome.
+/// Fingerprint of every option that influences search results, plus the
+/// fixed search caps in the slots they held as options, so records written
+/// before the caps became constants still hit and a later change to a cap
+/// re-keys every record. `jobs`, `timeout`, and the cache options
+/// themselves are excluded: they change wall-clock behaviour, not the
+/// (deterministic) outcome.
 pub(crate) fn options_fingerprint(options: &EcoOptions) -> Sig128 {
     let policy = match options.sample_policy {
         SamplePolicy::ErrorDomain => 0u64,
@@ -63,19 +70,19 @@ pub(crate) fn options_fingerprint(options: &EcoOptions) -> Sig128 {
         FINGERPRINT_VERSION,
         options.num_samples as u64,
         policy,
-        options.max_points as u64,
-        options.max_candidate_pins as u64,
-        options.max_point_sets as u64,
-        options.max_decodes_per_prime as u64,
-        options.max_rewire_candidates as u64,
-        options.max_choices as u64,
-        options.validation_budget,
-        options.max_refinements as u64,
-        options.max_validations_per_output as u64,
-        options.good_enough_cost as u64,
+        MAX_POINTS as u64,
+        MAX_CANDIDATE_PINS as u64,
+        MAX_POINT_SETS as u64,
+        MAX_DECODES_PER_PRIME as u64,
+        MAX_REWIRE_CANDIDATES as u64,
+        MAX_CHOICES as u64,
+        VALIDATION_BUDGET,
+        MAX_REFINEMENTS as u64,
+        MAX_VALIDATIONS_PER_OUTPUT as u64,
+        GOOD_ENOUGH_COST as u64,
         u64::from(options.level_driven),
         options.seed,
-        options.bdd_node_limit as u64,
+        BDD_NODE_LIMIT as u64,
     ])
 }
 
@@ -589,6 +596,35 @@ mod tests {
             ..EcoOptions::default()
         };
         assert_eq!(options_fingerprint(&base), options_fingerprint(&mech));
+    }
+
+    /// The default key is pinned word for word: the fixed caps keep the
+    /// slots and values they had as options, so cache and checkpoint
+    /// directories written before they became constants still hit.
+    #[test]
+    fn default_fingerprint_is_stable() {
+        let words = [
+            FINGERPRINT_VERSION,
+            64,        // num_samples
+            0,         // sample_policy: ErrorDomain
+            3,         // m
+            48,        // M
+            8,         // point-sets
+            4,         // decodes per prime
+            8,         // rewire candidates
+            6,         // choices
+            100_000,   // validation budget
+            6,         // refinements
+            24,        // validations per output
+            4,         // good-enough cost
+            0,         // level_driven
+            0xEC0,     // seed
+            2_000_000, // BDD node limit
+        ];
+        assert_eq!(
+            options_fingerprint(&EcoOptions::default()),
+            fingerprint_words(&words)
+        );
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub enum SamplePolicy {
 ///
 /// The defaults correspond to the configuration used by the benchmark
 /// harness; individual studies (the ablation benches) override single
-/// fields.
+/// fields. The search caps (`m`, `M`, SAT and BDD budgets, …) are not
+/// options but fixed constants, such as [`MAX_POINTS`](crate::rectify::MAX_POINTS).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EcoOptions {
@@ -44,32 +45,6 @@ pub struct EcoOptions {
     pub num_samples: usize,
     /// Sampling-domain policy (§5.1; ablation B compares the variants).
     pub sample_policy: SamplePolicy,
-    /// Maximum number of rectification points `m` tried per output (§4.2).
-    pub max_points: usize,
-    /// Cap `M` on candidate sink pins considered per output.
-    pub max_candidate_pins: usize,
-    /// Maximum prime cubes of `H(t)` expanded into explicit point-sets.
-    pub max_point_sets: usize,
-    /// Maximum concrete point-sets decoded from one prime cube.
-    pub max_decodes_per_prime: usize,
-    /// Maximum candidate rewiring nets per rectification point (§4.3),
-    /// including the trivial (current-driver) candidate.
-    pub max_rewire_candidates: usize,
-    /// Maximum rewiring choices decoded from `Ξ(c)` per point-set (§4.4).
-    pub max_choices: usize,
-    /// Conflict budget per SAT validation query (§5.1's resource-constrained
-    /// solver).
-    pub validation_budget: u64,
-    /// Maximum counterexample-refinement rounds per output before falling
-    /// back to the next candidate.
-    pub max_refinements: usize,
-    /// Hard cap on SAT validations per output per domain attempt; when
-    /// exhausted, the best validated option so far is committed (or the
-    /// search falls back).
-    pub max_validations_per_output: usize,
-    /// Stop escalating to more rectification points once a validated option
-    /// with at most this clone cost (in spec gates) exists.
-    pub good_enough_cost: usize,
     /// Use arrival times to prefer timing-friendly rewiring nets — the
     /// level-driven selection behind Table 3.
     pub level_driven: bool,
@@ -77,13 +52,6 @@ pub struct EcoOptions {
     /// per-output search derives its own stream from this seed and the
     /// output index, so results are independent of worker count.
     pub seed: u64,
-    /// Node budget of the per-output BDD manager.
-    pub bdd_node_limit: usize,
-    /// Live-node threshold that triggers a BDD mark-and-sweep pass at the
-    /// next point-set boundary of a search (`None` disables automatic
-    /// collection). Adapts upward after each pass so a genuinely large
-    /// working set is not thrashed.
-    pub bdd_gc_threshold: Option<usize>,
     /// Wall-clock budget for the whole rectification run. When it expires,
     /// outputs still unrectified degrade to the output-rewire fallback and
     /// the cut is recorded in [`RectifyStats::degradations`].
@@ -122,20 +90,8 @@ impl Default for EcoOptions {
         EcoOptions {
             num_samples: 64,
             sample_policy: SamplePolicy::ErrorDomain,
-            max_points: 3,
-            max_candidate_pins: 48,
-            max_point_sets: 8,
-            max_decodes_per_prime: 4,
-            max_rewire_candidates: 8,
-            max_choices: 6,
-            validation_budget: 100_000,
-            max_refinements: 6,
-            max_validations_per_output: 24,
-            good_enough_cost: 4,
             level_driven: false,
             seed: 0xEC0,
-            bdd_node_limit: 2_000_000,
-            bdd_gc_threshold: Some(1 << 16),
             timeout: None,
             jobs: 0,
             cache_dir: None,
@@ -157,12 +113,6 @@ impl EcoOptions {
             seed,
             ..Self::default()
         }
-    }
-
-    /// The number of `z` variables encoding the sampling domain.
-    pub fn num_z_vars(&self) -> u32 {
-        let n = self.num_samples.max(2);
-        usize::BITS - (n - 1).leading_zeros()
     }
 
     /// Resolves [`EcoOptions::jobs`] to a concrete worker count: `0` maps to
@@ -207,34 +157,10 @@ impl EcoOptionsBuilder {
         num_samples: usize,
         /// Sets [`EcoOptions::sample_policy`].
         sample_policy: SamplePolicy,
-        /// Sets [`EcoOptions::max_points`].
-        max_points: usize,
-        /// Sets [`EcoOptions::max_candidate_pins`].
-        max_candidate_pins: usize,
-        /// Sets [`EcoOptions::max_point_sets`].
-        max_point_sets: usize,
-        /// Sets [`EcoOptions::max_decodes_per_prime`].
-        max_decodes_per_prime: usize,
-        /// Sets [`EcoOptions::max_rewire_candidates`].
-        max_rewire_candidates: usize,
-        /// Sets [`EcoOptions::max_choices`].
-        max_choices: usize,
-        /// Sets [`EcoOptions::validation_budget`].
-        validation_budget: u64,
-        /// Sets [`EcoOptions::max_refinements`].
-        max_refinements: usize,
-        /// Sets [`EcoOptions::max_validations_per_output`].
-        max_validations_per_output: usize,
-        /// Sets [`EcoOptions::good_enough_cost`].
-        good_enough_cost: usize,
         /// Sets [`EcoOptions::level_driven`].
         level_driven: bool,
         /// Sets [`EcoOptions::seed`].
         seed: u64,
-        /// Sets [`EcoOptions::bdd_node_limit`].
-        bdd_node_limit: usize,
-        /// Sets [`EcoOptions::bdd_gc_threshold`].
-        bdd_gc_threshold: Option<usize>,
         /// Sets [`EcoOptions::jobs`] (`0` = available parallelism).
         jobs: usize,
         /// Sets [`EcoOptions::cache_mode`].
@@ -247,12 +173,6 @@ impl EcoOptionsBuilder {
         self
     }
 
-    /// Clears [`EcoOptions::cache_dir`] (the default: no caching).
-    pub fn no_cache_dir(mut self) -> Self {
-        self.options.cache_dir = None;
-        self
-    }
-
     /// Sets [`EcoOptions::checkpoint_dir`], enabling crash-safe
     /// checkpoint/resume.
     pub fn checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -260,22 +180,9 @@ impl EcoOptionsBuilder {
         self
     }
 
-    /// Clears [`EcoOptions::checkpoint_dir`] (the default: no
-    /// checkpointing).
-    pub fn no_checkpoint_dir(mut self) -> Self {
-        self.options.checkpoint_dir = None;
-        self
-    }
-
     /// Sets [`EcoOptions::timeout`].
     pub fn timeout(mut self, timeout: std::time::Duration) -> Self {
         self.options.timeout = Some(timeout);
-        self
-    }
-
-    /// Clears [`EcoOptions::timeout`] (the default).
-    pub fn no_timeout(mut self) -> Self {
-        self.options.timeout = None;
         self
     }
 
@@ -291,25 +198,9 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn z_vars_round_up() {
-        let mut o = EcoOptions::default();
-        o.num_samples = 64;
-        assert_eq!(o.num_z_vars(), 6);
-        o.num_samples = 65;
-        assert_eq!(o.num_z_vars(), 7);
-        o.num_samples = 2;
-        assert_eq!(o.num_z_vars(), 1);
-        o.num_samples = 1;
-        assert_eq!(o.num_z_vars(), 1);
-    }
-
-    #[test]
     fn defaults_are_sane() {
         let o = EcoOptions::default();
         assert!(o.num_samples >= 16);
-        assert!(o.max_points >= 1);
-        assert!(o.max_rewire_candidates >= 2);
         assert_eq!(o.jobs, 0);
         assert!(o.effective_jobs() >= 1);
         assert_eq!(o.cache_dir, None, "caching is opt-in");
@@ -321,19 +212,8 @@ mod tests {
         let o = EcoOptions::builder()
             .num_samples(32)
             .sample_policy(SamplePolicy::Mixed)
-            .max_points(2)
-            .max_candidate_pins(16)
-            .max_point_sets(4)
-            .max_decodes_per_prime(2)
-            .max_rewire_candidates(5)
-            .max_choices(3)
-            .validation_budget(1_000)
-            .max_refinements(2)
-            .max_validations_per_output(9)
-            .good_enough_cost(1)
             .level_driven(true)
             .seed(99)
-            .bdd_node_limit(10_000)
             .jobs(3)
             .timeout(std::time::Duration::from_secs(5))
             .cache_dir("/tmp/eco-cache")
@@ -342,19 +222,8 @@ mod tests {
             .build();
         assert_eq!(o.num_samples, 32);
         assert_eq!(o.sample_policy, SamplePolicy::Mixed);
-        assert_eq!(o.max_points, 2);
-        assert_eq!(o.max_candidate_pins, 16);
-        assert_eq!(o.max_point_sets, 4);
-        assert_eq!(o.max_decodes_per_prime, 2);
-        assert_eq!(o.max_rewire_candidates, 5);
-        assert_eq!(o.max_choices, 3);
-        assert_eq!(o.validation_budget, 1_000);
-        assert_eq!(o.max_refinements, 2);
-        assert_eq!(o.max_validations_per_output, 9);
-        assert_eq!(o.good_enough_cost, 1);
         assert!(o.level_driven);
         assert_eq!(o.seed, 99);
-        assert_eq!(o.bdd_node_limit, 10_000);
         assert_eq!(o.jobs, 3);
         assert_eq!(o.effective_jobs(), 3);
         assert_eq!(o.timeout, Some(std::time::Duration::from_secs(5)));
@@ -366,30 +235,6 @@ mod tests {
         assert_eq!(
             o.checkpoint_dir.as_deref(),
             Some(std::path::Path::new("/tmp/eco-ckpt"))
-        );
-        assert_eq!(
-            EcoOptions::builder()
-                .cache_dir("x")
-                .no_cache_dir()
-                .build()
-                .cache_dir,
-            None
-        );
-        assert_eq!(
-            EcoOptions::builder()
-                .checkpoint_dir("x")
-                .no_checkpoint_dir()
-                .build()
-                .checkpoint_dir,
-            None
-        );
-        assert_eq!(
-            EcoOptions::builder()
-                .timeout(std::time::Duration::ZERO)
-                .no_timeout()
-                .build()
-                .timeout,
-            None
         );
     }
 }

@@ -18,7 +18,17 @@ use std::collections::HashMap;
 use eco_bdd::{Bdd, BddError, BddManager, Cube};
 use eco_netlist::{topo, Circuit, GateKind, NetId, NodeId, Pin};
 
-use crate::sampling::apply_gate_bdd;
+/// Most gate pins [`feasible_point_sets`] accepts: the `H(t)` build tracks
+/// each one as a bit of a `u128` mask.
+pub const MAX_GATE_PINS: usize = 128;
+/// Most rectification points [`feasible_point_sets`] accepts: the `H(t)`
+/// build tracks the pins of one freed subset as bits of a `u8` mask.
+pub const MAX_SUBSET_SIZE: usize = 8;
+
+/// Variables of one binary-encoded block over `n >= 2` codes: `⌈log2 n⌉`.
+pub(crate) const fn block_bits(n: usize) -> u32 {
+    usize::BITS - (n - 1).leading_zeros()
+}
 
 /// Collects candidate rectification pins for the cone of `root`:
 /// every gate input pin whose consumer lies in the cone, plus the output
@@ -74,10 +84,9 @@ pub struct Selection {
 impl Selection {
     /// Creates the encoding for `num_points` points over `num_pins` pins.
     pub fn new(t_base: u32, num_points: usize, num_pins: usize) -> Self {
-        let bits = usize::BITS - (num_pins.max(2) - 1).leading_zeros();
         Selection {
             t_base,
-            bits_per_block: bits,
+            bits_per_block: block_bits(num_pins.max(2)),
             num_points,
             num_pins,
         }
@@ -126,12 +135,10 @@ impl Selection {
     }
 
     /// The data-1 expression of pin `j`: `(t_1^j → y_1) ∧ … ∧ (t_m^j → y_m)`
-    /// (merging multiple selections of the same pin, §4.2).
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the manager budget is exhausted.
-    pub fn data1(&self, m: &mut BddManager, pin_code: usize, y_base: u32) -> Result<Bdd, BddError> {
+    /// (merging multiple selections of the same pin, §4.2). Only the
+    /// restriction-driven test oracle builds it.
+    #[cfg(test)]
+    fn data1(&self, m: &mut BddManager, pin_code: usize, y_base: u32) -> Result<Bdd, BddError> {
         let mut acc = m.one();
         for i in 0..self.num_points {
             let t = self.minterm(m, i, pin_code)?;
@@ -163,29 +170,23 @@ pub type PointSet = Vec<Pin>;
 /// each living in the small `(t, y)` space, and never materializing the
 /// monolithic mixed-`(t, y, z)` diagram.
 ///
-/// Two constructions compute that function; both yield the *same*
-/// canonical BDD, so everything downstream (prime cubes, decoded sets,
-/// patches) is identical:
-///
-/// * **Simulation-driven** (`h_char_by_simulation`): per sample, `H` at a
-///   selection `t` depends only on the *set* `S` of pins `t` frees, the
-///   freed pins take every value combination (distinct pins use disjoint
-///   `y` variables), and feasibility is monotone in `S` — freeing an extra
-///   pin can always re-drive its original value. So the minimal feasible
-///   pin-sets are found with 64-wide bit-parallel cone simulation and
-///   `H(t) = ⋁_S ⋀_{j∈S} sel_j(t)` is assembled from the tiny per-pin
-///   selection BDDs. No per-sample BDD work at all.
-/// * **Restriction-driven** (`h_char_by_restriction`): the direct
-///   sample-wise conjunction above, used when `Σ_s C(|pins|, s)` exceeds
-///   the enumeration budget (large `m` over many pins).
+/// The construction is **simulation-driven** (`h_char_by_simulation`):
+/// per sample, `H` at a selection `t` depends only on the *set* `S` of pins
+/// `t` frees, the freed pins take every value combination (distinct pins
+/// use disjoint `y` variables), and feasibility is monotone in `S` —
+/// freeing an extra pin can always re-drive its original value. So the
+/// minimal feasible pin-sets are found with 64-wide bit-parallel cone
+/// simulation and `H(t) = ⋁_S ⋀_{j∈S} sel_j(t)` is assembled from the tiny
+/// per-pin selection BDDs, with no per-sample BDD work and no `y`
+/// variables. The direct sample-wise conjunction above
+/// (`h_char_by_restriction`) is kept as its test oracle: both yield the
+/// same canonical BDD.
 ///
 /// Arguments:
 /// * `samples` — the domain's assignments, implementation input order,
 /// * `fprime_bits` — the revised output value `f'(x̂_k)` per sample
 ///   (see [`SamplingDomain::code_assignment`](crate::sampling::SamplingDomain::code_assignment)),
-/// * `pins` — candidate pins from [`candidate_pins`],
-/// * `y_base` — first `y` variable (one per point, allocated by the caller
-///   so that `y` sits between `t` and `z` in the order).
+/// * `pins` — candidate pins from [`candidate_pins`].
 ///
 /// Returns point-sets sorted by size (smallest first), each satisfying the
 /// topological constraint of §3.3 (no path between any pair of pins).
@@ -197,7 +198,9 @@ pub type PointSet = Vec<Pin>;
 ///
 /// # Panics
 ///
-/// Panics when `fprime_bits.len() != samples.len()`.
+/// Panics when `fprime_bits.len() != samples.len()`, when more than
+/// [`MAX_GATE_PINS`] (128) of `pins` are gate pins, or when `selection`
+/// has more than [`MAX_SUBSET_SIZE`] (8) points.
 #[allow(clippy::too_many_arguments)]
 pub fn feasible_point_sets(
     circuit: &Circuit,
@@ -208,7 +211,6 @@ pub fn feasible_point_sets(
     output_index: u32,
     pins: &[Pin],
     selection: &Selection,
-    y_base: u32,
     max_point_sets: usize,
     max_decodes_per_prime: usize,
 ) -> Result<Vec<PointSet>, BddError> {
@@ -217,7 +219,7 @@ pub fn feasible_point_sets(
         samples.len(),
         "one revised-output bit per sample"
     );
-    let h_char = match h_char_by_simulation(
+    let h_char = h_char_by_simulation(
         circuit,
         m,
         samples,
@@ -226,20 +228,7 @@ pub fn feasible_point_sets(
         output_index,
         pins,
         selection,
-    )? {
-        Some(h) => h,
-        None => h_char_by_restriction(
-            circuit,
-            m,
-            samples,
-            fprime_bits,
-            root,
-            output_index,
-            pins,
-            selection,
-            y_base,
-        )?,
-    };
+    )?;
     if h_char == m.zero() {
         return Ok(Vec::new());
     }
@@ -263,11 +252,6 @@ pub fn feasible_point_sets(
     out.sort_by_key(|ps| ps.len());
     Ok(out)
 }
-
-/// Enumeration ceiling for the simulation-driven `H(t)` construction:
-/// candidate pin-subsets beyond this count fall back to the BDD
-/// restriction path.
-const SUBSET_BUDGET: u64 = 200_000;
 
 /// Advances `idx` to the next lexicographic `idx.len()`-combination of
 /// `0..n`; returns `false` when exhausted.
@@ -312,8 +296,12 @@ fn next_combination(idx: &mut [usize], n: usize) -> bool {
 /// feasible alone (drive `y = f'`); output pins of *other* outputs free
 /// nothing in this cone and can never appear in a minimal set.
 ///
-/// Returns `None` when the candidate-subset count exceeds
-/// [`SUBSET_BUDGET`] — the caller falls back to the restriction path.
+/// The engine's caps (`m ≤ 3`, at most 47 gate pins) bound the
+/// enumeration at `C(47,1) + C(47,2) + C(47,3) = 17,343` subsets.
+///
+/// # Panics
+///
+/// Same bounds as [`feasible_point_sets`].
 #[allow(clippy::too_many_arguments)]
 fn h_char_by_simulation(
     circuit: &Circuit,
@@ -324,7 +312,7 @@ fn h_char_by_simulation(
     output_index: u32,
     pins: &[Pin],
     selection: &Selection,
-) -> Result<Option<Bdd>, BddError> {
+) -> Result<Bdd, BddError> {
     let m_pts = selection.num_points;
     let gate_pins: Vec<usize> = pins
         .iter()
@@ -335,20 +323,11 @@ fn h_char_by_simulation(
     let out_code = pins
         .iter()
         .position(|p| matches!(p, Pin::Output { index } if *index == output_index));
+    assert!(
+        gate_pins.len() <= MAX_GATE_PINS && m_pts <= MAX_SUBSET_SIZE,
+        "H(t) tracks at most {MAX_GATE_PINS} gate pins and {MAX_SUBSET_SIZE} points"
+    );
     let depth = m_pts.min(gate_pins.len());
-    if gate_pins.len() > 128 {
-        return Ok(None); // u128 pin masks below
-    }
-    let g = gate_pins.len() as u64;
-    let mut total = 0u64;
-    let mut c = 1u64;
-    for s in 1..=depth as u64 {
-        c = c * (g - s + 1) / s;
-        total = total.saturating_add(c);
-        if total > SUBSET_BUDGET {
-            return Ok(None);
-        }
-    }
 
     let order = topo::topo_order(circuit).expect("engine guarantees acyclic circuits");
     let in_cone = topo::tfi(circuit, &[root.source()]);
@@ -450,10 +429,10 @@ fn h_char_by_simulation(
         .zip(&blocks)
         .all(|(base, block)| (base[root.index()] ^ block.fprime) & block.mask == 0)
     {
-        return Ok(Some(m.one()));
+        return Ok(m.one());
     }
     if m_pts == 0 {
-        return Ok(Some(m.zero()));
+        return Ok(m.zero());
     }
 
     // ∃v per sample, ∀ samples: for each block, OR the match words over all
@@ -635,12 +614,14 @@ fn h_char_by_simulation(
         }
         h = m.or(h, term)?;
     }
-    Ok(Some(h))
+    Ok(h)
 }
 
 /// The restriction-driven `H(t)` construction: the direct sample-wise
-/// conjunction, for selections whose pin-subset space is too large to
-/// enumerate.
+/// conjunction over the parameterized cone, with every candidate pin
+/// guarded by the MUX of Figure 2 and `y_base` the first of its `y`
+/// variables. The differential oracle of `h_char_by_simulation`.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn h_char_by_restriction(
     circuit: &Circuit,
@@ -739,7 +720,7 @@ fn h_char_by_restriction(
                                 };
                                 fanins.push(v);
                             }
-                            apply_gate_bdd(m, kind, &fanins)?
+                            crate::sampling::apply_gate_bdd(m, kind, &fanins)?
                         }
                     };
                     values[id.index()] = Some(v);
@@ -938,10 +919,8 @@ mod tests {
         let mut m = BddManager::new();
         // Error domain of and-vs-or: a != b. Use both samples.
         let samples = vec![vec![true, false], vec![false, true]];
-        // Allocate: t at 0.., y after, z last.
         let pins = candidate_pins(&c, root, 0, 8);
         let sel = Selection::new(0, 1, pins.len());
-        let y_base = sel.t_base + sel.num_t_vars();
         // Spec shares input order here: f'(x̂_k) per sample.
         let fprime_bits: Vec<bool> = samples
             .iter()
@@ -956,7 +935,6 @@ mod tests {
             0,
             &pins,
             &sel,
-            y_base,
             8,
             4,
         )
@@ -979,7 +957,6 @@ mod tests {
         let samples = vec![vec![true, true], vec![false, true]];
         let pins = candidate_pins(&c, root, 0, 8);
         let sel = Selection::new(0, 1, pins.len());
-        let y_base = sel.t_base + sel.num_t_vars();
         let fprime_bits: Vec<bool> = samples
             .iter()
             .map(|x| s.eval_nets(x).unwrap()[s.outputs()[0].net().index()])
@@ -993,7 +970,6 @@ mod tests {
             0,
             &pins,
             &sel,
-            y_base,
             8,
             4,
         )
@@ -1055,8 +1031,7 @@ mod tests {
                 let mut m = BddManager::new();
                 let fast =
                     h_char_by_simulation(&c, &mut m, &samples, &fprime_bits, root, 0, &pins, &sel)
-                        .unwrap()
-                        .expect("small pin space stays under the budget");
+                        .unwrap();
                 let slow = h_char_by_restriction(
                     &c,
                     &mut m,

@@ -55,7 +55,7 @@ use crate::fault::SpanPoint;
 use crate::memo::{CacheSession, OutputEntry, WarmStart};
 use crate::options::EcoOptions;
 use crate::patch::Patch;
-use crate::points::{candidate_pins, feasible_point_sets, Selection};
+use crate::points::{self, block_bits, candidate_pins, feasible_point_sets, Selection};
 use crate::prefilter;
 use crate::progress::{emit, OutputAction, ProgressCallback, ProgressEvent};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
@@ -70,6 +70,56 @@ const C_BASE: u32 = 0;
 const T_BASE: u32 = 64;
 const Y_BASE: u32 = 128;
 const Z_BASE: u32 = 140;
+
+// Fixed search caps (DESIGN.md "Fixed search caps"). All but the GC
+// threshold are hashed by `memo::options_fingerprint`, so changing one
+// re-keys every cache and checkpoint record.
+
+/// `m`: most rectification points tried per output (§4.2).
+pub const MAX_POINTS: usize = 3;
+/// `M`: most candidate sink pins per output, the output pin included
+/// (§4.2). Halved on each BDD node-limit hit; a hit at 4 pins or fewer
+/// ends the search.
+pub const MAX_CANDIDATE_PINS: usize = 48;
+/// Most prime cubes of `H(t)` expanded into point-sets (§4.2).
+pub const MAX_POINT_SETS: usize = 8;
+/// Most point-sets decoded from one prime cube (§4.2).
+pub const MAX_DECODES_PER_PRIME: usize = 4;
+/// Most candidate rewiring nets ranked per rectification point, the
+/// current driver included (§4.3).
+pub const MAX_REWIRE_CANDIDATES: usize = 8;
+/// Most rewiring choices decoded from `Ξ(c)` per point-set (§4.4).
+pub const MAX_CHOICES: usize = 6;
+/// Conflict budget of one SAT validation (§5.1's resource-constrained
+/// solver). Detection, merge rechecks and the verification pass get ten
+/// times as much.
+pub const VALIDATION_BUDGET: u64 = 100_000;
+/// Most sampling-domain refinements per output before the fallback.
+pub const MAX_REFINEMENTS: usize = 6;
+/// Most SAT validations per output in one domain attempt; when they run
+/// out, the best validated option so far is committed.
+pub const MAX_VALIDATIONS_PER_OUTPUT: usize = 24;
+/// Escalation to more points stops once a validated option clones at
+/// most this many spec gates.
+pub const GOOD_ENOUGH_COST: usize = 4;
+/// Node budget of each per-output BDD manager.
+pub const BDD_NODE_LIMIT: usize = 2_000_000;
+/// Live-node count that triggers a BDD collection at the next point-set
+/// boundary. The manager raises it after each pass, so a large working
+/// set is not thrashed. Collection never changes a function, so the
+/// fingerprint leaves it out.
+pub const BDD_GC_THRESHOLD: usize = 1 << 16;
+
+// The caps must fit the simulation-driven H(t) build (its subset and pin
+// masks) and the variable layout: `m` choice blocks below `T_BASE` (a
+// candidate list holds up to two cheap spec nets beyond the cap, see
+// `candidates_for_pin`), `m` selection blocks below `Y_BASE`, and `m`
+// rectification inputs below `Z_BASE`.
+const _: () = assert!(MAX_POINTS >= 1 && MAX_POINTS <= points::MAX_SUBSET_SIZE);
+const _: () = assert!(MAX_CANDIDATE_PINS >= 2 && MAX_CANDIDATE_PINS - 1 <= points::MAX_GATE_PINS);
+const _: () = assert!(C_BASE + MAX_POINTS as u32 * block_bits(MAX_REWIRE_CANDIDATES + 2) <= T_BASE);
+const _: () = assert!(T_BASE + MAX_POINTS as u32 * block_bits(MAX_CANDIDATE_PINS) <= Y_BASE);
+const _: () = assert!(Y_BASE + MAX_POINTS as u32 <= Z_BASE);
 
 /// How one output was handled, with its search wall-clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,15 +236,6 @@ impl RectifyStats {
         }
         s
     }
-}
-
-/// Emits a trace line when `SYSECO_TRACE` is set in the environment.
-macro_rules! trace {
-    ($($arg:tt)*) => {
-        if std::env::var_os("SYSECO_TRACE").is_some() {
-            eprintln!("[syseco] {}", format!($($arg)*));
-        }
-    };
 }
 
 /// Worker-local counters folded into [`RectifyStats`] in merge order.
@@ -461,7 +502,7 @@ pub(crate) fn rewire_rectify_with(
         implementation,
         spec,
         &corr,
-        Some(options.validation_budget.saturating_mul(10)),
+        Some(VALIDATION_BUDGET * 10),
         Some(budget),
         &mut detect_proofs,
     )?;
@@ -633,7 +674,6 @@ pub(crate) fn rewire_rectify_with(
         local.cec_proofs = proofs.proofs();
         local.cec_reused = proofs.reused();
         let search = t_search.elapsed();
-        trace!("output {}: search done in {search:?}", pair.name);
         trace.end_with(span_search, "search", "rectify", || {
             vec![
                 ("output", ArgValue::Str(pair.name.clone())),
@@ -701,7 +741,7 @@ pub(crate) fn rewire_rectify_with(
     // ------------------------------------------------------------------
     // Merge phase: apply proposals sequentially in the fixed order.
     // ------------------------------------------------------------------
-    let recheck_budget = Some(options.validation_budget.saturating_mul(10));
+    let recheck_budget = Some(VALIDATION_BUDGET * 10);
     // Spec logic already instantiated by earlier merges, shared so
     // overlapping revisions are cloned once (one patch, many sinks).
     let mut shared_clones: HashMap<NetId, NetId> = HashMap::new();
@@ -778,7 +818,6 @@ pub(crate) fn rewire_rectify_with(
                     )?;
                     match reason {
                         Some(reason) => {
-                            trace!("output {}: fallback ({reason})", pair.name);
                             stats.degradations.push(Degradation {
                                 output: pair.name.clone(),
                                 reason,
@@ -866,7 +905,6 @@ pub(crate) fn rewire_rectify_with(
                             }
                         }
                         Some(reason) => {
-                            trace!("output {}: merge conflict, fallback", pair.name);
                             (*implementation, patch, shared_clones) = snapshot;
                             fallback_rectify(
                                 implementation,
@@ -956,7 +994,6 @@ pub(crate) fn rewire_rectify_with(
                 continue;
             }
             repaired += 1;
-            trace!("output {}: damaged by a later merge, fallback", pair.name);
             fallback_rectify(
                 implementation,
                 spec,
@@ -1225,7 +1262,7 @@ fn search_one_output<'s>(
                 failing,
                 &sample_bank,
                 &no_clones,
-                options.validation_budget,
+                VALIDATION_BUDGET,
                 Some(budget),
                 proofs,
             );
@@ -1235,10 +1272,12 @@ fn search_one_output<'s>(
                 .unwrap_or_else(|_| SolverStats::default());
             stats.sat += val_sat;
             buf.end_with(span_val, "validate", "rectify", || {
+                let verdict = result.as_ref().map_or("error", |(v, _)| verdict_name(v));
                 vec![
                     ("rewires", ArgValue::U64(proposal.len() as u64)),
                     ("sat_conflicts", ArgValue::U64(val_sat.conflicts)),
                     ("memoized", ArgValue::U64(1)),
+                    ("verdict", ArgValue::Str(verdict.into())),
                 ]
             });
             if shard.is_enabled() {
@@ -1275,8 +1314,8 @@ fn search_one_output<'s>(
         }
     }
 
-    let mut pin_cap = options.max_candidate_pins.max(2);
-    let mut refinements_left = options.max_refinements;
+    let mut pin_cap = MAX_CANDIDATE_PINS;
+    let mut refinements_left = MAX_REFINEMENTS;
     let mut ended: Option<DegradeReason> = None;
     loop {
         if let Some(reason) = budget.degrade_reason() {
@@ -1292,7 +1331,6 @@ fn search_one_output<'s>(
             pin_cap,
             failing,
             &sample_bank,
-            options,
             timing,
             stats,
             budget,
@@ -1358,6 +1396,17 @@ fn bdd_cut(e: BddError) -> Result<Attempt, EcoError> {
     }
 }
 
+/// The `verdict` arg of a `validate` span.
+fn verdict_name(v: &Validation) -> &'static str {
+    match v {
+        Validation::Valid { .. } => "valid",
+        Validation::CounterExample(_) => "counterexample",
+        Validation::Damaged => "damaged",
+        Validation::Infeasible => "infeasible",
+        Validation::Unknown => "unknown",
+    }
+}
+
 /// One search attempt over a fixed sampling domain. Read-only with respect
 /// to the circuit: a validated choice is returned as [`Attempt::Found`], not
 /// applied.
@@ -1375,7 +1424,6 @@ fn attempt_with_domain<'s>(
     pin_cap: usize,
     failing: &HashSet<u32>,
     sample_bank: &[Vec<bool>],
-    options: &EcoOptions,
     timing: Option<&TimingReport>,
     stats: &mut SearchStats,
     budget: &Budget,
@@ -1386,12 +1434,12 @@ fn attempt_with_domain<'s>(
     let node_limit = if budget.inject_bdd_node_limit() {
         1 // fault injection: force an immediate NodeLimit on the first op
     } else {
-        options.bdd_node_limit
+        BDD_NODE_LIMIT
     };
     let mut m = BddManager::with_node_limit(node_limit);
     // Automatic collection trigger, checked at point-set boundaries. Fault
     // arming may lower it to force the machinery under test.
-    m.set_gc_threshold(options.bdd_gc_threshold);
+    m.set_gc_threshold(Some(BDD_GC_THRESHOLD));
     budget.arm_bdd(&mut m);
     let result = attempt_in_manager(
         &mut m,
@@ -1403,7 +1451,6 @@ fn attempt_with_domain<'s>(
         pin_cap,
         failing,
         sample_bank,
-        options,
         timing,
         stats,
         budget,
@@ -1429,7 +1476,6 @@ fn attempt_in_manager<'s>(
     pin_cap: usize,
     failing: &HashSet<u32>,
     sample_bank: &[Vec<bool>],
-    options: &EcoOptions,
     timing: Option<&TimingReport>,
     stats: &mut SearchStats,
     budget: &Budget,
@@ -1508,10 +1554,10 @@ fn attempt_in_manager<'s>(
             .sum()
     };
     let mut valid: Vec<ValidOption> = Vec::new();
-    let mut validations_left = options.max_validations_per_output;
+    let mut validations_left = MAX_VALIDATIONS_PER_OUTPUT;
     let mut unknowns = 0usize;
     let mut cut: Option<DegradeReason> = None;
-    'outer: for m_points in 1..=options.max_points.clamp(1, 8) {
+    'outer: for m_points in 1..=MAX_POINTS {
         if let Some(reason) = budget.degrade_reason() {
             if valid.is_empty() {
                 return Ok(Attempt::BudgetOut(reason));
@@ -1521,14 +1567,10 @@ fn attempt_in_manager<'s>(
         }
         // Escalating m is for finding *cheaper* multi-point rewirings; once
         // a good-enough option exists, stop growing the search.
-        if valid.iter().any(|v| v.cost <= options.good_enough_cost) {
+        if valid.iter().any(|v| v.cost <= GOOD_ENOUGH_COST) {
             break;
         }
         let selection = Selection::new(T_BASE, m_points, pins.len());
-        if selection.t_base + selection.num_t_vars() > Y_BASE {
-            break; // encoding exceeds the reserved t block
-        }
-        let t_sets = Instant::now();
         let span_sets = buf.start();
         budget.fault_span(SpanPoint::PointSets)?;
         let sets = match feasible_point_sets(
@@ -1540,15 +1582,11 @@ fn attempt_in_manager<'s>(
             pair.impl_index,
             &pins,
             &selection,
-            Y_BASE,
-            options.max_point_sets,
-            options.max_decodes_per_prime,
+            MAX_POINT_SETS,
+            MAX_DECODES_PER_PRIME,
         ) {
             Ok(s) => s,
-            Err(e) => {
-                trace!("  m={m_points} H(t) cut ({e}) after {:?}", t_sets.elapsed());
-                return bdd_cut(e);
-            }
+            Err(e) => return bdd_cut(e),
         };
         buf.end_with(span_sets, "point_sets", "rectify", || {
             vec![
@@ -1556,11 +1594,6 @@ fn attempt_in_manager<'s>(
                 ("sets", ArgValue::U64(sets.len() as u64)),
             ]
         });
-        trace!(
-            "  m={m_points} H(t): {} point-sets in {:?}",
-            sets.len(),
-            t_sets.elapsed()
-        );
         for point_set in sets {
             if let Some(reason) = budget.degrade_reason() {
                 if valid.is_empty() {
@@ -1577,17 +1610,13 @@ fn attempt_in_manager<'s>(
             if let Err(e) = m.maybe_gc(&search_roots) {
                 return bdd_cut(e);
             }
-            trace!(
-                "  m={m_points} point-set: {:?}",
-                point_set.iter().map(|p| p.to_string()).collect::<Vec<_>>()
-            );
             let mut cand_lists: Vec<Vec<RewireCandidate>> = Vec::with_capacity(point_set.len());
             for &p in &point_set {
                 cand_lists.push(candidates_for_pin(
                     base,
                     &ctx,
                     p,
-                    options.max_rewire_candidates,
+                    MAX_REWIRE_CANDIDATES,
                     timing,
                 )?);
             }
@@ -1607,7 +1636,7 @@ fn attempt_in_manager<'s>(
                 Y_BASE,
                 C_BASE,
                 &domain.z_vars(),
-                options.max_choices,
+                MAX_CHOICES,
             ) {
                 Ok(c) => c,
                 Err(e) => return bdd_cut(e),
@@ -1702,7 +1731,7 @@ fn attempt_in_manager<'s>(
                     failing,
                     sample_bank,
                     &no_clones,
-                    options.validation_budget,
+                    VALIDATION_BUDGET,
                     Some(budget),
                     proofs,
                 )?;
@@ -1711,6 +1740,7 @@ fn attempt_in_manager<'s>(
                     vec![
                         ("rewires", ArgValue::U64(rewires.len() as u64)),
                         ("sat_conflicts", ArgValue::U64(val_sat.conflicts)),
+                        ("verdict", ArgValue::Str(verdict_name(&validation).into())),
                     ]
                 });
                 if shard.is_enabled() {
@@ -1722,12 +1752,6 @@ fn attempt_in_manager<'s>(
                 }
                 match validation {
                     Validation::Valid { fixed } => {
-                        trace!(
-                            "  m={m_points} validation ok in {:?} ({} rewires, cost {})",
-                            t_val.elapsed(),
-                            rewires.len(),
-                            clone_cost(&rewires)
-                        );
                         let cost = clone_cost(&rewires);
                         let arrival = rewires
                             .iter()
@@ -1745,7 +1769,6 @@ fn attempt_in_manager<'s>(
                         }
                     }
                     Validation::CounterExample(x) => {
-                        trace!("  m={m_points} false positive in {:?}", t_val.elapsed());
                         if first_counterexample.is_none() {
                             first_counterexample = Some(x);
                         }
@@ -1757,13 +1780,10 @@ fn attempt_in_manager<'s>(
                             break 'outer;
                         }
                     }
-                    Validation::Damaged | Validation::Infeasible => {
-                        trace!("  m={m_points} pruned in {:?}", t_val.elapsed());
-                    }
+                    Validation::Damaged | Validation::Infeasible => {}
                     Validation::Unknown => {
                         // SAT ran out of resources before reaching a verdict.
                         unknowns += 1;
-                        trace!("  m={m_points} sat-unknown in {:?}", t_val.elapsed());
                     }
                 }
             }
@@ -1786,15 +1806,6 @@ fn attempt_in_manager<'s>(
                 })
         });
         if let Some(best) = valid.into_iter().next() {
-            trace!(
-                "  found: cost {} with {} rewires at {:?}",
-                best.cost,
-                best.rewires.len(),
-                best.rewires
-                    .iter()
-                    .map(|r| r.pin.to_string())
-                    .collect::<Vec<_>>()
-            );
             return Ok(Attempt::Found {
                 rewires: best.rewires,
                 cut,

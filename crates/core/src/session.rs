@@ -263,6 +263,108 @@ mod tests {
             .is_empty());
     }
 
+    /// With every BDD manager's automatic GC threshold forced low enough to
+    /// fire during the per-output searches, the engine must stay
+    /// bit-deterministic across worker counts: GC runs inside each output's
+    /// own manager against a deterministic operation sequence, so
+    /// `bdd.gc.runs`, the prefilter counters, and the patch itself are
+    /// independent of `jobs`. GC never changes a function either, so the
+    /// patch must also equal the one under the default threshold — the
+    /// cache and checkpoint fingerprints leave the GC threshold out on that
+    /// ground.
+    #[test]
+    fn gc_does_not_change_the_patch_across_jobs() {
+        use crate::fault::FaultPolicy;
+        use eco_telemetry::export::spans_jsonl;
+        use eco_telemetry::Counter;
+        use eco_workload::{build_case, CaseParams, RevisionKind};
+
+        let case = build_case(&CaseParams {
+            id: 9200,
+            name: "trace-determinism",
+            seed: 11,
+            input_words: 2,
+            width: 3,
+            logic_signals: 6,
+            output_words: 3,
+            revisions: vec![
+                (0, RevisionKind::GateTermAdded),
+                (1, RevisionKind::ConditionFlip),
+                (2, RevisionKind::PolarityFlip),
+            ],
+            heavy_optimization: false,
+            aggressive_optimization: false,
+        });
+        let run = |jobs: usize, forced_gc: bool| {
+            // A `bdd-gc` fault armed at a count no run reaches: `arm_bdd`
+            // drops every manager's GC threshold to 64, and the hook never
+            // aborts a collection.
+            let budget = if forced_gc {
+                Budget::unlimited().with_faults(FaultPolicy {
+                    bdd_gc_abort_from: Some(u64::MAX),
+                    ..FaultPolicy::default()
+                })
+            } else {
+                Budget::unlimited()
+            };
+            let telemetry = Telemetry::enabled();
+            let options = EcoOptions::builder().seed(11 ^ 0x7E1E).jobs(jobs).build();
+            let session = Session::new(options).with_telemetry(&telemetry);
+            let result = session
+                .run_with_budget(&case.implementation, &case.spec, &budget)
+                .expect("rectification succeeds under forced GC");
+            let snap = session.metrics_snapshot();
+            let metrics: Vec<(&'static str, u64)> = Counter::ALL
+                .iter()
+                .map(|&c| (c.name(), snap.counter(c)))
+                .collect();
+            (
+                result.patch.rewires().to_vec(),
+                eco_netlist::write_blif(&result.patched),
+                result.rectify.normalized(),
+                spans_jsonl(&result.trace, true),
+                metrics,
+            )
+        };
+        let (p1, b1, s1, t1, m1) = run(1, true);
+        let (p4, b4, s4, t4, m4) = run(4, true);
+        assert_eq!(p1, p4, "patch must be identical across worker counts");
+        assert_eq!(
+            b1, b4,
+            "patched netlist must be identical across worker counts"
+        );
+        assert_eq!(s1, s4, "normalized stats must match across worker counts");
+        assert_eq!(t1, t4, "normalized trace must match across worker counts");
+        assert_eq!(m1, m4, "counters must match across worker counts");
+        let (pd, bd, ..) = run(1, false);
+        assert_eq!(p1, pd, "forced GC must not change the patch");
+        assert_eq!(b1, bd, "forced GC must not change the patched netlist");
+        // The forced threshold is low enough that the machinery actually ran:
+        // this test guards live GC, not the no-op path.
+        let counter = |name: &str| {
+            m1.iter()
+                .find(|(n, _)| *n == name)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
+        };
+        assert!(
+            counter("bdd.gc.runs") >= 1,
+            "forced GC threshold never fired"
+        );
+        assert_eq!(counter("fault.injected"), 0, "the GC hook never aborts");
+        // Prefilter accounting: every examined candidate is screened or passed,
+        // and only passed candidates may consume validation slots.
+        assert!(
+            counter("prefilter.screened") + counter("prefilter.passed")
+                <= counter("rectify.choices"),
+            "prefilter verdicts cannot exceed choices examined"
+        );
+        assert!(
+            counter("prefilter.passed") <= counter("rectify.validations"),
+            "passed candidates must all have gone to validation"
+        );
+    }
+
     #[test]
     fn run_all_lines_up_with_inputs() {
         let (c, s) = and_or_pair();

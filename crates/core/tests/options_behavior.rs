@@ -1,8 +1,11 @@
-//! Behavioural tests of the engine's tuning knobs: every configuration must
-//! stay correct; the knobs only trade quality and effort.
+//! Behavioural tests of the engine's tuning knobs and search caps: every
+//! configuration must stay correct; the knobs only trade quality and effort.
 
 use eco_netlist::{Circuit, GateKind};
-use syseco::{verify_rectification, EcoOptions, SamplePolicy, Syseco};
+use syseco::rectify::MAX_REFINEMENTS;
+use syseco::{verify_rectification, Budget, EcoOptions, SamplePolicy, Syseco};
+#[cfg(feature = "fault-injection")]
+use syseco::{DegradeReason, FaultPolicy};
 
 /// A multi-sink case: two output words gated by v0/v1 must be re-gated by
 /// c/¬c (the Figure-1 shape, 2 bits wide).
@@ -39,9 +42,13 @@ fn case() -> (Circuit, Circuit) {
 }
 
 fn rectify_with(options: EcoOptions) -> syseco::EcoResult {
+    rectify_under(options, &Budget::unlimited())
+}
+
+fn rectify_under(options: EcoOptions, budget: &Budget) -> syseco::EcoResult {
     let (implementation, spec) = case();
     let result = Syseco::new(options)
-        .rectify(&implementation, &spec)
+        .rectify_with_budget(&implementation, &spec, budget)
         .expect("rectification succeeds");
     assert!(
         verify_rectification(&result.patched, &spec).unwrap(),
@@ -64,19 +71,15 @@ fn all_sample_policies_are_correct() {
     }
 }
 
-#[test]
-fn single_point_limit_still_succeeds() {
-    let mut options = EcoOptions::with_seed(22);
-    options.max_points = 1;
-    rectify_with(options);
-}
-
+/// Every SAT validation runs out of budget (the `sat-exhaust` fault).
+#[cfg(feature = "fault-injection")]
 #[test]
 fn tiny_validation_budget_degrades_to_fallback_not_failure() {
-    let mut options = EcoOptions::with_seed(23);
-    options.validation_budget = 1;
-    options.max_refinements = 1;
-    let r = rectify_with(options);
+    let budget = Budget::unlimited().with_faults(FaultPolicy {
+        sat_exhaust_from: Some(1),
+        ..FaultPolicy::default()
+    });
+    let r = rectify_under(EcoOptions::with_seed(23), &budget);
     // With no budget the engine cannot confirm searches, but the fallback
     // path still rectifies everything: each failing output is resolved by a
     // committed rewire, a fallback, or as a side effect of another commit.
@@ -86,22 +89,43 @@ fn tiny_validation_budget_degrades_to_fallback_not_failure() {
         "{:?}",
         r.rectify
     );
+    assert!(
+        r.rectify
+            .degradations
+            .iter()
+            .all(|d| d.reason == DegradeReason::SatBudgetExhausted),
+        "{:?}",
+        r.rectify.degradations
+    );
 }
 
+/// Every BDD domain attempt hits the node limit (the `bdd-node-limit`
+/// fault).
+#[cfg(feature = "fault-injection")]
 #[test]
 fn tiny_bdd_budget_degrades_gracefully() {
-    let mut options = EcoOptions::with_seed(24);
-    options.bdd_node_limit = 256;
-    rectify_with(options);
+    let budget = Budget::unlimited().with_faults(FaultPolicy {
+        bdd_node_limit_from: Some(1),
+        ..FaultPolicy::default()
+    });
+    let r = rectify_under(EcoOptions::with_seed(24), &budget);
+    assert!(!r.rectify.degradations.is_empty());
+    assert!(
+        r.rectify
+            .degradations
+            .iter()
+            .all(|d| d.reason == DegradeReason::BddNodeLimit),
+        "{:?}",
+        r.rectify.degradations
+    );
 }
 
 #[test]
 fn small_domain_needs_no_more_than_max_refinements() {
     let mut options = EcoOptions::with_seed(25);
     options.num_samples = 2;
-    options.max_refinements = 3;
     let r = rectify_with(options);
-    assert!(r.rectify.refinements <= 3 * r.rectify.outputs_failing + 3);
+    assert!(r.rectify.refinements <= MAX_REFINEMENTS * r.rectify.outputs_failing);
 }
 
 #[test]

@@ -2,9 +2,13 @@
 
 use std::fmt;
 
+/// Widest n-ary gate: a [`Pin`](crate::Pin) addresses a gate input by a
+/// `u8` position, so a wider gate would alias its pins.
+const MAX_NARY_ARITY: usize = u8::MAX as usize + 1;
+
 /// The logic operation computed by a node.
 ///
-/// `And`, `Or`, `Nand`, `Nor`, `Xor`, `Xnor` accept two **or more** fanins
+/// `And`, `Or`, `Nand`, `Nor`, `Xor`, `Xnor` accept two to 256 fanins
 /// (n-ary semantics: chained application of the binary operator for
 /// `Xor`/`Xnor`, reduction for the others). `Not` and `Buf` are unary.
 /// `Mux` has exactly three fanins `(sel, d0, d1)` and computes
@@ -62,11 +66,12 @@ impl GateKind {
         }
     }
 
-    /// Whether `n` fanins is a legal fanin count for this gate kind.
+    /// Whether `n` fanins is a legal fanin count for this gate kind: the
+    /// fixed [`arity`](GateKind::arity), or two to 256 for n-ary kinds.
     pub fn accepts_arity(self, n: usize) -> bool {
         match self.arity() {
             Some(k) => n == k,
-            None => n >= 2,
+            None => (2..=MAX_NARY_ARITY).contains(&n),
         }
     }
 
@@ -253,6 +258,8 @@ mod tests {
     fn arity_checks() {
         assert!(GateKind::And.accepts_arity(2));
         assert!(GateKind::And.accepts_arity(5));
+        assert!(GateKind::And.accepts_arity(256));
+        assert!(!GateKind::And.accepts_arity(257));
         assert!(!GateKind::And.accepts_arity(1));
         assert!(GateKind::Not.accepts_arity(1));
         assert!(!GateKind::Not.accepts_arity(2));

@@ -438,6 +438,24 @@ mod tests {
         assert!(matches!(err, ParseBlifError::Netlist(_)));
     }
 
+    /// A gate input is addressed by a `u8` pin position, so the parser
+    /// accepts 256 fanins and rejects 257 instead of aliasing pins.
+    #[test]
+    fn parse_caps_nary_arity_at_256() {
+        let blif = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+            let names = names.join(" ");
+            format!(".model w\n.inputs {names}\n.gate and y {names}\n.assign o y\n.end\n")
+        };
+        let c = read_blif(&blif(256)).unwrap();
+        let gate = c.outputs()[0].net().source();
+        assert_eq!(c.node(gate).fanins().len(), 256);
+        assert!(matches!(
+            read_blif(&blif(257)).unwrap_err(),
+            ParseBlifError::Netlist(NetlistError::BadArity { got: 257, .. })
+        ));
+    }
+
     #[test]
     fn comments_and_blank_lines_ignored() {
         let text = "# header\n.model x\n\n.inputs a\n# mid\n.gate not y a\n.assign o y\n.end\n";

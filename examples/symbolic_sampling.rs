@@ -80,7 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build the sampling domain and the functions g(z).
     let mut m = BddManager::new();
     const T_BASE: u32 = 0;
-    const Y_BASE: u32 = 32;
     const Z_BASE: u32 = 40;
     let domain = SamplingDomain::new(samples, Z_BASE)?;
     println!(
@@ -126,7 +125,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             0,
             &pins,
             &selection,
-            Y_BASE,
             8,
             4,
         )?;

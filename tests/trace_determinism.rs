@@ -7,7 +7,6 @@
 mod common;
 
 use common::tmp_dir;
-use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use syseco::telemetry::export::spans_jsonl;
 use syseco::telemetry::profile::Profile;
@@ -82,77 +81,6 @@ fn jobs_do_not_change_the_normalized_trace() {
             "counters and gauges must be identical across worker counts (seed {case_seed})"
         );
     }
-}
-
-/// With the BDD manager's automatic GC threshold forced low enough to fire
-/// during the per-output searches, the engine must stay bit-deterministic
-/// across worker counts: GC runs inside each output's own manager against
-/// a deterministic operation sequence, so `bdd.gc.runs`, the prefilter
-/// counters, and the patch itself are independent of `jobs`. GC never
-/// changes a function either, so the patch must also equal the one under
-/// default options — the cache and checkpoint fingerprints leave
-/// `bdd_gc_threshold` out on that ground.
-#[test]
-fn gc_does_not_change_the_patch_across_jobs() {
-    let case = build_case(&multi_output_params(11));
-    let run = |jobs: usize, forced_gc: bool| {
-        let mut builder = EcoOptions::builder().seed(11 ^ 0x7E1E).jobs(jobs);
-        if forced_gc {
-            builder = builder.bdd_gc_threshold(Some(64));
-        }
-        let telemetry = Telemetry::enabled();
-        let session = Session::new(builder.build()).with_telemetry(&telemetry);
-        let result = session
-            .run(&case.implementation, &case.spec)
-            .expect("rectification succeeds under forced GC");
-        let snap = session.metrics_snapshot();
-        let metrics: Vec<(&'static str, u64)> = Counter::ALL
-            .iter()
-            .map(|&c| (c.name(), snap.counter(c)))
-            .collect();
-        (
-            result.patch.rewires().to_vec(),
-            write_blif(&result.patched),
-            result.rectify.normalized(),
-            spans_jsonl(&result.trace, true),
-            metrics,
-        )
-    };
-    let (p1, b1, s1, t1, m1) = run(1, true);
-    let (p4, b4, s4, t4, m4) = run(4, true);
-    assert_eq!(p1, p4, "patch must be identical across worker counts");
-    assert_eq!(
-        b1, b4,
-        "patched netlist must be identical across worker counts"
-    );
-    assert_eq!(s1, s4, "normalized stats must match across worker counts");
-    assert_eq!(t1, t4, "normalized trace must match across worker counts");
-    assert_eq!(m1, m4, "counters must match across worker counts");
-    let (pd, bd, ..) = run(1, false);
-    assert_eq!(p1, pd, "forced GC must not change the patch");
-    assert_eq!(b1, bd, "forced GC must not change the patched netlist");
-    // The forced threshold is low enough that the machinery actually ran:
-    // this test guards live GC, not the no-op path.
-    let counter = |name: &str| {
-        m1.iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
-    };
-    assert!(
-        counter("bdd.gc.runs") >= 1,
-        "forced GC threshold never fired"
-    );
-    // Prefilter accounting: every examined candidate is screened or passed,
-    // and only passed candidates may consume validation slots.
-    assert!(
-        counter("prefilter.screened") + counter("prefilter.passed") <= counter("rectify.choices"),
-        "prefilter verdicts cannot exceed choices examined"
-    );
-    assert!(
-        counter("prefilter.passed") <= counter("rectify.validations"),
-        "passed candidates must all have gone to validation"
-    );
 }
 
 /// Runs one rectification and renders the default (wall-clock-free)

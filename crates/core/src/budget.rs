@@ -89,11 +89,11 @@ pub enum BudgetStatus {
 
 /// Wall-clock and cancellation governance for one rectification run.
 ///
-/// A `Budget` is passed by reference into [`Syseco::rectify_with_budget`]
+/// A `Budget` is passed by reference into [`Session::run_with_budget`]
 /// (and down through every resource-consuming layer). It is cheap to query;
 /// the solvers poll it only periodically.
 ///
-/// [`Syseco::rectify_with_budget`]: crate::Syseco::rectify_with_budget
+/// [`Session::run_with_budget`]: crate::Session::run_with_budget
 #[derive(Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,

@@ -17,7 +17,6 @@ use crate::patch::{refine_patch_inputs_timed, Patch, PatchStats};
 use crate::progress::ProgressCallback;
 use crate::rectify::{rewire_rectify_with, RectifyStats, VALIDATION_BUDGET};
 use crate::schedule::WorkerPool;
-use crate::session::Session;
 use crate::validate::apply_rewires;
 use crate::EcoError;
 
@@ -36,7 +35,7 @@ pub struct EcoResult {
     pub runtime: Duration,
     /// Structured trace spans of the run, in deterministic merge-slot
     /// order. Empty unless the run was given an enabled
-    /// [`Telemetry`] (see [`Session::with_telemetry`]).
+    /// [`Telemetry`] (see [`Session::with_telemetry`](crate::Session::with_telemetry)).
     pub trace: Vec<SpanRecord>,
 }
 
@@ -90,69 +89,25 @@ impl Syseco {
     /// primary inputs; specification-only outputs are added as new ports
     /// (initially constant) and rectified like any failing output.
     ///
+    /// The run is governed by [`EcoOptions::timeout`]. A
+    /// [`Session`](crate::Session) adds an explicit [`Budget`], a
+    /// cancellation token, a progress observer, telemetry and batches.
+    ///
     /// # Errors
     ///
     /// [`EcoError::PortMismatch`] when an implementation output has no
     /// specification counterpart, and [`EcoError`] wrappers for malformed
     /// circuits.
     pub fn rectify(&self, implementation: &Circuit, spec: &Circuit) -> Result<EcoResult, EcoError> {
-        let budget = self.default_budget();
-        self.rectify_with_budget(implementation, spec, &budget)
-    }
-
-    /// Like [`Syseco::rectify`], but governed by an explicit [`Budget`]
-    /// (deadline and/or [`crate::CancelToken`]). On exhaustion the run
-    /// degrades gracefully — remaining outputs take the output-rewire
-    /// fallback and the cuts are recorded in
-    /// [`RectifyStats::degradations`] — instead of aborting.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Syseco::rectify`].
-    pub fn rectify_with_budget(
-        &self,
-        implementation: &Circuit,
-        spec: &Circuit,
-        budget: &Budget,
-    ) -> Result<EcoResult, EcoError> {
         let pool = WorkerPool::new(self.options.effective_jobs());
         self.rectify_with(
             implementation,
             spec,
-            budget,
+            &self.default_budget(),
             None,
             &pool,
             &Telemetry::disabled(),
         )
-    }
-
-    /// Rectifies a batch of (implementation, specification) pairs with one
-    /// shared worker pool.
-    ///
-    /// Jobs run sequentially in input order (results line up with `jobs`);
-    /// parallelism is applied *within* each job, across its failing outputs.
-    /// Each job gets its own budget derived from
-    /// [`EcoOptions::timeout`] — use a [`Session`] with a
-    /// [`crate::CancelToken`] to cancel a whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first job's [`EcoError`], abandoning the rest.
-    pub fn rectify_all(&self, jobs: &[(&Circuit, &Circuit)]) -> Result<Vec<EcoResult>, EcoError> {
-        let pool = WorkerPool::new(self.options.effective_jobs());
-        let telemetry = Telemetry::disabled();
-        jobs.iter()
-            .map(|(implementation, spec)| {
-                let budget = self.default_budget();
-                self.rectify_with(implementation, spec, &budget, None, &pool, &telemetry)
-            })
-            .collect()
-    }
-
-    /// Starts a [`Session`] over this engine's options — the handle for
-    /// attaching a cancellation token and a progress observer.
-    pub fn session(&self) -> Session {
-        Session::new(self.options.clone())
     }
 
     /// A budget derived from the configured timeout.
@@ -164,8 +119,8 @@ impl Syseco {
     }
 
     /// The full engine flow with an explicit observer, worker pool, and
-    /// telemetry sink — the internal entry shared by [`Session`] and the
-    /// batch API.
+    /// telemetry sink — the internal entry shared by [`Syseco::rectify`]
+    /// and [`Session`](crate::Session).
     pub(crate) fn rectify_with(
         &self,
         implementation: &Circuit,
@@ -541,29 +496,6 @@ mod tests {
         let engine = Syseco::new(EcoOptions::with_seed(2));
         let result = engine.rectify(&c, &s).unwrap();
         assert!(verify_rectification(&result.patched, &s).unwrap());
-    }
-
-    #[test]
-    fn batch_api_rectifies_every_pair_in_order() {
-        let mut c1 = Circuit::new("impl1");
-        let a = c1.add_input("a");
-        let b = c1.add_input("b");
-        let g = c1.add_gate(GateKind::And, &[a, b]).unwrap();
-        c1.add_output("y", g);
-        let mut s1 = Circuit::new("spec1");
-        let sa = s1.add_input("a");
-        let sb = s1.add_input("b");
-        let sg = s1.add_gate(GateKind::Or, &[sa, sb]).unwrap();
-        s1.add_output("y", sg);
-        // Second job is already equivalent.
-        let c2 = s1.clone();
-        let s2 = s1.clone();
-        let engine = Syseco::new(EcoOptions::with_seed(4));
-        let results = engine.rectify_all(&[(&c1, &s1), (&c2, &s2)]).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(verify_rectification(&results[0].patched, &s1).unwrap());
-        assert_eq!(results[0].rectify.outputs_failing, 1);
-        assert_eq!(results[1].rectify.outputs_failing, 0);
     }
 
     #[test]

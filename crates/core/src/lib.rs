@@ -76,7 +76,6 @@ mod memo;
 mod options;
 pub mod patch;
 pub mod points;
-pub mod prefilter;
 pub mod progress;
 pub mod rectify;
 pub mod rewire_nets;

@@ -56,12 +56,11 @@ use crate::memo::{CacheSession, OutputEntry, WarmStart};
 use crate::options::EcoOptions;
 use crate::patch::Patch;
 use crate::points::{self, block_bits, candidate_pins, feasible_point_sets, Selection};
-use crate::prefilter;
 use crate::progress::{emit, OutputAction, ProgressCallback, ProgressEvent};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
 use crate::sampling::{eval_all_bdd, SamplingDomain};
 use crate::schedule::{per_output_seed, WorkerPool};
-use crate::validate::{apply_rewires, validate_rewires, CandidateRewire, Validation};
+use crate::validate::{apply_rewires, validate_rewires, CandidateRewire, SampleBank, Validation};
 use crate::EcoError;
 
 /// BDD variable layout: choice block, selection block, rectification
@@ -153,11 +152,11 @@ pub struct RectifyStats {
     pub point_sets_tried: usize,
     /// Rewiring choices examined.
     pub choices_tried: usize,
-    /// Candidates the bit-parallel simulation pre-filter proved invalid
-    /// before they could consume a SAT-validation slot.
+    /// Candidates the screen in [`validate_rewires`] proved invalid before
+    /// they could consume a SAT-validation slot: cyclic rewires
+    /// ([`Validation::Infeasible`]) and [`Validation::Screened`] ones.
     pub prefilter_screened: usize,
-    /// Candidates that survived the pre-filter and went on to SAT
-    /// validation.
+    /// Candidates that passed that screen and consumed a validation slot.
     pub prefilter_passed: usize,
     /// Outputs whose search was cut short (budget exhaustion, resource
     /// limits, panics), with the recovery taken for each. Empty on a clean
@@ -1252,20 +1251,26 @@ fn search_one_output<'s>(
             stats.validations += 1;
             let t_val = Instant::now();
             let span_val = buf.start();
-            budget.fault_span(SpanPoint::Validate)?;
-            let result = validate_rewires(
-                base,
-                spec,
-                corr,
-                proposal,
-                pair,
-                failing,
-                &sample_bank,
-                &no_clones,
-                VALIDATION_BUDGET,
-                Some(budget),
-                proofs,
-            );
+            let result = SampleBank::new(spec, corr, sample_bank.clone()).and_then(|bank| {
+                validate_rewires(
+                    base,
+                    spec,
+                    corr,
+                    proposal,
+                    pair,
+                    failing,
+                    &bank,
+                    &no_clones,
+                    VALIDATION_BUDGET,
+                    Some(budget),
+                    proofs,
+                )
+            });
+            // An injected abort is a simulated crash, not a stale record.
+            #[cfg(any(test, feature = "fault-injection"))]
+            if let Err(EcoError::InjectedAbort) = result {
+                return Err(EcoError::InjectedAbort);
+            }
             let val_sat = result
                 .as_ref()
                 .map(|(_, s)| *s)
@@ -1295,9 +1300,10 @@ fn search_one_output<'s>(
                         cut: None,
                     });
                 }
-                Ok((Validation::CounterExample(x), _)) => {
-                    // The rejection's counterexample is fresh signal: feed
-                    // it into the domain before starting the cold search.
+                Ok((Validation::CounterExample(x) | Validation::Screened(x), _)) => {
+                    // The rejection's distinguishing assignment is fresh
+                    // signal: feed it into the domain before starting the
+                    // cold search.
                     stats.cache_verify_rejects += 1;
                     if x.len() == base.num_inputs() && !samples.contains(&x) {
                         if !sample_bank.contains(&x) {
@@ -1400,6 +1406,7 @@ fn bdd_cut(e: BddError) -> Result<Attempt, EcoError> {
 fn verdict_name(v: &Validation) -> &'static str {
     match v {
         Validation::Valid { .. } => "valid",
+        Validation::Screened(_) => "screened",
         Validation::CounterExample(_) => "counterexample",
         Validation::Damaged => "damaged",
         Validation::Infeasible => "infeasible",
@@ -1514,10 +1521,10 @@ fn attempt_in_manager<'s>(
 
     let pins = candidate_pins(base, root, pair.impl_index, pin_cap);
     let ctx = RewireNetContext::build(base, spec, corr, spec_root, samples)?;
-    // Reference bits for the candidate screen, over the full sample bank
-    // (a strict superset of this attempt's sampling domain): one spec
-    // simulation per attempt, reused by every screen below.
-    let pf_bank = prefilter::PrefilterBank::build(spec, corr, pair, sample_bank)?;
+    // The candidate screen runs over the full sample bank (a strict
+    // superset of this attempt's sampling domain): one spec simulation per
+    // attempt, reused by every validation below.
+    let bank = SampleBank::new(spec, corr, sample_bank.to_vec())?;
     // Handles the search must keep across collections: the
     // per-input domain functions and every evaluated net of both circuits
     // (`fprime` and `g_spec` entries are aliases into these).
@@ -1706,22 +1713,8 @@ fn attempt_in_manager<'s>(
                     cut = Some(reason);
                     break 'outer;
                 }
-                // Bit-parallel simulation screen (sound: any banked
-                // mismatch proves the candidate invalid) — provably dead
-                // candidates never consume a validation slot; every passed
-                // candidate goes straight to SAT validation.
-                match pf_bank.screen(base, spec, &rewires, pair)? {
-                    prefilter::Screen::Screened => {
-                        stats.prefilter_screened += 1;
-                        continue;
-                    }
-                    prefilter::Screen::Pass => stats.prefilter_passed += 1,
-                }
-                validations_left -= 1;
-                stats.validations += 1;
                 let t_val = Instant::now();
                 let span_val = buf.start();
-                budget.fault_span(SpanPoint::Validate)?;
                 let (validation, val_sat) = validate_rewires(
                     base,
                     spec,
@@ -1729,12 +1722,22 @@ fn attempt_in_manager<'s>(
                     &rewires,
                     pair,
                     failing,
-                    sample_bank,
+                    &bank,
                     &no_clones,
                     VALIDATION_BUDGET,
                     Some(budget),
                     proofs,
                 )?;
+                // A cyclic or bank-screened candidate is provably invalid
+                // without SAT: it consumes no validation slot and opens no
+                // `validate` span.
+                if let Validation::Screened(_) | Validation::Infeasible = validation {
+                    stats.prefilter_screened += 1;
+                    continue;
+                }
+                stats.prefilter_passed += 1;
+                validations_left -= 1;
+                stats.validations += 1;
                 stats.sat += val_sat;
                 buf.end_with(span_val, "validate", "rectify", || {
                     vec![
@@ -1780,7 +1783,7 @@ fn attempt_in_manager<'s>(
                             break 'outer;
                         }
                     }
-                    Validation::Damaged | Validation::Infeasible => {}
+                    Validation::Damaged | Validation::Screened(_) | Validation::Infeasible => {}
                     Validation::Unknown => {
                         // SAT ran out of resources before reaching a verdict.
                         unknowns += 1;

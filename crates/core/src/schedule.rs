@@ -20,7 +20,7 @@ const WORKER_STACK: usize = 16 << 20;
 /// The pool itself is trivially cheap to construct; its value is the
 /// deterministic slot-indexed result collection and the single place where
 /// worker count policy lives. One pool instance is reused across the jobs of
-/// a batch run ([`Syseco::rectify_all`](crate::Syseco::rectify_all)).
+/// a batch run ([`Session::run_all`](crate::Session::run_all)).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WorkerPool {
     workers: usize,

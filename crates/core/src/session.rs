@@ -42,7 +42,7 @@ use crate::EcoError;
 
 /// A rectification session handle.
 ///
-/// Construct with [`Session::new`] or [`Syseco::session`], attach a
+/// Construct with [`Session::new`], attach a
 /// [`CancelToken`] and/or a progress observer, then [`run`](Session::run)
 /// one pair or [`run_all`](Session::run_all) a batch. The session is
 /// reusable: every run derives a fresh [`Budget`] from the options'
@@ -255,6 +255,11 @@ mod tests {
             snap.counter(eco_telemetry::Counter::RectifyValidations),
             result.rectify.validations as u64
         );
+        // No cache: every validation slot went to a screen-passed candidate.
+        assert_eq!(
+            snap.counter(eco_telemetry::Counter::PrefilterPassed),
+            result.rectify.validations as u64
+        );
         // Without telemetry the same run records nothing and costs nothing.
         let bare = Session::new(EcoOptions::with_seed(3)).run(&c, &s).unwrap();
         assert!(bare.trace.is_empty());
@@ -352,16 +357,17 @@ mod tests {
             "forced GC threshold never fired"
         );
         assert_eq!(counter("fault.injected"), 0, "the GC hook never aborts");
-        // Prefilter accounting: every examined candidate is screened or passed,
-        // and only passed candidates may consume validation slots.
+        // Screen accounting: every examined candidate is screened or passed,
+        // and without a cache each validation slot went to a passed candidate.
         assert!(
             counter("prefilter.screened") + counter("prefilter.passed")
                 <= counter("rectify.choices"),
-            "prefilter verdicts cannot exceed choices examined"
+            "screen verdicts cannot exceed choices examined"
         );
-        assert!(
-            counter("prefilter.passed") <= counter("rectify.validations"),
-            "passed candidates must all have gone to validation"
+        assert_eq!(
+            counter("prefilter.passed"),
+            counter("rectify.validations"),
+            "screened candidates must not consume validation slots"
         );
     }
 
@@ -371,6 +377,7 @@ mod tests {
         let session = Session::new(EcoOptions::with_seed(3));
         let results = session.run_all(&[(&c, &s), (&s, &s)]).unwrap();
         assert_eq!(results.len(), 2);
+        assert!(verify_rectification(&results[0].patched, &s).unwrap());
         assert_eq!(results[0].rectify.outputs_failing, 1);
         assert_eq!(results[1].rectify.outputs_failing, 0);
     }

@@ -2,11 +2,12 @@
 //!
 //! A rewiring found in the sampling domain is a *candidate*: the domain is a
 //! projection, so the choice may be a false positive. Validation applies the
-//! rewire to a scratch copy, pre-filters with simulation over the
-//! accumulated sample bank, and confirms with a resource-constrained SAT
-//! solver. A distinguishing assignment feeds back into the domain
-//! (counterexample-guided refinement); a break of a previously correct
-//! output prunes the candidate (the "damage" rule of §5.2).
+//! rewire to one scratch copy, screens it with bit-parallel simulation over
+//! the output's [`SampleBank`], and confirms survivors with a
+//! resource-constrained SAT solver. A distinguishing assignment feeds back
+//! into the domain (counterexample-guided refinement); a break of a
+//! previously correct output prunes the candidate (the "damage" rule of
+//! §5.2).
 
 use std::collections::{HashMap, HashSet};
 
@@ -17,6 +18,7 @@ use eco_sat::{tseitin, SolveResult, SolverStats};
 use crate::budget::Budget;
 use crate::correspond::{Correspondence, OutputPair};
 use crate::error_domain::armed_solver;
+use crate::fault::SpanPoint;
 use crate::patch::RewireOp;
 use crate::rewire_nets::RewireCandidate;
 use crate::EcoError;
@@ -40,6 +42,10 @@ pub enum Validation {
         /// Other failing output indices now equivalent.
         fixed: Vec<u32>,
     },
+    /// The representative output differs from the specification on a
+    /// banked assignment, carried here: the bank screen rejected the
+    /// candidate before any fault point or SAT effort.
+    Screened(Vec<bool>),
     /// The representative output still differs: a false positive of the
     /// sampling domain, with the distinguishing assignment for refinement.
     CounterExample(Vec<bool>),
@@ -50,6 +56,65 @@ pub enum Validation {
     Infeasible,
     /// The SAT resource budget ran out before a verdict.
     Unknown,
+}
+
+/// The input assignments banked for one output's search, with every
+/// specification output simulated over them once, so screening a candidate
+/// simulates only the rewired implementation.
+#[derive(Debug, Default)]
+pub struct SampleBank {
+    /// The banked input assignments, in implementation input order.
+    assignments: Vec<Vec<bool>>,
+    /// Specification output values per 64-assignment block:
+    /// `spec_outputs[block][spec output index]`.
+    spec_outputs: Vec<Vec<u64>>,
+}
+
+impl SampleBank {
+    /// Banks `assignments` and simulates the specification over them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EcoError`] from specification simulation.
+    pub fn new(
+        spec: &Circuit,
+        corr: &Correspondence,
+        assignments: Vec<Vec<bool>>,
+    ) -> Result<Self, EcoError> {
+        let spec_assignments: Vec<Vec<bool>> = assignments
+            .iter()
+            .map(|s| corr.spec_assignment(s))
+            .collect();
+        let spec_outputs = sim::simulate_patterns(spec, &spec_assignments)?
+            .into_iter()
+            .map(|words| {
+                spec.outputs()
+                    .iter()
+                    .map(|o| words[o.net().index()])
+                    .collect()
+            })
+            .collect();
+        Ok(SampleBank {
+            assignments,
+            spec_outputs,
+        })
+    }
+
+    /// The first banked assignment on which implementation net `net`,
+    /// simulated over the bank into `blocks`, differs from specification
+    /// output `spec_index`.
+    fn first_mismatch(&self, blocks: &[Vec<u64>], net: NetId, spec_index: u32) -> Option<&[bool]> {
+        for (block, (words, spec)) in blocks.iter().zip(&self.spec_outputs).enumerate() {
+            let diff = words[net.index()] ^ spec[spec_index as usize];
+            if diff != 0 {
+                // Only the last block has bits past the bank's end; they
+                // simulate the all-zero padding pattern, not a banked one.
+                let k = block * 64 + diff.trailing_zeros() as usize;
+                return self.assignments.get(k).map(Vec::as_slice);
+            }
+        }
+        None
+    }
 }
 
 /// Applies `rewires` to `target`, cloning specification cones as needed.
@@ -126,17 +191,29 @@ pub fn affected_outputs(circuit: &Circuit, rewires: &[CandidateRewire]) -> Vec<u
 /// validation.
 ///
 /// `failing` holds the output indices currently known to be wrong
-/// (including `representative`); `sample_bank` is every input assignment
-/// collected so far, used as a cheap simulation pre-filter before SAT.
+/// (including `representative`). The candidate is applied to one scratch
+/// copy, simulated once over `bank`, and decided in this order:
+///
+/// 1. a rewire that would close a cycle is [`Validation::Infeasible`];
+/// 2. a representative output that differs from the specification on a
+///    banked assignment is [`Validation::Screened`];
+/// 3. the `validate` fault point and the `sat-exhaust` injection of
+///    `governor` fire;
+/// 4. a previously correct output that differs on a banked assignment is
+///    [`Validation::Damaged`];
+/// 5. SAT decides the rest.
+///
+/// Both screens are sound: a valid rewire agrees with the specification on
+/// every assignment, banked ones included. An empty bank skips them.
 ///
 /// The returned [`SolverStats`] covers the validation solver only (zero when
-/// the verdict came from the simulation pre-filter or structural checks);
-/// the rectification driver folds it into the run-level telemetry.
+/// the verdict came before SAT); the `rectify` search folds it into the
+/// run-level telemetry.
 ///
 /// # Errors
 ///
-/// Propagates [`EcoError`] on encoding failures; resource exhaustion maps to
-/// [`Validation::Unknown`], not an error.
+/// Propagates [`EcoError`] on encoding failures and injected aborts;
+/// resource exhaustion maps to [`Validation::Unknown`], not an error.
 #[allow(clippy::too_many_arguments)]
 pub fn validate_rewires<'s>(
     implementation: &Circuit,
@@ -145,17 +222,12 @@ pub fn validate_rewires<'s>(
     rewires: &[CandidateRewire],
     representative: &OutputPair,
     failing: &HashSet<u32>,
-    sample_bank: &[Vec<bool>],
+    bank: &SampleBank,
     shared_clones: &HashMap<NetId, NetId>,
     budget: u64,
     governor: Option<&Budget>,
     proofs: &mut ProofCache<'s>,
 ) -> Result<(Validation, SolverStats), EcoError> {
-    if let Some(g) = governor {
-        if g.inject_sat_exhaust() {
-            return Ok((Validation::Unknown, SolverStats::default()));
-        }
-    }
     let mut scratch = implementation.clone();
     let mut scratch_clones = shared_clones.clone();
     match apply_rewires(&mut scratch, spec, rewires, &mut scratch_clones) {
@@ -166,43 +238,28 @@ pub fn validate_rewires<'s>(
         Err(e) => return Err(e.into()),
     }
 
-    let affected = affected_outputs(&scratch, rewires);
-
-    // Simulation pre-filter over the sample bank.
-    if !sample_bank.is_empty() {
-        let impl_blocks = sim::simulate_patterns(&scratch, sample_bank).map_err(EcoError::from)?;
-        let spec_samples: Vec<Vec<bool>> = sample_bank
-            .iter()
-            .map(|s| corr.spec_assignment(s))
-            .collect();
-        let spec_blocks = sim::simulate_patterns(spec, &spec_samples).map_err(EcoError::from)?;
-        for &oi in &affected {
-            let pair = &corr.outputs[oi as usize];
-            let inet = scratch.outputs()[pair.impl_index as usize].net();
-            let snet = spec.outputs()[pair.spec_index as usize].net();
-            for (block, (ib, sb)) in impl_blocks.iter().zip(&spec_blocks).enumerate() {
-                let diff = ib[inet.index()] ^ sb[snet.index()];
-                if diff == 0 {
-                    continue;
-                }
-                let bit = diff.trailing_zeros() as usize;
-                let sample_idx = block * 64 + bit;
-                if sample_idx >= sample_bank.len() {
-                    continue;
-                }
-                if oi == representative.impl_index {
-                    return Ok((
-                        Validation::CounterExample(sample_bank[sample_idx].clone()),
-                        SolverStats::default(),
-                    ));
-                }
-                if !failing.contains(&oi) {
-                    return Ok((Validation::Damaged, SolverStats::default()));
-                }
-                // A still-failing non-representative output mismatching is
-                // acceptable; it is simply not "fixed".
-            }
+    let blocks = sim::simulate_patterns(&scratch, &bank.assignments)?;
+    // Read output nets *after* apply: an output-pin rewire changes them.
+    let mismatch = |pair: &OutputPair| {
+        let net = scratch.outputs()[pair.impl_index as usize].net();
+        bank.first_mismatch(&blocks, net, pair.spec_index)
+    };
+    if let Some(x) = mismatch(representative) {
+        return Ok((Validation::Screened(x.to_vec()), SolverStats::default()));
+    }
+    if let Some(g) = governor {
+        g.fault_span(SpanPoint::Validate)?;
+        if g.inject_sat_exhaust() {
+            return Ok((Validation::Unknown, SolverStats::default()));
         }
+    }
+    let affected = affected_outputs(&scratch, rewires);
+    // A still-failing output may keep mismatching; it is simply not "fixed".
+    if affected
+        .iter()
+        .any(|&oi| !failing.contains(&oi) && mismatch(&corr.outputs[oi as usize]).is_some())
+    {
+        return Ok((Validation::Damaged, SolverStats::default()));
     }
 
     // SAT confirmation with a single miter encoding: one difference literal
@@ -310,6 +367,41 @@ mod tests {
         }
     }
 
+    fn impl_candidate(net: NetId) -> RewireCandidate {
+        RewireCandidate {
+            net,
+            from_spec: false,
+            utility: 0.5,
+            arrival: 0.0,
+        }
+    }
+
+    /// Validates `rewires` for output `y`, the only failing one, over `bank`.
+    fn validate(
+        c: &Circuit,
+        s: &Circuit,
+        corr: &Correspondence,
+        rewires: &[CandidateRewire],
+        bank: Vec<Vec<bool>>,
+    ) -> (Validation, SolverStats) {
+        let bank = SampleBank::new(s, corr, bank).unwrap();
+        let failing: HashSet<u32> = [0].into_iter().collect();
+        validate_rewires(
+            c,
+            s,
+            corr,
+            rewires,
+            &corr.outputs[0],
+            &failing,
+            &bank,
+            &HashMap::new(),
+            100_000,
+            None,
+            &mut ProofCache::new(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn valid_rewire_accepted() {
         let (c, s, corr) = setup();
@@ -317,70 +409,56 @@ mod tests {
             pin: Pin::output(0),
             candidate: spec_or_candidate(&s),
         }];
-        let failing: HashSet<u32> = [0].into_iter().collect();
-        let v = validate_rewires(
-            &c,
-            &s,
-            &corr,
-            &rewires,
-            &corr.outputs[0],
-            &failing,
-            &[vec![true, false]],
-            &HashMap::new(),
-            100_000,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
+        let v = validate(&c, &s, &corr, &rewires, vec![vec![true, false]]).0;
         assert_eq!(v, Validation::Valid { fixed: vec![] });
     }
 
     #[test]
     fn false_positive_yields_counterexample() {
-        let (c, s, corr) = setup();
+        let (mut c, s, corr) = setup();
         // Rewire y to input a: fixes a=1,b=0 but not a=0,b=1.
-        let a = c.input_by_name("a").unwrap();
         let rewires = vec![CandidateRewire {
             pin: Pin::output(0),
-            candidate: RewireCandidate {
-                net: a,
-                from_spec: false,
-                utility: 0.5,
-                arrival: 0.0,
-            },
+            candidate: impl_candidate(c.input_by_name("a").unwrap()),
         }];
-        let failing: HashSet<u32> = [0].into_iter().collect();
-        let v = validate_rewires(
+        // An empty bank, or one the candidate agrees on, leaves it to SAT.
+        for bank in [vec![], vec![vec![true, false]]] {
+            match validate(&c, &s, &corr, &rewires, bank).0 {
+                Validation::CounterExample(x) => {
+                    // The counterexample distinguishes the rewired impl from spec.
+                    assert!(!x[0]);
+                    assert!(x[1]);
+                }
+                other => panic!("expected counterexample, got {other:?}"),
+            }
+        }
+        // A banked distinguishing assignment screens it without SAT.
+        let (v, sat) = validate(
             &c,
             &s,
             &corr,
             &rewires,
-            &corr.outputs[0],
-            &failing,
-            &[],
-            &HashMap::new(),
-            100_000,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
-        match v {
-            Validation::CounterExample(x) => {
-                // The counterexample distinguishes the rewired impl from spec.
-                assert!(!x[0]);
-                assert!(x[1]);
-            }
-            other => panic!("expected counterexample, got {other:?}"),
-        }
+            vec![vec![true, false], vec![false, true]],
+        );
+        assert_eq!(v, Validation::Screened(vec![false, true]));
+        assert_eq!(sat, SolverStats::default());
+
+        // y = 1 differs from a | b only on a=0,b=0: the all-zero pattern
+        // the unused bits of a partial block simulate. Those bits are not
+        // banked, so the candidate passes the screen and SAT finds the input.
+        let rewires = vec![CandidateRewire {
+            pin: Pin::output(0),
+            candidate: impl_candidate(c.constant(true)),
+        }];
+        let bank = vec![vec![true, false], vec![false, true], vec![true, true]];
+        let v = validate(&c, &s, &corr, &rewires, bank).0;
+        assert_eq!(v, Validation::CounterExample(vec![false, false]));
     }
 
     #[test]
     fn damaging_rewire_rejected() {
         let (c, s, corr) = setup();
         // Rewire output z (currently correct) to b: damages z.
-        let b = c.input_by_name("b").unwrap();
         let rewires = vec![
             CandidateRewire {
                 pin: Pin::output(0),
@@ -388,31 +466,22 @@ mod tests {
             },
             CandidateRewire {
                 pin: Pin::output(1),
-                candidate: RewireCandidate {
-                    net: b,
-                    from_spec: false,
-                    utility: 0.4,
-                    arrival: 0.0,
-                },
+                candidate: impl_candidate(c.input_by_name("b").unwrap()),
             },
         ];
-        let failing: HashSet<u32> = [0].into_iter().collect();
-        let v = validate_rewires(
+        let (v, sat) = validate(&c, &s, &corr, &rewires, vec![]);
+        assert_eq!(v, Validation::Damaged);
+        assert_ne!(sat, SolverStats::default(), "decided by SAT");
+        // The bank's (1, 0) separates z = b from z = a: no SAT needed.
+        let (v, sat) = validate(
             &c,
             &s,
             &corr,
             &rewires,
-            &corr.outputs[0],
-            &failing,
-            &[vec![true, false], vec![false, true]],
-            &HashMap::new(),
-            100_000,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
+            vec![vec![true, false], vec![false, true]],
+        );
         assert_eq!(v, Validation::Damaged);
+        assert_eq!(sat, SolverStats::default());
     }
 
     #[test]
@@ -429,23 +498,11 @@ mod tests {
                 arrival: 0.0,
             },
         }];
-        let failing: HashSet<u32> = [0].into_iter().collect();
-        let v = validate_rewires(
-            &c,
-            &s,
-            &corr,
-            &rewires,
-            &corr.outputs[0],
-            &failing,
-            &[],
-            &HashMap::new(),
-            100_000,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(v, Validation::Infeasible);
+        // The cycle check comes before the bank screen.
+        for bank in [vec![], vec![vec![false, true]]] {
+            let v = validate(&c, &s, &corr, &rewires, bank).0;
+            assert_eq!(v, Validation::Infeasible);
+        }
     }
 
     #[test]

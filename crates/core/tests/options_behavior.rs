@@ -3,7 +3,7 @@
 
 use eco_netlist::{Circuit, GateKind};
 use syseco::rectify::MAX_REFINEMENTS;
-use syseco::{verify_rectification, Budget, EcoOptions, SamplePolicy, Syseco};
+use syseco::{verify_rectification, Budget, EcoOptions, SamplePolicy, Session};
 #[cfg(feature = "fault-injection")]
 use syseco::{DegradeReason, FaultPolicy};
 
@@ -47,8 +47,8 @@ fn rectify_with(options: EcoOptions) -> syseco::EcoResult {
 
 fn rectify_under(options: EcoOptions, budget: &Budget) -> syseco::EcoResult {
     let (implementation, spec) = case();
-    let result = Syseco::new(options)
-        .rectify_with_budget(&implementation, &spec, budget)
+    let result = Session::new(options)
+        .run_with_budget(&implementation, &spec, budget)
         .expect("rectification succeeds");
     assert!(
         verify_rectification(&result.patched, &spec).unwrap(),

@@ -83,9 +83,11 @@ metric_enum! {
         RectifyPointSets => names::RECTIFY_POINT_SETS,
         /// Rewiring choices examined.
         RectifyChoices => names::RECTIFY_CHOICES,
-        /// Candidates rejected by the bit-parallel simulation pre-filter.
+        /// Candidates the validation screen rejected before SAT: cyclic,
+        /// or mismatching on the sample bank.
         PrefilterScreened => names::PREFILTER_SCREENED,
-        /// Candidates that survived the simulation pre-filter.
+        /// Candidates that passed the validation screen and took a
+        /// validation slot.
         PrefilterPassed => names::PREFILTER_PASSED,
         /// Outputs that took the output-rewire fallback.
         RectifyFallbacks => names::RECTIFY_FALLBACKS,

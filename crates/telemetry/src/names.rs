@@ -61,9 +61,10 @@ pub const RECTIFY_VALIDATIONS: &str = "rectify.validations";
 pub const RECTIFY_POINT_SETS: &str = "rectify.point_sets";
 /// Rewiring choices examined.
 pub const RECTIFY_CHOICES: &str = "rectify.choices";
-/// Candidates rejected by the bit-parallel simulation pre-filter.
+/// Candidates the validation screen rejected before SAT: cyclic, or
+/// mismatching on the sample bank.
 pub const PREFILTER_SCREENED: &str = "prefilter.screened";
-/// Candidates that survived the simulation pre-filter.
+/// Candidates that passed the validation screen and took a validation slot.
 pub const PREFILTER_PASSED: &str = "prefilter.passed";
 /// Outputs that took the output-rewire fallback.
 pub const RECTIFY_FALLBACKS: &str = "rectify.fallbacks";

@@ -70,8 +70,9 @@ fn fuzz_reports_are_reproducible() {
     assert_eq!(ticks.len(), 25, "progress fires once per iteration");
 }
 
-/// Prefilter soundness over two hundred fuzz scenarios: a candidate the
-/// bit-parallel simulation screen rejects must never be SAT-validated as
+/// Screen soundness over two hundred fuzz scenarios: every candidate the
+/// bit-parallel bank screen rejects carries a banked witness that separates
+/// it from the spec, and SAT alone (an empty bank) never validates it as
 /// `Valid` — the screen may only refuse candidates the oracle would also
 /// refuse (DESIGN.md §16's "sound, never complete" contract).
 #[test]
@@ -81,9 +82,10 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
     use std::collections::{HashMap, HashSet};
     use syseco::correspond::Correspondence;
     use syseco::points::candidate_pins;
-    use syseco::prefilter::{PrefilterBank, Screen};
     use syseco::rewire_nets::RewireCandidate;
-    use syseco::validate::{validate_rewires, CandidateRewire, Validation};
+    use syseco::validate::{
+        apply_rewires, validate_rewires, CandidateRewire, SampleBank, Validation,
+    };
 
     // Tiny deterministic splitmix64 stream; no RNG dependency needed.
     struct Sm(u64);
@@ -113,14 +115,14 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
             Err(_) => continue,
         };
         let mut rng = Sm(seed ^ 0xA5A5);
-        // 48 samples: not a multiple of 64, so the tail-bit mask of the
-        // final simulation block is exercised on every scenario.
+        // 48 samples: not a multiple of 64, so the padding bits of the final
+        // simulation block are exercised on every scenario.
         let samples: Vec<Vec<bool>> = (0..48)
             .map(|_| (0..im.num_inputs()).map(|_| rng.next() & 1 == 1).collect())
             .collect();
         let pair = &corr.outputs[rng.below(corr.outputs.len())];
         let root = im.outputs()[pair.impl_index as usize].net();
-        let pf = PrefilterBank::build(sp, &corr, pair, &samples).expect("bank builds");
+        let bank = SampleBank::new(sp, &corr, samples.clone()).expect("bank builds");
         let pins = candidate_pins(im, root, pair.impl_index, 16);
         if pins.is_empty() {
             continue;
@@ -130,6 +132,22 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
         // setting for a soundness claim about the screen.
         let failing: HashSet<u32> = (0..im.outputs().len() as u32).collect();
         let no_clones: HashMap<NetId, NetId> = HashMap::new();
+        let validate = |rewires: &[CandidateRewire], bank: &SampleBank| {
+            validate_rewires(
+                im,
+                sp,
+                &corr,
+                rewires,
+                pair,
+                &failing,
+                bank,
+                &no_clones,
+                100_000,
+                None,
+                &mut ProofCache::new(),
+            )
+            .map(|(v, _)| v)
+        };
         for _ in 0..6 {
             let pin = pins[rng.below(pins.len())];
             let net = NetId::from_index(rng.below(im.num_nodes()));
@@ -142,36 +160,33 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
                     arrival: 0.0,
                 },
             }];
-            let verdict = match pf.screen(im, sp, &rewires, pair) {
-                Ok(v) => v,
-                // A random net index may reference a dead node the fuzz
-                // mutator left behind; validation rejects those the same
-                // way, so they carry no soundness signal.
-                Err(_) => continue,
-            };
-            match verdict {
-                Screen::Screened => screened_total += 1,
-                Screen::Pass => {
+            let x = match validate(&rewires, &bank) {
+                Ok(Validation::Screened(x)) => x,
+                // A cycle is decided before the screen.
+                Ok(Validation::Infeasible) => continue,
+                Ok(_) => {
                     passed_total += 1;
                     continue;
                 }
-            }
-            let (validation, _) = validate_rewires(
-                im,
-                sp,
-                &corr,
-                &rewires,
-                pair,
-                &failing,
-                &samples,
-                &no_clones,
-                100_000,
-                None,
-                &mut ProofCache::new(),
-            )
-            .expect("validation runs");
+                // A random net index may reference a dead node the fuzz
+                // mutator left behind: no soundness signal.
+                Err(_) => continue,
+            };
+            screened_total += 1;
             assert!(
-                !matches!(validation, Validation::Valid { .. }),
+                samples.contains(&x),
+                "scenario {i}: witness {x:?} is not banked"
+            );
+            let mut scratch = im.clone();
+            apply_rewires(&mut scratch, sp, &rewires, &mut HashMap::new())
+                .expect("a screened rewire applies");
+            let got = scratch.eval(&x).expect("simulates")[pair.impl_index as usize];
+            let want =
+                sp.eval(&corr.spec_assignment(&x)).expect("simulates")[pair.spec_index as usize];
+            assert_ne!(got, want, "scenario {i}: witness {x:?} does not separate");
+            let sat_only = validate(&rewires, &SampleBank::default()).expect("validation runs");
+            assert!(
+                !matches!(sat_only, Validation::Valid { .. }),
                 "screened candidate validated as Valid (scenario {i}, pin {pin:?}, net {net:?})"
             );
         }
@@ -196,7 +211,9 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
     use syseco::error_domain::classify_outputs_with_stats;
     use syseco::points::candidate_pins;
     use syseco::rewire_nets::RewireCandidate;
-    use syseco::validate::{apply_rewires, validate_rewires, CandidateRewire, Validation};
+    use syseco::validate::{
+        apply_rewires, validate_rewires, CandidateRewire, SampleBank, Validation,
+    };
 
     let config = ScenarioConfig::default();
     let (mut compared, mut counterexamples, mut valid, mut reused) = (0u64, 0u64, 0u64, 0u64);
@@ -258,7 +275,7 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
                     &rewires,
                     pair,
                     &failing,
-                    &[],
+                    &SampleBank::default(),
                     &no_clones,
                     100_000,
                     None,
@@ -306,9 +323,10 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
     assert!(reused > 0, "the warm overlay never reused a proof");
 }
 
-/// The engine's prefilter accounting must reconcile on real runs: every
-/// screened or passed candidate was first counted as a choice, and only
-/// passed candidates consume SAT-validation slots.
+/// The engine's screen accounting must reconcile on real runs: every
+/// screened or passed candidate was first counted as a choice, and, with no
+/// cache to re-validate a memoized proposal, every validation slot went to a
+/// passed candidate.
 #[test]
 fn prefilter_counters_reconcile_with_search_accounting() {
     use syseco::{EcoOptions, Syseco};
@@ -329,11 +347,10 @@ fn prefilter_counters_reconcile_with_search_accounting() {
             st.prefilter_passed,
             st.choices_tried
         );
-        assert!(
-            st.prefilter_passed <= st.validations,
-            "scenario {i}: passed {} exceeds validations {}",
-            st.prefilter_passed,
-            st.validations
+        assert_eq!(
+            st.prefilter_passed, st.validations,
+            "scenario {i}: passed {} but validations {}",
+            st.prefilter_passed, st.validations
         );
         screened_anywhere += st.prefilter_screened as u64;
     }

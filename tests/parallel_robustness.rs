@@ -71,7 +71,7 @@ fn tiny_deadline_with_parallel_workers_degrades_instead_of_deadlocking() {
 #[cfg(feature = "fault-injection")]
 #[test]
 fn injected_worker_panic_degrades_only_that_cone() {
-    use syseco::{Budget, DegradeReason, FaultPolicy, Syseco};
+    use syseco::{Budget, DegradeReason, FaultPolicy, Session};
 
     let case = multi_output_case();
     let options = EcoOptions::builder().seed(0x5EED).jobs(4).build();
@@ -81,8 +81,8 @@ fn injected_worker_panic_degrades_only_that_cone() {
         panic_at: Some(2),
         ..FaultPolicy::default()
     });
-    let result = Syseco::new(options)
-        .rectify_with_budget(&case.implementation, &case.spec, &budget)
+    let result = Session::new(options)
+        .run_with_budget(&case.implementation, &case.spec, &budget)
         .expect("a panicking worker degrades its cone, not the run");
     let panicked: Vec<_> = result
         .rectify

@@ -1,9 +1,8 @@
-//! Satisfying-cube and prime-cube enumeration.
+//! Satisfying-cube enumeration.
 //!
-//! The rectification flow enumerates **prime cubes** of the feasible
-//! point-set characteristic `H(t)` (paper §4.2) and uses them as seeds for
-//! explicit candidate lists. A cube here is a partial assignment; it is
-//! *prime* relative to `f` when dropping any literal voids `cube → f`.
+//! The rectification flow decodes the valid-rewiring characteristic `Ξ(c)`
+//! (paper §4.4) into explicit choices through its path cubes. A cube here
+//! is a partial assignment: a conjunction of literals.
 
 use crate::{Bdd, BddError, BddManager};
 
@@ -135,55 +134,6 @@ impl BddManager {
         self.sat_cubes_rec(self.high(f), path, out, limit);
         path.pop();
     }
-
-    /// Expands `cube` (assumed to imply `f`) to a prime cube of `f` by
-    /// greedily dropping literals while containment holds.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the manager budget is exhausted.
-    pub fn expand_to_prime(&mut self, f: Bdd, cube: &Cube) -> Result<Cube, BddError> {
-        let mut lits: Vec<(u32, bool)> = cube.literals().to_vec();
-        let mut i = 0;
-        while i < lits.len() {
-            let mut trial = lits.clone();
-            trial.remove(i);
-            let trial_cube = Cube::new(trial.clone());
-            let cb = trial_cube.to_bdd(self)?;
-            if self.implies_check(cb, f)? {
-                lits = trial;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(Cube::new(lits))
-    }
-
-    /// Enumerates up to `limit` distinct prime cubes of `f`, seeded from its
-    /// path cubes.
-    ///
-    /// This is sound (every returned cube is a prime implicant of `f`) and,
-    /// because every path cube expands to some prime, the union of returned
-    /// primes covers `f` when the limit is not hit. It may return fewer than
-    /// all primes of `f` — exactly the "seeds" usage of paper §4.2.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the manager budget is exhausted.
-    pub fn prime_cubes(&mut self, f: Bdd, limit: usize) -> Result<Vec<Cube>, BddError> {
-        let seeds = self.sat_cubes(f, limit.saturating_mul(4).max(16));
-        let mut out: Vec<Cube> = Vec::new();
-        for seed in seeds {
-            if out.len() >= limit {
-                break;
-            }
-            let prime = self.expand_to_prime(f, &seed)?;
-            if !out.contains(&prime) {
-                out.push(prime);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -247,69 +197,5 @@ mod tests {
         }
         let cubes = m.sat_cubes(f, 5);
         assert_eq!(cubes.len(), 5);
-    }
-
-    #[test]
-    fn prime_expansion_drops_redundant_literals() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.or(a, b).unwrap();
-        // (a=1, b=1) implies f but only one literal is needed.
-        let seed: Cube = [(0, true), (1, true)].into_iter().collect();
-        let prime = m.expand_to_prime(f, &seed).unwrap();
-        assert_eq!(prime.len(), 1);
-        let cb = prime.to_bdd(&mut m).unwrap();
-        assert!(m.implies_check(cb, f).unwrap());
-    }
-
-    #[test]
-    fn prime_cubes_of_or_are_single_literals() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.or(a, b).unwrap();
-        let primes = m.prime_cubes(f, 10).unwrap();
-        assert!(!primes.is_empty());
-        for p in &primes {
-            assert_eq!(p.len(), 1, "primes of a∨b are literals: {p:?}");
-            let cb = p.to_bdd(&mut m).unwrap();
-            assert!(m.implies_check(cb, f).unwrap());
-        }
-    }
-
-    #[test]
-    fn primes_are_prime() {
-        // For a random-ish function, verify primality: dropping any literal
-        // breaks containment.
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let c = m.var(2);
-        let nb = m.not(b).unwrap();
-        let t1 = m.and(a, nb).unwrap();
-        let t2 = m.and(b, c).unwrap();
-        let f = m.or(t1, t2).unwrap();
-        for p in m.prime_cubes(f, 20).unwrap() {
-            for i in 0..p.len() {
-                let mut lits = p.literals().to_vec();
-                lits.remove(i);
-                let weaker = Cube::new(lits);
-                let wb = weaker.to_bdd(&mut m).unwrap();
-                assert!(
-                    !m.implies_check(wb, f).unwrap(),
-                    "dropping literal {i} of {p:?} keeps containment"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tautology_has_empty_prime() {
-        let mut m = BddManager::new();
-        let one = m.one();
-        let primes = m.prime_cubes(one, 5).unwrap();
-        assert_eq!(primes.len(), 1);
-        assert!(primes[0].is_empty());
     }
 }

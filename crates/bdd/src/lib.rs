@@ -12,10 +12,9 @@
 //! * Boolean connectives, cofactors, and `∃`/`∀` quantification over
 //!   variable cubes, memoized through sized generational operation
 //!   caches (direct-mapped, epoch-invalidated),
-//! * assignment counting ([`BddManager::sat_count`]) and satisfying-cube /
-//!   **prime-cube** enumeration ([`BddManager::sat_cubes`],
-//!   [`BddManager::prime_cubes`]) used to seed candidate rectification
-//!   point-sets,
+//! * assignment counting ([`BddManager::sat_count`]) and satisfying-cube
+//!   enumeration ([`BddManager::sat_cubes`]) used to decode rewiring
+//!   choices,
 //! * mark-and-sweep garbage collection over an explicit root set
 //!   ([`BddManager::gc`], [`BddManager::maybe_gc`]) — surviving handles
 //!   keep their indices,
@@ -26,7 +25,7 @@
 //!
 //! The variable order is fixed: a variable's index is its level, lower
 //! indices nearer the root. Callers number their variables in the order
-//! they want them in the diagram (syseco uses `c < t < y < z`).
+//! they want them in the diagram (syseco uses `c < y < z`).
 //!
 //! # Example
 //!

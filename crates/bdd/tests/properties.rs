@@ -164,20 +164,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn prime_cubes_cover_and_imply(e in expr_strategy()) {
-        let mut m = BddManager::new();
-        let f = e.build(&mut m);
-        let primes = m.prime_cubes(f, 64).unwrap();
-        let mut cover = m.zero();
-        for p in &primes {
-            let cb = p.to_bdd(&mut m).unwrap();
-            prop_assert!(m.implies_check(cb, f).unwrap(), "prime not implicant");
-            cover = m.or(cover, cb).unwrap();
-        }
-        // Seeds come from a disjoint path cover, so with a generous limit the
-        // expansion covers all of f.
-        prop_assert_eq!(cover, f);
-    }
 }

@@ -50,14 +50,6 @@ fn bench_quantify(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_primes(c: &mut Criterion) {
-    c.bench_function("bdd_prime_cubes_carry16", |b| {
-        let mut m = BddManager::new();
-        let f = carry_chain(&mut m, 16);
-        b.iter(|| std::hint::black_box(m.prime_cubes(f, 16).unwrap()));
-    });
-}
-
 fn bench_sat_count(c: &mut Criterion) {
     c.bench_function("bdd_sat_count_carry32", |b| {
         let mut m = BddManager::new();
@@ -66,11 +58,5 @@ fn bench_sat_count(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_build,
-    bench_quantify,
-    bench_primes,
-    bench_sat_count
-);
+criterion_group!(benches, bench_build, bench_quantify, bench_sat_count);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! Criterion benchmarks for the symbolic sampling machinery: building
-//! sampling functions, overloading a circuit, and computing `H(t)`.
+//! sampling functions, overloading a circuit, and enumerating the minimal
+//! feasible point-sets of `H(t)`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eco_bdd::BddManager;
@@ -7,7 +8,7 @@ use eco_synth::lower::synthesize;
 use eco_synth::rtl::{RtlModule, WordExpr as E};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use syseco::points::{candidate_pins, feasible_point_sets, Selection};
+use syseco::points::{candidate_pins, MinimalSets};
 use syseco::sampling::{eval_all_bdd, SamplingDomain};
 
 fn bench_circuit() -> eco_netlist::Circuit {
@@ -52,30 +53,16 @@ fn bench_point_set_enumeration(c: &mut Criterion) {
         let samples = random_samples(32, circuit.num_inputs(), 9);
         let root = circuit.outputs()[0].net();
         b.iter(|| {
-            let mut m = BddManager::new();
             let pins = candidate_pins(&circuit, root, 0, 24);
-            let sel = Selection::new(0, 2, pins.len());
             // Target: a deliberately wrong f' (negated output) to make H(t)
             // non-trivial.
             let fprime_bits: Vec<bool> = samples
                 .iter()
                 .map(|x| !circuit.eval_nets(x).unwrap()[root.index()])
                 .collect();
-            std::hint::black_box(
-                feasible_point_sets(
-                    &circuit,
-                    &mut m,
-                    &samples,
-                    &fprime_bits,
-                    root,
-                    0,
-                    &pins,
-                    &sel,
-                    8,
-                    4,
-                )
-                .unwrap(),
-            )
+            let mut minimal = MinimalSets::new(&circuit, &samples, &fprime_bits, root, 0, &pins);
+            let singles = minimal.of_size(1, usize::MAX);
+            std::hint::black_box((singles, minimal.of_size(2, usize::MAX)))
         });
     });
 }

@@ -25,6 +25,16 @@ use eco_netlist::{Circuit, NetId, Pin};
 use crate::rewire_nets::RewireCandidate;
 use crate::sampling::eval_cone_bdd;
 
+/// Variables of one binary-encoded block over `n` codes: `⌈log2 n⌉`, none
+/// for a single code.
+pub(crate) const fn block_bits(n: usize) -> u32 {
+    if n <= 1 {
+        0
+    } else {
+        usize::BITS - (n - 1).leading_zeros()
+    }
+}
+
 /// Variable layout of the choice blocks `c = (c_1, …, c_m)`.
 #[derive(Debug, Clone)]
 pub struct ChoiceEncoding {
@@ -38,11 +48,7 @@ impl ChoiceEncoding {
         let mut blocks = Vec::with_capacity(candidate_counts.len());
         let mut base = c_base;
         for &count in candidate_counts {
-            let bits = if count <= 1 {
-                0
-            } else {
-                usize::BITS - (count - 1).leading_zeros()
-            };
+            let bits = block_bits(count);
             blocks.push((base, bits, count));
             base += bits;
         }

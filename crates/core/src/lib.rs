@@ -9,7 +9,8 @@
 //!
 //! The search is *functional*, not structural: candidate rectification
 //! points are enumerated through the characteristic function
-//! `H(t) = ∀x ∃y (h(x,y,t) ≡ f'(x))` (§4.2), candidate rewirings through
+//! `H(t) = ∀x ∃y (h(x,y,t) ≡ f'(x))` (§4.2), whose prime cubes are its
+//! minimal feasible pin sets, candidate rewirings through
 //! `Ξ(c) = ∀x,y (L ⇒ h ∧ h ⇒ U)` (§4.4), and both computations are cast
 //! into a compact **symbolic sampling domain** over error minterms (§5.1),
 //! with resource-constrained SAT validating every candidate on the exact
@@ -54,7 +55,7 @@
 //! | [`correspond`] | §3.1 | label-based port correspondence |
 //! | [`error_domain`] | §4.3, §5.1 | error minterm collection (`𝔼`) |
 //! | [`sampling`] | §5.1 | sampling functions `g(z)`, z-domain evaluation |
-//! | [`points`] | §4.2 | `H(t)`, prime-cube point-set enumeration |
+//! | [`points`] | §4.2 | minimal feasible point-sets (`H(t)`'s primes), by simulation |
 //! | [`rewire_nets`] | §4.3 | structural filter + utility ranking |
 //! | [`choices`] | §4.4 | `R`, `L`, `U`, `Ξ(c)` |
 //! | [`validate`] | §5.1–2 | exact-domain SAT validation, refinement |

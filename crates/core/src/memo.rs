@@ -28,9 +28,9 @@ use crate::budget::Budget;
 use crate::correspond::OutputPair;
 use crate::options::{EcoOptions, SamplePolicy};
 use crate::rectify::{
-    RectifyStats, BDD_NODE_LIMIT, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES,
-    MAX_DECODES_PER_PRIME, MAX_POINTS, MAX_POINT_SETS, MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES,
-    MAX_VALIDATIONS_PER_OUTPUT, VALIDATION_BUDGET,
+    RectifyStats, BDD_NODE_LIMIT, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS,
+    MAX_POINT_SETS, MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT,
+    VALIDATION_BUDGET,
 };
 use crate::rewire_nets::RewireCandidate;
 use crate::validate::CandidateRewire;
@@ -43,19 +43,18 @@ pub(crate) const KIND_OUTPUT: u8 = 2;
 /// as misses instead of garbage.
 const PAYLOAD_VERSION: u8 = 1;
 /// Folded into every options fingerprint; bump when the *semantics* behind
-/// an option change without the encoding changing.
-const FINGERPRINT_VERSION: u64 = 1;
+/// an option change without the encoding changing. Version 2: point-sets
+/// are the minimal feasible sets, at most `MAX_POINT_SETS` per attempt.
+const FINGERPRINT_VERSION: u64 = 2;
 
 /// Soft bounds on decoded collection sizes — a corrupt length prefix must
 /// not trigger a huge allocation before the bounds checks catch it.
 const MAX_DECODE_ITEMS: u32 = 1 << 20;
 
 /// Fingerprint of every option that influences search results, plus the
-/// fixed search caps in the slots they held as options, so records written
-/// before the caps became constants still hit and a later change to a cap
-/// re-keys every record. `jobs`, `timeout`, and the cache options
-/// themselves are excluded: they change wall-clock behaviour, not the
-/// (deterministic) outcome.
+/// fixed search caps, so a later change to a cap re-keys every record.
+/// `jobs`, `timeout`, and the cache options themselves are excluded: they
+/// change wall-clock behaviour, not the (deterministic) outcome.
 pub(crate) fn options_fingerprint(options: &EcoOptions) -> Sig128 {
     let policy = match options.sample_policy {
         SamplePolicy::ErrorDomain => 0u64,
@@ -73,7 +72,6 @@ pub(crate) fn options_fingerprint(options: &EcoOptions) -> Sig128 {
         MAX_POINTS as u64,
         MAX_CANDIDATE_PINS as u64,
         MAX_POINT_SETS as u64,
-        MAX_DECODES_PER_PRIME as u64,
         MAX_REWIRE_CANDIDATES as u64,
         MAX_CHOICES as u64,
         VALIDATION_BUDGET,
@@ -604,13 +602,12 @@ mod tests {
     #[test]
     fn default_fingerprint_is_stable() {
         let words = [
-            FINGERPRINT_VERSION,
+            2,         // fingerprint version
             64,        // num_samples
             0,         // sample_policy: ErrorDomain
             3,         // m
             48,        // M
-            8,         // point-sets
-            4,         // decodes per prime
+            8,         // point-sets per attempt
             8,         // rewire candidates
             6,         // choices
             100_000,   // validation budget

@@ -46,7 +46,7 @@ use rand::SeedableRng;
 
 use crate::budget::{Budget, Degradation, DegradeAction, DegradeReason};
 use crate::checkpoint::{CheckpointSession, CheckpointVerdict};
-use crate::choices::find_choices;
+use crate::choices::{block_bits, find_choices};
 use crate::correspond::{Correspondence, OutputPair};
 use crate::error_domain::{
     check_output_pair, classify_outputs_with_stats, collect_samples, Equivalence,
@@ -55,7 +55,7 @@ use crate::fault::SpanPoint;
 use crate::memo::{CacheSession, OutputEntry, WarmStart};
 use crate::options::EcoOptions;
 use crate::patch::Patch;
-use crate::points::{self, block_bits, candidate_pins, feasible_point_sets, Selection};
+use crate::points::{self, candidate_pins, MinimalSets};
 use crate::progress::{emit, OutputAction, ProgressCallback, ProgressEvent};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
 use crate::sampling::{eval_all_bdd, SamplingDomain};
@@ -63,10 +63,9 @@ use crate::schedule::{per_output_seed, WorkerPool};
 use crate::validate::{apply_rewires, validate_rewires, CandidateRewire, SampleBank, Validation};
 use crate::EcoError;
 
-/// BDD variable layout: choice block, selection block, rectification
-/// inputs, sampling block — the `c < t < y < z` order of DESIGN.md.
+/// BDD variable layout: choice block, rectification inputs, sampling
+/// block — the `c < y < z` order of DESIGN.md.
 const C_BASE: u32 = 0;
-const T_BASE: u32 = 64;
 const Y_BASE: u32 = 128;
 const Z_BASE: u32 = 140;
 
@@ -80,10 +79,9 @@ pub const MAX_POINTS: usize = 3;
 /// (§4.2). Halved on each BDD node-limit hit; a hit at 4 pins or fewer
 /// ends the search.
 pub const MAX_CANDIDATE_PINS: usize = 48;
-/// Most prime cubes of `H(t)` expanded into point-sets (§4.2).
+/// Most point-sets tried per search attempt, smallest first: the first
+/// minimal feasible sets of `H(t)` (§4.2).
 pub const MAX_POINT_SETS: usize = 8;
-/// Most point-sets decoded from one prime cube (§4.2).
-pub const MAX_DECODES_PER_PRIME: usize = 4;
 /// Most candidate rewiring nets ranked per rectification point, the
 /// current driver included (§4.3).
 pub const MAX_REWIRE_CANDIDATES: usize = 8;
@@ -109,15 +107,13 @@ pub const BDD_NODE_LIMIT: usize = 2_000_000;
 /// fingerprint leaves it out.
 pub const BDD_GC_THRESHOLD: usize = 1 << 16;
 
-// The caps must fit the simulation-driven H(t) build (its subset and pin
-// masks) and the variable layout: `m` choice blocks below `T_BASE` (a
-// candidate list holds up to two cheap spec nets beyond the cap, see
-// `candidates_for_pin`), `m` selection blocks below `Y_BASE`, and `m`
-// rectification inputs below `Z_BASE`.
+// The caps must fit the minimal-set enumeration (its subset and pin masks)
+// and the variable layout: `m` choice blocks below `Y_BASE` (a candidate
+// list holds up to two cheap spec nets beyond the cap, see
+// `candidates_for_pin`) and `m` rectification inputs below `Z_BASE`.
 const _: () = assert!(MAX_POINTS >= 1 && MAX_POINTS <= points::MAX_SUBSET_SIZE);
 const _: () = assert!(MAX_CANDIDATE_PINS >= 2 && MAX_CANDIDATE_PINS - 1 <= points::MAX_GATE_PINS);
-const _: () = assert!(C_BASE + MAX_POINTS as u32 * block_bits(MAX_REWIRE_CANDIDATES + 2) <= T_BASE);
-const _: () = assert!(T_BASE + MAX_POINTS as u32 * block_bits(MAX_CANDIDATE_PINS) <= Y_BASE);
+const _: () = assert!(C_BASE + MAX_POINTS as u32 * block_bits(MAX_REWIRE_CANDIDATES + 2) <= Y_BASE);
 const _: () = assert!(Y_BASE + MAX_POINTS as u32 <= Z_BASE);
 
 /// How one output was handled, with its search wall-clock.
@@ -1513,8 +1509,8 @@ fn attempt_in_manager<'s>(
         Err(e) => return bdd_cut(e),
     };
     let fprime = spec_vals[spec_root.index()];
-    // The revised output value per sample — the constants the sample-wise
-    // H(t) construction compares each restricted cone against.
+    // The revised output value per sample — the constants the minimal-set
+    // enumeration compares each simulated cone against.
     let fprime_bits: Vec<bool> = (0..domain.len())
         .map(|k| m.eval(fprime, &domain.code_assignment(k)))
         .collect();
@@ -1564,6 +1560,10 @@ fn attempt_in_manager<'s>(
     let mut validations_left = MAX_VALIDATIONS_PER_OUTPUT;
     let mut unknowns = 0usize;
     let mut cut: Option<DegradeReason> = None;
+    // Built in the first `point_sets` span and queried one size at a time:
+    // the attempt tries at most `MAX_POINT_SETS` sets, smallest first.
+    let mut minimal: Option<MinimalSets> = None;
+    let mut sets_found = 0usize;
     'outer: for m_points in 1..=MAX_POINTS {
         if let Some(reason) = budget.degrade_reason() {
             if valid.is_empty() {
@@ -1577,24 +1577,17 @@ fn attempt_in_manager<'s>(
         if valid.iter().any(|v| v.cost <= GOOD_ENOUGH_COST) {
             break;
         }
-        let selection = Selection::new(T_BASE, m_points, pins.len());
+        if sets_found == MAX_POINT_SETS {
+            break;
+        }
         let span_sets = buf.start();
         budget.fault_span(SpanPoint::PointSets)?;
-        let sets = match feasible_point_sets(
-            base,
-            m,
-            samples,
-            &fprime_bits,
-            root,
-            pair.impl_index,
-            &pins,
-            &selection,
-            MAX_POINT_SETS,
-            MAX_DECODES_PER_PRIME,
-        ) {
-            Ok(s) => s,
-            Err(e) => return bdd_cut(e),
-        };
+        let sets = minimal
+            .get_or_insert_with(|| {
+                MinimalSets::new(base, samples, &fprime_bits, root, pair.impl_index, &pins)
+            })
+            .of_size(m_points, MAX_POINT_SETS - sets_found);
+        sets_found += sets.len();
         buf.end_with(span_sets, "point_sets", "rectify", || {
             vec![
                 ("m", ArgValue::U64(m_points as u64)),
@@ -1610,7 +1603,7 @@ fn attempt_in_manager<'s>(
                 break 'outer;
             }
             stats.point_sets_tried += 1;
-            // Point-set boundary: the previous iteration's H(t) and choice
+            // Point-set boundary: the previous iteration's choice
             // intermediates are garbage now. Give the manager a chance to
             // collect against the handles still needed; a no-op until its
             // automatic threshold trips.

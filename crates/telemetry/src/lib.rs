@@ -2,7 +2,7 @@
 //! registry, and exporters (JSONL, Chrome trace, metrics JSON).
 //!
 //! The paper's experimental story (§5) is about *where time goes* —
-//! prime-cube enumeration, candidate filtering, SAT validation, sampling
+//! point-set enumeration, candidate filtering, SAT validation, sampling
 //! refinements. This crate is the measurement layer behind that
 //! attribution. It is deliberately zero-dependency and designed around one
 //! invariant: **a disabled [`Telemetry`] handle costs nothing** — no

@@ -3,8 +3,9 @@
 //!
 //! The implementation computes `w_k = (w1_k ∧ v0) ∨ (w2_k ∧ v1)`; the
 //! revision introduces `c = a ∧ b` and wants `w_k = (w1_k ∧ c) ∨ (w2_k ∧ ¬c)`.
-//! We build the sampling domain by hand, compute `H(t)` and `Ξ(c)`, and
-//! print what the engine would see.
+//! We build the sampling domain by hand, enumerate the minimal feasible
+//! point-sets of `H(t)`, rank rewiring candidates for `Ξ(c)`, and print what
+//! the engine would see.
 //!
 //! ```text
 //! cargo run --release -p syseco --example symbolic_sampling
@@ -15,7 +16,7 @@ use eco_netlist::{Circuit, GateKind, Pin};
 use eco_sat::cec::ProofCache;
 use syseco::correspond::Correspondence;
 use syseco::error_domain::collect_samples;
-use syseco::points::{candidate_pins, feasible_point_sets, Selection};
+use syseco::points::{candidate_pins, MinimalSets};
 use syseco::rewire_nets::{candidates_for_pin, RewireNetContext};
 use syseco::sampling::{eval_all_bdd, SamplingDomain};
 use syseco::SamplePolicy;
@@ -79,7 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Build the sampling domain and the functions g(z).
     let mut m = BddManager::new();
-    const T_BASE: u32 = 0;
     const Z_BASE: u32 = 40;
     let domain = SamplingDomain::new(samples, Z_BASE)?;
     println!(
@@ -102,33 +102,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|k| m.eval(fprime, &domain.code_assignment(k)))
         .collect();
 
-    // §4.2 — the parameterized selection and H(t).
+    // §4.2 — H(t)'s prime cubes are its minimal feasible point-sets.
     let root = impl_c.outputs()[0].net();
     let pins = candidate_pins(&impl_c, root, 0, 16);
     println!("\ncandidate pins (M = {}):", pins.len());
     for (j, p) in pins.iter().enumerate() {
         println!("  q_{j} = {p}");
     }
+    let mut minimal = MinimalSets::new(&impl_c, domain.samples(), &fprime_bits, root, 0, &pins);
     for m_points in 1..=2 {
-        let selection = Selection::new(T_BASE, m_points, pins.len());
+        let sets = minimal.of_size(m_points, 8);
         println!(
-            "\nm = {m_points}: {} t-variables ({} per block)",
-            selection.num_t_vars(),
-            selection.bits_per_block
+            "\nH(t) has {} minimal point-set(s) of {m_points} pin(s):",
+            sets.len()
         );
-        let sets = feasible_point_sets(
-            &impl_c,
-            &mut m,
-            domain.samples(),
-            &fprime_bits,
-            root,
-            0,
-            &pins,
-            &selection,
-            8,
-            4,
-        )?;
-        println!("H(t) admits {} point-set(s):", sets.len());
         for set in &sets {
             let names: Vec<String> = set.iter().map(|p| p.to_string()).collect();
             println!("  {{{}}}", names.join(", "));

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use eco_timing::{DelayModel, TimingReport};
 use eco_workload::{build_case, CaseParams, EcoCase, RevisionKind};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 /// Result of one ablation configuration.
 #[derive(Debug, Clone)]
@@ -36,9 +36,9 @@ pub struct AblationPoint {
 }
 
 fn run_config(case: &EcoCase, options: &EcoOptions, label: String) -> AblationPoint {
-    let engine = Syseco::new(options.clone());
-    let result = engine
-        .rectify(&case.implementation, &case.spec)
+    let session = Session::new(options.clone());
+    let result = session
+        .run(&case.implementation, &case.spec)
         .expect("rectification cannot fail on well-formed cases");
     let model = DelayModel::default();
     let period = TimingReport::analyze(&case.implementation, &model, 0.0)

@@ -6,7 +6,7 @@ use eco_netlist::CircuitStats;
 use eco_timing::{DelayModel, TimingReport};
 use eco_workload::EcoCase;
 use syseco::baseline::{cone, deltasyn};
-use syseco::{verify_rectification, EcoOptions, EcoResult, PatchStats, Syseco};
+use syseco::{verify_rectification, EcoOptions, EcoResult, PatchStats, Session};
 
 /// One row of Table 1: characteristics of an ECO test case.
 #[derive(Debug, Clone)]
@@ -115,15 +115,15 @@ pub fn table2_rows(
     options: &EcoOptions,
     mut progress: impl FnMut(&str),
 ) -> Vec<Table2Row> {
-    let engine = Syseco::new(options.clone());
+    let session = Session::new(options.clone());
     let mut rows = Vec::with_capacity(cases.len());
     for case in cases {
         let commercial = cone::rectify(&case.implementation, &case.spec)
             .expect("cone baseline cannot fail on well-formed cases");
         let ds = deltasyn::rectify(&case.implementation, &case.spec)
             .expect("deltasyn baseline cannot fail on well-formed cases");
-        let sy = engine
-            .rectify(&case.implementation, &case.spec)
+        let sy = session
+            .run(&case.implementation, &case.spec)
             .expect("syseco cannot fail on well-formed cases");
         let row = Table2Row {
             id: case.id,
@@ -247,7 +247,7 @@ pub fn table3_rows(
     let model = DelayModel::default();
     let mut sy_options = options.clone();
     sy_options.level_driven = true;
-    let engine = Syseco::new(sy_options);
+    let session = Session::new(sy_options);
     let mut rows = Vec::with_capacity(cases.len());
     for case in cases {
         let probe = TimingReport::analyze(&case.implementation, &model, 0.0)
@@ -255,8 +255,8 @@ pub fn table3_rows(
         let period = probe.critical_delay();
         let ds = deltasyn::rectify(&case.implementation, &case.spec)
             .expect("deltasyn baseline cannot fail");
-        let sy = engine
-            .rectify(&case.implementation, &case.spec)
+        let sy = session
+            .run(&case.implementation, &case.spec)
             .expect("syseco cannot fail");
         let ds_slack = TimingReport::analyze(&ds.patched, &model, period)
             .expect("acyclic patched design")

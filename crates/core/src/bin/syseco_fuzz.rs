@@ -11,7 +11,7 @@
 //! `run` generates mutation-based ECO scenarios (implementation plus a
 //! semantics-changed spec with a known delta) and pushes each through the
 //! full cross-oracle conformance matrix: bit-parallel simulation, SAT CEC,
-//! BDD equivalence, `Syseco` rectification at one and four workers
+//! BDD equivalence, `Session` rectification at one and four workers
 //! (byte-identical patched netlists, patch verified against the spec),
 //! and — every `--cache-every`-th iteration — cold/warm replay through a
 //! scratch persistent cache. Any disagreement is shrunk and written to

@@ -3,7 +3,7 @@
 //! Re-exports the netlist-level machinery of the [`eco-fuzz`](eco_fuzz)
 //! crate (scenario generation, the simulation/SAT/BDD oracles, the
 //! shrinker, and the `.eco-repro` format) and layers the checks only this
-//! crate can perform on top: full [`Syseco`] rectification at one and four
+//! crate can perform on top: full [`Session`] rectification at one and four
 //! workers with byte-identical patched netlists, patch validity against
 //! the spec, and cold/warm replay through the persistent cache. The
 //! [`FuzzRunner`] drives all of it from a single seed; the `syseco-fuzz`
@@ -15,7 +15,7 @@ use eco_netlist::{write_blif, Circuit};
 
 pub use eco_fuzz::*;
 
-use crate::{verify_rectification, EcoOptions, Syseco};
+use crate::{verify_rectification, EcoOptions, Session};
 
 /// Configuration of a [`FuzzRunner`].
 #[derive(Debug, Clone)]
@@ -101,7 +101,7 @@ fn rectify_blif(
     label: &str,
     out: &mut Vec<Disagreement>,
 ) -> Option<String> {
-    match Syseco::new(options).rectify(implementation, spec) {
+    match Session::new(options).run(implementation, spec) {
         Ok(result) => {
             match verify_rectification(&result.patched, spec) {
                 Ok(true) => {}
@@ -411,14 +411,18 @@ impl FuzzRunner {
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod chaos {
     use std::collections::BTreeMap;
+    use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::{Path, PathBuf};
 
     use eco_netlist::{write_blif, Circuit};
+    use eco_telemetry::{Counter, MetricsSnapshot};
 
     use super::{generate, iteration_seed, Disagreement, FuzzError, Repro, ScenarioConfig};
     use crate::fault::FaultPlan;
-    use crate::{verify_rectification, Budget, EcoError, EcoOptions, EcoResult, Session};
+    use crate::{
+        verify_rectification, Budget, EcoError, EcoOptions, EcoResult, RectifyStats, Session,
+    };
 
     /// Configuration of a [`ChaosRunner`].
     #[derive(Debug, Clone)]
@@ -518,10 +522,47 @@ pub mod chaos {
         }
     }
 
+    /// The metrics registry must report what a completed run's stats
+    /// report, and no output may carry two degradation entries.
+    fn check_counts(
+        stats: &RectifyStats,
+        snapshot: &MetricsSnapshot,
+        label: &str,
+        out: &mut Vec<Disagreement>,
+    ) {
+        for (counter, value) in [
+            (Counter::RectifyRewired, stats.rewire_rectified as u64),
+            (Counter::RectifyFallbacks, stats.fallbacks as u64),
+            (
+                Counter::RectifyDegradations,
+                stats.degradations.len() as u64,
+            ),
+            (Counter::RectifyValidations, stats.validations as u64),
+            (Counter::CacheHits, stats.cache_hits),
+            (Counter::CacheMisses, stats.cache_misses),
+            (Counter::CacheVerifyRejects, stats.cache_verify_rejects),
+        ] {
+            let (name, published) = (counter.name(), snapshot.counter(counter));
+            if published != value {
+                let detail = format!(
+                    "the {label} run published {name} = {published}, its stats report {value}"
+                );
+                out.push(disagree("counter-mismatch", detail));
+            }
+        }
+        let mut seen = HashSet::new();
+        if let Some(d) = stats.degradations.iter().find(|d| !seen.insert(&d.output)) {
+            out.push(disagree(
+                "duplicate-degradation",
+                format!("the {label} run degraded output {} twice", d.output),
+            ));
+        }
+    }
+
     /// Runs one engine pass under `budget`, catching panics that escape the
     /// engine (they must not — per-output panic isolation is part of the
-    /// invariant) and verifying any returned patch. Returns the patched
-    /// netlist bytes on success.
+    /// invariant) and verifying any returned patch and its published
+    /// counts. Returns the patched netlist bytes on success.
     fn guarded_run(
         implementation: &Circuit,
         spec: &Circuit,
@@ -536,8 +577,8 @@ pub mod chaos {
         }));
         // Taking a metrics snapshot after the run proves no registry lock
         // was left poisoned by an injected panic.
-        let snapshot = catch_unwind(AssertUnwindSafe(|| session.metrics_snapshot()));
-        if snapshot.is_err() {
+        let snapshot = catch_unwind(AssertUnwindSafe(|| session.metrics_snapshot())).ok();
+        if snapshot.is_none() {
             out.push(disagree(
                 "poisoned-metrics",
                 format!("metrics snapshot panicked after the {label} run"),
@@ -565,6 +606,9 @@ pub mod chaos {
                         "verify-error",
                         format!("verifying the {label} run's patch errored: {e}"),
                     )),
+                }
+                if let Some(snapshot) = &snapshot {
+                    check_counts(&result.rectify, snapshot, label, out);
                 }
                 Ok(Some(write_blif(&result.patched)))
             }

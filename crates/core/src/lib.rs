@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use eco_netlist::{Circuit, GateKind};
-//! use syseco::{EcoOptions, Syseco};
+//! use syseco::{EcoOptions, Session};
 //!
 //! # fn main() -> Result<(), syseco::EcoError> {
 //! // Implementation computes AND where the revision wants OR.
@@ -36,17 +36,18 @@
 //! s.add_output("y", g);
 //!
 //! let options = EcoOptions::builder().num_samples(64).jobs(1).build();
-//! let result = Syseco::new(options).rectify(&c, &s)?;
+//! let result = Session::new(options).run(&c, &s)?;
 //! assert!(syseco::verify_rectification(&result.patched, &s)?);
 //! println!("patch: {:?} in {:?}", result.stats, result.runtime);
 //! # Ok(())
 //! # }
 //! ```
 //!
+//! [`Session`] is the engine's only entry type: attach a [`CancelToken`],
+//! a live [`ProgressEvent`] observer or a [`Telemetry`] hub before the run.
 //! Per-output searches run on a worker pool sized by
 //! [`EcoOptions::jobs`] (default: available parallelism); patches are
-//! bit-identical for every worker count. Use a [`Session`] to attach a
-//! [`CancelToken`] or a live [`ProgressEvent`] observer.
+//! bit-identical for every worker count.
 //!
 //! # Module map (paper section → module)
 //!
@@ -59,7 +60,7 @@
 //! | [`rewire_nets`] | §4.3 | structural filter + utility ranking |
 //! | [`choices`] | §4.4 | `R`, `L`, `U`, `Ξ(c)` |
 //! | [`validate`] | §5.1–2 | exact-domain SAT validation, refinement |
-//! | [`rectify`] | §5.2 | the `RewireRectification` driver |
+//! | [`rectify`] | §5.2 | the `RewireRectification` flow: detection and fan-out, per-output search, merge and verification |
 //! | [`patch`] | §3.3, §5.2 | patch model, Table-2 accounting, input sweep |
 //! | [`baseline`] | §6 | DeltaSyn-style and cone-rewrite baselines |
 
@@ -87,7 +88,7 @@ mod session;
 pub mod validate;
 
 pub use budget::{Budget, BudgetStatus, CancelToken, Degradation, DegradeAction, DegradeReason};
-pub use engine::{verify_rectification, EcoResult, Syseco};
+pub use engine::{verify_rectification, EcoResult};
 pub use error::EcoError;
 pub use fault::SpanPoint;
 #[cfg(any(test, feature = "fault-injection"))]

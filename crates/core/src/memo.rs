@@ -15,9 +15,9 @@
 //!   §5.1 sampling and try the old proposal first.
 //!
 //! Cache payloads are advisory: every reused proposal is re-validated by
-//! SAT and every replayed run is re-verified by [`classify_outputs`]
-//! before the engine trusts it (see `engine.rs`). A stale or corrupt
-//! record therefore costs time, never correctness.
+//! SAT (`rectify/search.rs`) and every replayed run is re-verified by
+//! [`classify_outputs`] (`session.rs`) before the engine trusts it. A
+//! stale or corrupt record therefore costs time, never correctness.
 //!
 //! [`classify_outputs`]: crate::error_domain::classify_outputs
 

@@ -8,6 +8,8 @@ use eco_timing::{DelayModel, TimingReport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::validate::{apply_rewires, CandidateRewire};
+
 /// One rewire `p/s` of paper §3.3: pin `pin` was disconnected from
 /// `old_net` and connected to `new_net`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +91,25 @@ impl Patch {
     /// Records nets cloned from the specification.
     pub fn record_cloned(&mut self, nets: impl IntoIterator<Item = NetId>) {
         self.cloned.extend(nets);
+    }
+
+    /// Applies one rewire group to `target` with [`apply_rewires`] and
+    /// records its clones and rewire ops. The merge phase mutates the
+    /// circuit only through this, so a cache replay that repeats it group
+    /// by group rebuilds the same circuit and patch.
+    pub(crate) fn apply(
+        &mut self,
+        target: &mut Circuit,
+        spec: &Circuit,
+        rewires: &[CandidateRewire],
+        shared_clones: &mut HashMap<NetId, NetId>,
+    ) -> Result<(), NetlistError> {
+        let (ops, cloned) = apply_rewires(target, spec, rewires, shared_clones)?;
+        self.record_cloned(cloned);
+        for op in ops {
+            self.record_rewire(op);
+        }
+        Ok(())
     }
 
     /// Whether `net` was added by this patch (cloned or, by index, created

@@ -17,10 +17,10 @@ const WORKER_STACK: usize = 16 << 20;
 
 /// A fixed-width fan-out helper over scoped threads.
 ///
-/// The pool itself is trivially cheap to construct; its value is the
-/// deterministic slot-indexed result collection and the single place where
-/// worker count policy lives. One pool instance is reused across the jobs of
-/// a batch run ([`Session::run_all`](crate::Session::run_all)).
+/// The pool itself is only a width, so each run builds its own from
+/// [`EcoOptions::effective_jobs`](crate::EcoOptions::effective_jobs); its
+/// value is the deterministic slot-indexed result collection and the single
+/// place where worker count policy lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WorkerPool {
     workers: usize,

@@ -1,6 +1,8 @@
-//! A configured rectification session: options plus the run-scoped state —
-//! cancellation token and progress observer — that a bare
-//! [`Syseco`](crate::Syseco) call cannot carry.
+//! The engine's entry type. A [`Session`] holds the options and the
+//! run-scoped state — cancellation token, progress observer, telemetry —
+//! and drives each run: port normalization, the whole-run cache replay,
+//! the search and merge of [`rectify`](crate::rectify), and patch-input
+//! refinement.
 //!
 //! ```
 //! use eco_netlist::{Circuit, GateKind};
@@ -28,37 +30,44 @@
 //! # }
 //! ```
 
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use eco_netlist::Circuit;
-use eco_telemetry::{MetricsSnapshot, Telemetry};
+use eco_netlist::{Circuit, NetId, NetlistError};
+use eco_telemetry::{ArgValue, MetricsSnapshot, Telemetry};
 
 use crate::budget::{Budget, CancelToken};
-use crate::engine::{EcoResult, Syseco};
+use crate::checkpoint::CheckpointSession;
+use crate::correspond::Correspondence;
+use crate::engine::{name_spec_inputs, normalize_ports, EcoResult};
+use crate::error_domain::{classify_outputs, Equivalence};
+use crate::fault::SpanPoint;
+use crate::memo::{CacheSession, RunRecord};
 use crate::options::EcoOptions;
+use crate::patch::{refine_patch_inputs_timed, Patch};
 use crate::progress::{ProgressCallback, ProgressEvent};
-use crate::schedule::WorkerPool;
+use crate::rectify::{publish_run_counters, rewire_rectify_with, RectifyStats, VALIDATION_BUDGET};
 use crate::EcoError;
 
-/// A rectification session handle.
+/// A rectification session: the engine's entry type.
 ///
-/// Construct with [`Session::new`], attach a
-/// [`CancelToken`] and/or a progress observer, then [`run`](Session::run)
-/// one pair or [`run_all`](Session::run_all) a batch. The session is
-/// reusable: every run derives a fresh [`Budget`] from the options'
-/// timeout, sharing the attached token.
+/// Construct with [`Session::new`], attach a [`CancelToken`], a progress
+/// observer and/or a [`Telemetry`] hub, then [`run`](Session::run) a pair.
+/// The session is reusable: every run derives a fresh [`Budget`] from the
+/// options' timeout, sharing the attached token.
 #[derive(Clone)]
 pub struct Session {
-    engine: Syseco,
+    options: EcoOptions,
     cancel: Option<CancelToken>,
-    observer: Option<ProgressCallback>,
-    telemetry: Telemetry,
+    pub(crate) observer: Option<ProgressCallback>,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("options", self.engine.options())
+            .field("options", &self.options)
             .field("cancel", &self.cancel)
             .field("observer", &self.observer.as_ref().map(|_| "<callback>"))
             .field("telemetry", &self.telemetry.is_enabled())
@@ -70,7 +79,7 @@ impl Session {
     /// A session over `options`, with no cancellation or observer attached.
     pub fn new(options: EcoOptions) -> Self {
         Session {
-            engine: Syseco::new(options),
+            options,
             cancel: None,
             observer: None,
             telemetry: Telemetry::disabled(),
@@ -79,7 +88,7 @@ impl Session {
 
     /// The session's options.
     pub fn options(&self) -> &EcoOptions {
-        self.engine.options()
+        &self.options
     }
 
     /// Attaches a cancellation token: cancelling it degrades the run (every
@@ -120,23 +129,29 @@ impl Session {
         self.telemetry.snapshot()
     }
 
-    /// A fresh budget for one run: the options' timeout plus the attached
-    /// cancellation token.
-    fn budget(&self) -> Budget {
-        let mut budget = self.engine.default_budget();
-        if let Some(token) = &self.cancel {
-            budget = budget.with_cancel(token);
-        }
-        budget
-    }
-
-    /// Rectifies one pair under this session's budget and observer.
+    /// Rectifies `implementation` against the revised specification `spec`
+    /// under this session's budget, observer and telemetry, returning the
+    /// patched circuit and the patch.
+    ///
+    /// Specification inputs absent from the implementation are added as new
+    /// primary inputs; specification-only outputs are added as new ports
+    /// (initially constant) and rectified like any failing output.
     ///
     /// # Errors
     ///
-    /// Same as [`Syseco::rectify`].
+    /// [`EcoError::PortMismatch`] when an implementation output has no
+    /// specification counterpart, and [`EcoError`] wrappers for malformed
+    /// circuits.
     pub fn run(&self, implementation: &Circuit, spec: &Circuit) -> Result<EcoResult, EcoError> {
-        let budget = self.budget();
+        // A fresh budget per run: the options' timeout plus the attached
+        // cancellation token.
+        let mut budget = match self.options.timeout {
+            Some(t) => Budget::with_deadline(t),
+            None => Budget::unlimited(),
+        };
+        if let Some(token) = &self.cancel {
+            budget = budget.with_cancel(token);
+        }
         self.run_with_budget(implementation, spec, &budget)
     }
 
@@ -145,50 +160,168 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Same as [`Syseco::rectify`].
+    /// Same as [`Session::run`].
     pub fn run_with_budget(
         &self,
         implementation: &Circuit,
         spec: &Circuit,
         budget: &Budget,
     ) -> Result<EcoResult, EcoError> {
-        let pool = WorkerPool::new(self.options().effective_jobs());
-        self.engine.rectify_with(
-            implementation,
+        let start = Instant::now();
+        implementation.check_well_formed()?;
+        spec.check_well_formed()?;
+        let named = name_spec_inputs(spec)?;
+        let spec = named.as_ref().unwrap_or(spec);
+        let mut patched = implementation.clone();
+        normalize_ports(&mut patched, spec)?;
+        // Persistent cache (DESIGN.md §11). On a full-key hit the run is
+        // *replayed* — the recorded rewire groups are applied and the result
+        // re-verified end to end — so a stale or colliding record degrades
+        // to the cold path instead of corrupting the output.
+        let mut cache = CacheSession::open(&self.options, &patched, spec, budget);
+        let mut replay_rejects = 0u64;
+        if let Some(session) = cache.as_mut() {
+            if let Some(record) = session.run_record() {
+                match self.replay_run(&patched, spec, &record, budget, start, session) {
+                    Some(result) => return Ok(result),
+                    None => replay_rejects = 1,
+                }
+            }
+        }
+        // Crash-safe checkpointing (DESIGN.md §13). Opened on the
+        // post-normalization circuit — the exact one the fan-out searches —
+        // so the run key covers what resume will actually rectify.
+        let checkpoint = CheckpointSession::open(&self.options, &patched, spec, budget);
+        let (patch, mut rectify, mut trace, committed) = rewire_rectify_with(
+            self,
+            &mut patched,
             spec,
             budget,
-            self.observer.as_ref(),
-            &pool,
-            &self.telemetry,
+            cache.as_mut(),
+            checkpoint.as_ref(),
+        )?;
+        // Patch-input refinement (§5.2 post-processing): reuse existing
+        // implementation logic inside the cloned patch. Under level-driven
+        // selection the merge is timing-aware. It is a pure optimisation,
+        // so a spent budget skips it and the run returns promptly.
+        if !budget.is_exhausted() {
+            let mut tb = self.telemetry.buffer(0);
+            let span = tb.start();
+            budget.fault_span(SpanPoint::RefinePatch)?;
+            self.refine_patch(&mut patched, &patch)?;
+            let rewires = patch.rewires().len() as u64;
+            tb.end_with(span, "refine_patch", "rectify", || {
+                vec![("rewires", ArgValue::U64(rewires))]
+            });
+            trace.extend(tb.into_spans());
+        }
+        patched.sweep();
+        let stats = patch.stats(&patched);
+        rectify.cache_verify_rejects += replay_rejects;
+        if let Some(session) = cache.as_mut() {
+            session.record_run(&committed, &rectify);
+            // A commit failure loses warm-start data for future runs, never
+            // this run's result.
+            let _ = session.commit();
+            rectify.cache_misses = session.misses;
+            // `+=`: the checkpoint store's counters are already folded in.
+            rectify.cache_corrupt_segments += session.corrupt_segments();
+            rectify.cache_io_errors += session.io_errors();
+            rectify.cache_retries += session.retries();
+        }
+        publish_run_counters(&self.telemetry.shard(), &rectify, budget.faults_fired());
+        Ok(EcoResult {
+            stats,
+            rectify,
+            runtime: start.elapsed(),
+            patched,
+            patch,
+            trace,
+        })
+    }
+
+    /// The patch-input refinement of §5.2 post-processing, seeded from the
+    /// run seed and timing-aware under level-driven selection. The cold run
+    /// and [`Session::replay_run`] both call it, so a cache replay reproduces
+    /// the cold run's patch byte for byte (DESIGN.md §11).
+    fn refine_patch(&self, patched: &mut Circuit, patch: &Patch) -> Result<usize, NetlistError> {
+        let model = eco_timing::DelayModel::default();
+        refine_patch_inputs_timed(
+            patched,
+            patch,
+            VALIDATION_BUDGET,
+            self.options.seed ^ 0x9e3779b97f4a7c15,
+            self.options.level_driven.then_some(&model),
         )
     }
 
-    /// Rectifies a batch of pairs with one shared worker pool.
-    ///
-    /// Jobs run sequentially in input order; parallelism is applied within
-    /// each job, across its failing outputs. Every job gets a fresh
-    /// timeout-derived budget sharing the attached cancellation token, so
-    /// cancelling the token stops the whole batch (each remaining job
-    /// degrades promptly to fallbacks).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first job's [`EcoError`], abandoning the rest.
-    pub fn run_all(&self, jobs: &[(&Circuit, &Circuit)]) -> Result<Vec<EcoResult>, EcoError> {
-        let pool = WorkerPool::new(self.options().effective_jobs());
-        jobs.iter()
-            .map(|(implementation, spec)| {
-                let budget = self.budget();
-                self.engine.rectify_with(
-                    implementation,
-                    spec,
-                    &budget,
-                    self.observer.as_ref(),
-                    &pool,
-                    &self.telemetry,
-                )
-            })
-            .collect()
+    /// Attempts to reproduce a finished run from its cache record: applies
+    /// the committed rewire groups in order, reruns the deterministic
+    /// post-processing, and accepts only when a full equivalence check
+    /// passes. By construction this replay is byte-identical to the cold
+    /// run that recorded it (`Patch::apply` is the merge phase's only
+    /// circuit mutation and the post-processing is seeded). Returns `None`
+    /// on any mismatch — apply error, damaged verification, budget-unknown
+    /// verdicts — and the caller falls back to the cold path.
+    fn replay_run(
+        &self,
+        base: &Circuit,
+        spec: &Circuit,
+        record: &RunRecord,
+        budget: &Budget,
+        start: Instant,
+        session: &mut CacheSession,
+    ) -> Option<EcoResult> {
+        let mut patched = base.clone();
+        let mut patch = Patch::new(patched.num_nodes());
+        let mut shared_clones: HashMap<NetId, NetId> = HashMap::new();
+        for group in &record.groups {
+            patch
+                .apply(&mut patched, spec, group, &mut shared_clones)
+                .ok()?;
+        }
+        patched.sweep();
+        if !budget.is_exhausted() {
+            self.refine_patch(&mut patched, &patch).ok()?;
+        }
+        patched.sweep();
+        let corr = Correspondence::build(&patched, spec).ok()?;
+        let verdicts = classify_outputs(
+            &patched,
+            spec,
+            &corr,
+            Some(VALIDATION_BUDGET * 10),
+            Some(budget),
+        )
+        .ok()?;
+        if !verdicts
+            .iter()
+            .all(|v| matches!(v, Equivalence::Equivalent))
+        {
+            return None;
+        }
+        let rectify = RectifyStats {
+            outputs_total: record.outputs_total,
+            outputs_failing: record.outputs_failing,
+            rewire_rectified: record.rewire_rectified,
+            fallbacks: record.fallbacks,
+            cache_hits: 1,
+            cache_misses: session.misses,
+            cache_corrupt_segments: session.corrupt_segments(),
+            cache_io_errors: session.io_errors(),
+            cache_retries: session.retries(),
+            ..Default::default()
+        };
+        publish_run_counters(&self.telemetry.shard(), &rectify, budget.faults_fired());
+        let stats = patch.stats(&patched);
+        Some(EcoResult {
+            stats,
+            rectify,
+            runtime: start.elapsed(),
+            patched,
+            patch,
+            trace: Vec::new(),
+        })
     }
 }
 
@@ -369,16 +502,5 @@ mod tests {
             counter("rectify.validations"),
             "screened candidates must not consume validation slots"
         );
-    }
-
-    #[test]
-    fn run_all_lines_up_with_inputs() {
-        let (c, s) = and_or_pair();
-        let session = Session::new(EcoOptions::with_seed(3));
-        let results = session.run_all(&[(&c, &s), (&s, &s)]).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(verify_rectification(&results[0].patched, &s).unwrap());
-        assert_eq!(results[0].rectify.outputs_failing, 1);
-        assert_eq!(results[1].rectify.outputs_failing, 0);
     }
 }

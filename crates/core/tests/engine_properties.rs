@@ -9,7 +9,7 @@ use eco_workload::RevisionKind;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 const WIDTH: u32 = 3;
 
@@ -90,8 +90,8 @@ proptest! {
         let mut implementation = synthesize(&original).unwrap();
         optimize(&mut implementation, &OptOptions::heavy(recipe.seed)).unwrap();
         let spec = synthesize(&revised).unwrap();
-        let engine = Syseco::new(EcoOptions::with_seed(recipe.seed ^ 0xABCD));
-        let result = engine.rectify(&implementation, &spec).unwrap();
+        let session = Session::new(EcoOptions::with_seed(recipe.seed ^ 0xABCD));
+        let result = session.run(&implementation, &spec).unwrap();
         prop_assert!(
             verify_rectification(&result.patched, &spec).unwrap(),
             "patched design must match spec (recipe {recipe:?})"
@@ -109,8 +109,8 @@ proptest! {
         let mut implementation = synthesize(&original).unwrap();
         optimize(&mut implementation, &OptOptions::aggressive(recipe.seed)).unwrap();
         let spec = synthesize(&revised).unwrap();
-        let engine = Syseco::new(EcoOptions::with_seed(recipe.seed ^ 0x1234));
-        let result = engine.rectify(&implementation, &spec).unwrap();
+        let session = Session::new(EcoOptions::with_seed(recipe.seed ^ 0x1234));
+        let result = session.run(&implementation, &spec).unwrap();
         prop_assert!(verify_rectification(&result.patched, &spec).unwrap());
     }
 }

@@ -17,7 +17,7 @@
 //! * [`shrink`] greedily minimizes any failing pair to a human-sized
 //!   repro, serialized as a replayable `.eco-repro` file ([`repro`]).
 //!
-//! Pipeline-level checks (full `Syseco` rectification at several job
+//! Pipeline-level checks (full `Session` rectification at several job
 //! counts, cache cold/warm replay, byte-identical determinism) layer on
 //! top of this crate in `syseco::fuzz`, which also hosts the `syseco-fuzz`
 //! CLI.

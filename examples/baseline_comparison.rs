@@ -7,13 +7,13 @@
 
 use eco_workload::{build_case, table1_params};
 use syseco::baseline::{cone, deltasyn};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two of the smaller suite cases keep the example quick.
     let params = table1_params();
     let picks = [4usize, 1]; // cases 5 and 2 (0-based indices)
-    let engine = Syseco::new(EcoOptions::default());
+    let session = Session::new(EcoOptions::default());
 
     println!("case |        engine | in  out    g    n |     time | ok");
     println!("-----|---------------|-------------------|----------|---");
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "deltasyn",
                 deltasyn::rectify(&case.implementation, &case.spec)?,
             ),
-            ("syseco", engine.rectify(&case.implementation, &case.spec)?),
+            ("syseco", session.run(&case.implementation, &case.spec)?),
         ];
         for (name, r) in &results {
             let ok = verify_rectification(&r.patched, &case.spec)?;

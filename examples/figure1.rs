@@ -14,7 +14,7 @@
 
 use eco_synth::lower::synthesize;
 use eco_synth::rtl::{RtlModule, WordExpr as E};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 const WIDTH: u32 = 4;
 
@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eco_netlist::CircuitStats::of(&implementation)
     );
 
-    let engine = Syseco::new(EcoOptions::default());
-    let result = engine.rectify(&implementation, &spec)?;
+    let session = Session::new(EcoOptions::default());
+    let result = session.run(&implementation, &spec)?;
 
     println!("\npatch: {:?} in {:?}", result.stats, result.runtime);
     println!(

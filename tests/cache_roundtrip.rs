@@ -1,16 +1,20 @@
 //! Persistent-cache roundtrip properties: a warm run must reproduce the
 //! cold run byte-for-byte (records are hints, re-verified before use, so
-//! reuse can never change the answer), `CacheMode::Off` must be a true
-//! no-op, and corrupted cache files must degrade to misses — correct
-//! results, a bumped corruption counter, and no errors.
+//! reuse can never change the answer) and publish the counts it reports,
+//! `CacheMode::Off` must be a true no-op, and corrupted cache files must
+//! degrade to misses — correct results, a bumped corruption counter, and no
+//! errors.
 
 mod common;
 
+use std::path::Path;
+
 use common::{case_params, tmp_dir};
 use eco_netlist::write_blif;
-use eco_workload::{build_case, CaseParams, RevisionKind};
+use eco_workload::{build_case, CaseParams, EcoCase, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, CacheMode, EcoOptions, Syseco};
+use syseco::telemetry::Counter;
+use syseco::{verify_rectification, CacheMode, EcoOptions, EcoResult, Session, Telemetry};
 
 /// Small multi-output cases: enough failing cones for per-output records
 /// to matter, cheap enough to rectify three times per proptest case.
@@ -32,8 +36,8 @@ proptest! {
                 .cache_dir(&dir)
                 .cache_mode(mode)
                 .build();
-            Syseco::new(options)
-                .rectify(&case.implementation, &case.spec)
+            Session::new(options)
+                .run(&case.implementation, &case.spec)
                 .expect("rectification succeeds")
         };
 
@@ -72,8 +76,8 @@ proptest! {
             if let Some(mode) = mode {
                 builder = builder.cache_dir(&dir).cache_mode(mode);
             }
-            Syseco::new(builder.build())
-                .rectify(&case.implementation, &case.spec)
+            Session::new(builder.build())
+                .run(&case.implementation, &case.spec)
                 .expect("rectification succeeds")
         };
 
@@ -95,9 +99,9 @@ proptest! {
     }
 }
 
-#[test]
-fn corrupted_cache_degrades_to_misses_not_errors() {
-    let params = CaseParams {
+/// A two-revision case that rewires some of its outputs.
+fn two_revision_case() -> EcoCase {
+    build_case(&CaseParams {
         id: 9401,
         name: "cache-corrupt",
         seed: 0xC0DE,
@@ -111,19 +115,59 @@ fn corrupted_cache_degrades_to_misses_not_errors() {
         ],
         heavy_optimization: false,
         aggressive_optimization: false,
-    };
-    let case = build_case(&params);
+    })
+}
+
+/// Rectifies `case` at seed `0xC0DE` through the cache in `dir`.
+fn run_cached(case: &EcoCase, dir: &Path, telemetry: &Telemetry) -> EcoResult {
+    let options = EcoOptions::builder()
+        .seed(0xC0DE)
+        .jobs(1)
+        .cache_dir(dir)
+        .build();
+    Session::new(options)
+        .with_telemetry(telemetry)
+        .run(&case.implementation, &case.spec)
+        .expect("rectification succeeds")
+}
+
+/// The metrics registry and `EcoResult::rectify` are one source of counts:
+/// after a cold run, and after the warm run that replays its record, the
+/// run-level counters read what the returned stats report.
+#[test]
+fn cold_and_warm_runs_publish_the_counts_they_report() {
+    let case = two_revision_case();
+    let dir = tmp_dir("counters");
+    for label in ["cold", "warm"] {
+        let telemetry = Telemetry::enabled();
+        let stats = run_cached(&case, &dir, &telemetry).rectify;
+        // Neither half is vacuous: both rewire, and the warm run replays.
+        assert!(stats.rewire_rectified > 0, "{label} run: {stats:?}");
+        assert_eq!(stats.cache_hits, u64::from(label == "warm"), "{label} run");
+        let snapshot = telemetry.snapshot();
+        for (counter, value) in [
+            (Counter::RectifyRewired, stats.rewire_rectified as u64),
+            (Counter::RectifyFallbacks, stats.fallbacks as u64),
+            (
+                Counter::RectifyDegradations,
+                stats.degradations.len() as u64,
+            ),
+            (Counter::CacheHits, stats.cache_hits),
+            (Counter::CacheMisses, stats.cache_misses),
+            (Counter::CacheVerifyRejects, stats.cache_verify_rejects),
+        ] {
+            let name = counter.name();
+            assert_eq!(snapshot.counter(counter), value, "{label} run: {name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupted_cache_degrades_to_misses_not_errors() {
+    let case = two_revision_case();
     let dir = tmp_dir("corrupt");
-    let run = || {
-        let options = EcoOptions::builder()
-            .seed(0xC0DE)
-            .jobs(1)
-            .cache_dir(&dir)
-            .build();
-        Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
-            .expect("rectification succeeds")
-    };
+    let run = || run_cached(&case, &dir, &Telemetry::disabled());
 
     let cold = run();
 

@@ -11,7 +11,7 @@ use common::{case_params, tmp_dir};
 use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, EcoOptions, EcoResult, Syseco};
+use syseco::{verify_rectification, EcoOptions, EcoResult, Session};
 
 fn multi_output_params() -> CaseParams {
     CaseParams {
@@ -42,8 +42,8 @@ fn run_checkpointed(
     if let Some(dir) = dir {
         builder = builder.checkpoint_dir(dir.to_path_buf());
     }
-    Syseco::new(builder.build())
-        .rectify(&case.implementation, &case.spec)
+    Session::new(builder.build())
+        .run(&case.implementation, &case.spec)
         .expect("rectification succeeds")
 }
 
@@ -163,8 +163,8 @@ fn killed_at_every_fault_point_resumes_byte_identically() {
     let case = build_case(&multi_output_params());
     for jobs in [1usize, 4] {
         let options = EcoOptions::builder().seed(0xC4EC).jobs(jobs).build();
-        let reference = Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
+        let reference = Session::new(options)
+            .run(&case.implementation, &case.spec)
             .expect("uninterrupted run succeeds");
         let reference = write_blif(&reference.patched);
 
@@ -227,8 +227,8 @@ fn killed_inside_bdd_gc_resumes_byte_identically() {
     let case = build_case(&multi_output_params());
     for jobs in [1usize, 4] {
         let options = EcoOptions::builder().seed(0xC4EC).jobs(jobs).build();
-        let reference = Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
+        let reference = Session::new(options)
+            .run(&case.implementation, &case.spec)
             .expect("uninterrupted run succeeds");
         let reference = write_blif(&reference.patched);
 

@@ -10,7 +10,7 @@ use common::case_params;
 use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams};
 use proptest::prelude::*;
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 /// Multi-output generator pairs: wide enough that the pool has several
 /// failing cones to schedule, small enough for quick proptest cases.
@@ -29,8 +29,8 @@ proptest! {
                 .seed(params.seed ^ 0x9A12)
                 .jobs(jobs)
                 .build();
-            Syseco::new(options)
-                .rectify(&case.implementation, &case.spec)
+            Session::new(options)
+                .run(&case.implementation, &case.spec)
                 .expect("rectification succeeds")
         };
         let serial = run(1);

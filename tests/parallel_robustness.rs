@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use eco_workload::{build_case, CaseParams, RevisionKind};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 /// A fast multi-output case: three revised words of width 3 give nine
 /// failing bit-outputs for the pool to schedule.
@@ -40,8 +40,8 @@ fn tiny_deadline_with_parallel_workers_degrades_instead_of_deadlocking() {
         .timeout(deadline)
         .build();
     let t0 = Instant::now();
-    let result = Syseco::new(options)
-        .rectify(&case.implementation, &case.spec)
+    let result = Session::new(options)
+        .run(&case.implementation, &case.spec)
         .expect("a governed parallel run degrades instead of failing");
     let elapsed = t0.elapsed();
     assert!(

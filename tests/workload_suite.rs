@@ -2,7 +2,7 @@
 //! real suite members (small ones, to keep CI time bounded).
 
 use eco_workload::{build_case, table1_params, timing_params};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 /// Case 5 is the smallest Table-1 case; it exercises multiple revision
 /// kinds (polarity, condition flip, single bit).
@@ -11,9 +11,9 @@ fn suite_case5_rectifies_and_verifies() {
     let params = &table1_params()[4];
     assert_eq!(params.id, 5);
     let case = build_case(params);
-    let engine = Syseco::new(EcoOptions::default());
-    let result = engine
-        .rectify(&case.implementation, &case.spec)
+    let session = Session::new(EcoOptions::default());
+    let result = session
+        .run(&case.implementation, &case.spec)
         .expect("rectification succeeds");
     assert!(verify_rectification(&result.patched, &case.spec).unwrap());
     assert!(result.rectify.outputs_failing > 0, "revision is observable");
@@ -25,9 +25,9 @@ fn suite_case2_rectifies_and_verifies() {
     let params = &table1_params()[1];
     assert_eq!(params.id, 2);
     let case = build_case(params);
-    let engine = Syseco::new(EcoOptions::default());
-    let result = engine
-        .rectify(&case.implementation, &case.spec)
+    let session = Session::new(EcoOptions::default());
+    let result = session
+        .run(&case.implementation, &case.spec)
         .expect("rectification succeeds");
     assert!(verify_rectification(&result.patched, &case.spec).unwrap());
     // Case 2 revises two thirds of the outputs.
@@ -41,8 +41,8 @@ fn timing_case_rectifies_with_level_driven_selection() {
     let case = build_case(params);
     let mut options = EcoOptions::with_seed(0x713);
     options.level_driven = true;
-    let result = Syseco::new(options)
-        .rectify(&case.implementation, &case.spec)
+    let result = Session::new(options)
+        .run(&case.implementation, &case.spec)
         .expect("rectification succeeds");
     assert!(verify_rectification(&result.patched, &case.spec).unwrap());
 }

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eco_bdd::BddManager;
+use eco_netlist::sim::Compiled;
 use eco_synth::lower::synthesize;
 use eco_synth::rtl::{RtlModule, WordExpr as E};
 use rand::rngs::SmallRng;
@@ -52,15 +53,14 @@ fn bench_point_set_enumeration(c: &mut Criterion) {
     c.bench_function("sampling_h_of_t_m2", |b| {
         let samples = random_samples(32, circuit.num_inputs(), 9);
         let root = circuit.outputs()[0].net();
+        let sim = Compiled::new(&circuit).unwrap();
+        let words = sim.simulate_all(&samples).unwrap();
+        // Target: a deliberately wrong f' (negated output) to make H(t)
+        // non-trivial.
+        let fprime: Vec<u64> = words.blocks().iter().map(|w| !w[root.index()]).collect();
         b.iter(|| {
             let pins = candidate_pins(&circuit, root, 0, 24);
-            // Target: a deliberately wrong f' (negated output) to make H(t)
-            // non-trivial.
-            let fprime_bits: Vec<bool> = samples
-                .iter()
-                .map(|x| !circuit.eval_nets(x).unwrap()[root.index()])
-                .collect();
-            let mut minimal = MinimalSets::new(&circuit, &samples, &fprime_bits, root, 0, &pins);
+            let mut minimal = MinimalSets::new(&circuit, &sim, &words, &fprime, 0, &pins);
             let singles = minimal.of_size(1, usize::MAX);
             std::hint::black_box((singles, minimal.of_size(2, usize::MAX)))
         });

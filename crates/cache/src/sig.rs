@@ -10,9 +10,8 @@
 //!   fanin hashes in sorted order — the AIG-style normalization that makes
 //!   the hash input-permutation-stable — while `Mux`/`Buf`/`Not` keep pin
 //!   order;
-//! * the per-node pass runs over the same topological walk the engine's
-//!   `SupportTable` uses ([`eco_netlist::topo::topo_order`]), so the cost
-//!   is one linear sweep.
+//! * the per-node pass is one linear sweep in topological order
+//!   ([`eco_netlist::topo::topo_order`]).
 //!
 //! Signatures address cache records; they are never trusted for
 //! correctness. A collision (or a stale entry) surfaces as a SAT-rejected

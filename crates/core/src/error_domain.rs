@@ -8,7 +8,8 @@
 
 use std::collections::HashSet;
 
-use eco_netlist::{sim, Circuit, NetlistError};
+use eco_netlist::sim::Compiled;
+use eco_netlist::{Circuit, NetlistError};
 use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
 use eco_sat::{tseitin, Lit, SolveResult, Solver, SolverStats};
 use rand::rngs::SmallRng;
@@ -241,6 +242,7 @@ pub fn collect_samples<'s>(
     let impl_out = implementation.outputs()[pair.impl_index as usize].net();
     let spec_out = spec.outputs()[pair.spec_index as usize].net();
     let blocks = (want / 16).clamp(4, 32);
+    let (impl_sim, spec_sim) = (Compiled::new(implementation)?, Compiled::new(spec)?);
     for _ in 0..blocks {
         if samples.len() >= want {
             break;
@@ -258,8 +260,8 @@ pub fn collect_samples<'s>(
                 spec_patterns[sp] = word;
             }
         }
-        let impl_words = sim::simulate64(implementation, &impl_patterns)?;
-        let spec_words = sim::simulate64(spec, &spec_patterns)?;
+        let impl_words = impl_sim.simulate(&impl_patterns)?;
+        let spec_words = spec_sim.simulate(&spec_patterns)?;
         let diff = impl_words[impl_out.index()] ^ spec_words[spec_out.index()];
         if diff == 0 {
             continue;

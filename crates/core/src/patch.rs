@@ -2,6 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use eco_netlist::sim::Compiled;
 use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError, Pin};
 use eco_sat::{tseitin, SolveResult, Solver};
 use eco_timing::{DelayModel, TimingReport};
@@ -287,9 +288,10 @@ pub fn refine_patch_inputs_timed(
     };
 
     let mut signatures: HashMap<NetId, [u64; 3]> = HashMap::new();
+    let sim = Compiled::new(circuit)?;
     for block in 0..3usize {
         let patterns: Vec<u64> = (0..circuit.num_inputs()).map(|_| rng.gen()).collect();
-        let words = eco_netlist::sim::simulate64(circuit, &patterns)?;
+        let words = sim.simulate(&patterns)?;
         for &id in &order {
             let net: NetId = id.into();
             signatures.entry(net).or_insert([0; 3])[block] = words[net.index()];

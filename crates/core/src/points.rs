@@ -17,13 +17,14 @@
 //! built. The Figure 2 construction stays in the test module as the
 //! differential oracle.
 
+use eco_netlist::sim::{Compiled, Simulated};
 use eco_netlist::{topo, Circuit, GateKind, NetId, NodeId, Pin};
 
 /// Most gate pins [`MinimalSets`] accepts: it tracks each one as a bit of a
 /// `u128` mask.
 pub const MAX_GATE_PINS: usize = 128;
-/// Most pins in one set [`MinimalSets`] enumerates: it tracks the pins of
-/// one freed subset as bits of a `u8` mask.
+/// Most pins in one set [`MinimalSets`] enumerates: each check sweeps all
+/// `2^size` values of the freed pins per sample block.
 pub const MAX_SUBSET_SIZE: usize = 8;
 
 /// Collects candidate rectification pins for the cone of `root`:
@@ -85,33 +86,6 @@ fn next_combination(idx: &mut [usize], n: usize) -> bool {
     false
 }
 
-/// 64 samples packed for simulation: one word per primary input, the
-/// revised output bits, and the mask of the bits that hold a sample.
-struct Block {
-    patterns: Vec<u64>,
-    fprime: u64,
-    mask: u64,
-}
-
-/// One fanin read in a re-simulated slice: the block baseline, the
-/// freed-subset scratch, or a forced constant driven by a `v` bit.
-#[derive(Clone, Copy)]
-enum Src {
-    Base(u32),
-    Scratch(u32),
-    Forced(u8),
-}
-
-/// One gate of a compiled re-simulation slice.
-struct TapeOp {
-    dst: u32,
-    kind: GateKind,
-    off: u32,
-    len: u32,
-    /// Subset-local bits of the freed pins this node depends on.
-    dep: u8,
-}
-
 /// The next subset [`MinimalSets`] examines.
 enum Cursor {
     /// The singleton of the gate pin with mask bit `b`; past the last gate
@@ -157,39 +131,36 @@ impl Cursor {
 /// bit-parallel simulation, skipping every superset of a set already known
 /// feasible: sets of two or more pins draw only from the pool of pins whose
 /// singleton is infeasible, and are checked against the multi-pin minimal
-/// sets by mask. Only the freed pins' transitive fanout is re-simulated, on
-/// top of a baseline evaluated once per block. An output pin is trivially
-/// feasible alone (drive `y = f'`); output pins of *other* outputs free
-/// nothing in this cone and never appear.
+/// sets by mask. Only the freed pins' transitive fanout is re-simulated,
+/// over the [`Compiled`] tape, on top of the circuit's simulated sample
+/// values. An output pin is trivially feasible alone (drive `y = f'`);
+/// output pins of *other* outputs free nothing in this cone and never
+/// appear.
 ///
-/// The cone order, fanout masks, packed samples and baselines are built
-/// once. The enumeration state — the pool, the multi-pin minimal masks and
-/// the next subset to examine — persists across [`of_size`](Self::of_size)
-/// queries, so each subset is checked at most once. The engine's caps
-/// (`m ≤ 3`, at most 47 gate pins) bound the enumeration at
-/// `C(47,1) + C(47,2) + C(47,3) = 17,343` subsets.
+/// The fanout slices are built once. The enumeration state — the
+/// pool, the multi-pin minimal masks and the next subset to examine —
+/// persists across [`of_size`](Self::of_size) queries, so each subset is
+/// checked at most once. The engine's caps (`m ≤ 3`, at most 47 gate pins)
+/// bound the enumeration at `C(47,1) + C(47,2) + C(47,3) = 17,343` subsets.
 pub struct MinimalSets<'c> {
     circuit: &'c Circuit,
+    sim: &'c Compiled,
     pins: &'c [Pin],
-    root: NetId,
+    /// The circuit's unmodified values over the samples.
+    baseline: &'c Simulated,
+    /// Net index of the output's root.
+    root: usize,
     /// Codes (positions in `pins`) of the gate pins; a pin's position here
     /// is its mask bit.
     gate_pins: Vec<usize>,
     /// Code of this output's own pin.
     out_code: Option<usize>,
-    /// The cone's nodes in topological order.
-    cone: Vec<NodeId>,
-    /// Bit `b` of `tfo_mask[id]` says that freeing gate pin `gate_pins[b]`
-    /// can change node `id`: the pin's consumer itself, or anything
-    /// downstream of it. Within a cone every node reaches the root, so the
-    /// root carries every bit.
-    tfo_mask: Vec<u128>,
-    /// Cone positions of each gate pin's fanout slice, ascending (= topo
-    /// order).
+    /// Tape positions of each gate pin's fanout slice within the cone —
+    /// the nodes freeing the pin can change: its consumer and everything
+    /// downstream of it — ascending (= topological order).
     pin_tfo: Vec<Vec<u32>>,
-    blocks: Vec<Block>,
-    /// Every cone node's unmodified value, per block.
-    baselines: Vec<Vec<u64>>,
+    /// The revised output `f'` per 64-sample block.
+    fprime: &'c [u64],
     /// The unmodified cone already matches `f'` on every sample.
     matches: bool,
     /// Gate pins whose singleton is infeasible, as (pin code, mask bit).
@@ -200,39 +171,40 @@ pub struct MinimalSets<'c> {
     /// Masks of the multi-pin minimal sets.
     multi_masks: Vec<u128>,
     cursor: Cursor,
-    // Re-simulation scratch, reused across checks.
-    words: Vec<u64>,
-    slice: Vec<u32>,
-    tape: Vec<TapeOp>,
-    srcs: Vec<Src>,
-    buf: Vec<u64>,
+    /// Re-simulation scratch per block: the baseline, except inside the
+    /// slices being swept.
+    words: Vec<Vec<u64>>,
+    /// The freed pins of the subset being checked, as (consumer node, pin
+    /// position).
+    forced: Vec<(usize, usize)>,
 }
 
 impl<'c> MinimalSets<'c> {
-    /// Prepares the enumeration for the cone of `root`.
+    /// Prepares the enumeration for the cone of output `output_index`.
     ///
     /// Arguments:
-    /// * `samples` — the domain's assignments, implementation input order,
-    /// * `fprime_bits` — the revised output value `f'(x̂_k)` per sample
-    ///   (see [`SamplingDomain::code_assignment`](crate::sampling::SamplingDomain::code_assignment)),
+    /// * `sim` — `circuit` compiled,
+    /// * `baseline` — `sim` simulated over the domain's samples,
+    /// * `fprime` — the revised output value `f'(x̂_k)` per 64-sample
+    ///   block, packed like `baseline`,
     /// * `pins` — candidate pins from [`candidate_pins`].
     ///
     /// # Panics
     ///
-    /// Panics when `fprime_bits.len() != samples.len()` or when more than
-    /// [`MAX_GATE_PINS`] (128) of `pins` are gate pins.
+    /// Panics when `fprime` and `baseline` differ in block count or when
+    /// more than [`MAX_GATE_PINS`] (128) of `pins` are gate pins.
     pub fn new(
         circuit: &'c Circuit,
-        samples: &[Vec<bool>],
-        fprime_bits: &[bool],
-        root: NetId,
+        sim: &'c Compiled,
+        baseline: &'c Simulated,
+        fprime: &'c [u64],
         output_index: u32,
         pins: &'c [Pin],
     ) -> Self {
         assert_eq!(
-            fprime_bits.len(),
-            samples.len(),
-            "one revised-output bit per sample"
+            fprime.len(),
+            baseline.blocks().len(),
+            "one revised-output word per block"
         );
         let gate_pins: Vec<usize> = pins
             .iter()
@@ -247,112 +219,58 @@ impl<'c> MinimalSets<'c> {
             gate_pins.len() <= MAX_GATE_PINS,
             "point-set enumeration tracks at most {MAX_GATE_PINS} gate pins"
         );
+        let root = circuit.outputs()[output_index as usize].net().index();
 
-        let order = topo::topo_order(circuit).expect("engine guarantees acyclic circuits");
-        let in_cone = topo::tfi(circuit, &[root.source()]);
-        let cone: Vec<NodeId> = order.into_iter().filter(|id| in_cone[id.index()]).collect();
-
+        // Bit `b` of `tfo_mask[net]` says that `net` is in the fanout slice
+        // of gate pin `gate_pins[b]`.
+        let in_cone = topo::tfi(circuit, &[NodeId::from_index(root)]);
         let mut tfo_mask = vec![0u128; circuit.num_nodes()];
         for (b, &j) in gate_pins.iter().enumerate() {
             if let Pin::Gate { node, .. } = pins[j] {
                 tfo_mask[node.index()] |= 1u128 << b;
             }
         }
-        for &id in &cone {
-            let mut mask = tfo_mask[id.index()];
-            for f in circuit.node(id).fanins() {
-                mask |= tfo_mask[f.index()];
-            }
-            tfo_mask[id.index()] = mask;
-        }
         let mut pin_tfo: Vec<Vec<u32>> = vec![Vec::new(); gate_pins.len()];
-        for (ci, &id) in cone.iter().enumerate() {
-            let mut mask = tfo_mask[id.index()];
+        for g in 0..sim.num_gates() {
+            let id = sim.node(g).index();
+            if !in_cone[id] {
+                continue;
+            }
+            let mut mask = tfo_mask[id];
+            for &f in sim.fanins(g) {
+                mask |= tfo_mask[f as usize];
+            }
+            tfo_mask[id] = mask;
             while mask != 0 {
-                pin_tfo[mask.trailing_zeros() as usize].push(ci as u32);
+                pin_tfo[mask.trailing_zeros() as usize].push(g as u32);
                 mask &= mask - 1;
             }
         }
 
-        let blocks: Vec<Block> = samples
-            .chunks(64)
-            .zip(fprime_bits.chunks(64))
-            .map(|(chunk, bits)| {
-                let mut patterns = vec![0u64; circuit.num_inputs()];
-                let mut fprime = 0u64;
-                for (j, a) in chunk.iter().enumerate() {
-                    for (i, p) in patterns.iter_mut().enumerate() {
-                        if a.get(i).copied().unwrap_or(false) {
-                            *p |= 1u64 << j;
-                        }
-                    }
-                    if bits[j] {
-                        fprime |= 1u64 << j;
-                    }
-                }
-                let mask = if chunk.len() == 64 {
-                    !0u64
-                } else {
-                    (1u64 << chunk.len()) - 1
-                };
-                Block {
-                    patterns,
-                    fprime,
-                    mask,
-                }
-            })
-            .collect();
-
-        let mut buf: Vec<u64> = Vec::with_capacity(4);
-        let baselines: Vec<Vec<u64>> = blocks
+        let matches = baseline
+            .blocks()
             .iter()
-            .map(|block| {
-                let mut words = vec![0u64; circuit.num_nodes()];
-                for &id in &cone {
-                    let node = circuit.node(id);
-                    words[id.index()] = match node.kind() {
-                        GateKind::Input => {
-                            let pos = circuit
-                                .input_position(id)
-                                .expect("input node is registered");
-                            block.patterns[pos]
-                        }
-                        kind => {
-                            buf.clear();
-                            buf.extend(node.fanins().iter().map(|f| words[f.index()]));
-                            kind.eval64(&buf)
-                        }
-                    };
-                }
-                words
-            })
-            .collect();
-        let matches = baselines
-            .iter()
-            .zip(&blocks)
-            .all(|(base, block)| (base[root.index()] ^ block.fprime) & block.mask == 0);
+            .zip(fprime)
+            .enumerate()
+            .all(|(b, (words, &f))| (words[root] ^ f) & baseline.mask(b) == 0);
 
         MinimalSets {
             circuit,
+            sim,
             pins,
+            baseline,
             root,
             gate_pins,
             out_code,
-            cone,
-            tfo_mask,
             pin_tfo,
-            blocks,
-            baselines,
+            fprime,
             matches,
             pool: Vec::new(),
             found: Vec::new(),
             multi_masks: Vec::new(),
             cursor: Cursor::Single(0),
-            words: vec![0u64; circuit.num_nodes()],
-            slice: Vec::new(),
-            tape: Vec::new(),
-            srcs: Vec::new(),
-            buf,
+            words: baseline.blocks().to_vec(),
+            forced: Vec::new(),
         }
     }
 
@@ -473,103 +391,60 @@ impl<'c> MinimalSets<'c> {
     /// the match words over all value combinations of the freed pins, then
     /// require every sample bit.
     fn feasible(&mut self, set: &[usize], bits: &[usize]) -> bool {
-        let sel_mask = bits.iter().fold(0u128, |acc, &b| acc | (1u128 << b));
-        let slice = &mut self.slice;
-        slice.clear();
-        match bits {
-            [b] => slice.extend_from_slice(&self.pin_tfo[*b]),
-            _ => {
-                // Merge the (sorted) per-pin slices, keeping topo order.
-                for &b in bits {
-                    slice.extend_from_slice(&self.pin_tfo[b]);
-                }
-                slice.sort_unstable();
-                slice.dedup();
-            }
-        }
-        // Compile the slice into a flat tape so the per-`v` replays do no
-        // override or membership lookups.
-        self.tape.clear();
-        self.srcs.clear();
-        for &ci in slice.iter() {
-            let id = self.cone[ci as usize];
-            let node = self.circuit.node(id);
-            let off = self.srcs.len() as u32;
-            'fanin: for (pos, f) in node.fanins().iter().enumerate() {
-                for (b, &j) in set.iter().enumerate() {
-                    if let Pin::Gate { node: n, pos: p } = self.pins[j] {
-                        if n == id && p as usize == pos {
-                            self.srcs.push(Src::Forced(b as u8));
-                            continue 'fanin;
+        // Freed pin `i` of the set reads bit `i` of the value combination.
+        self.forced.clear();
+        self.forced.extend(set.iter().map(|&j| match self.pins[j] {
+            Pin::Gate { node, pos } => (node.index(), pos as usize),
+            Pin::Output { .. } => unreachable!("the pool holds gate pins only"),
+        }));
+        let (sim, forced) = (self.sim, &self.forced);
+        // Re-simulates the fanout slice of the gate pin with mask bit `b`
+        // under the value combination `v`.
+        let replay = |b: usize, v: u64, words: &mut [u64]| {
+            for &g in &self.pin_tfo[b] {
+                let (g, id) = (g as usize, sim.node(g as usize).index());
+                words[id] = if forced.iter().any(|&(n, _)| n == id) {
+                    sim.eval(g, |pos, net| {
+                        match forced.iter().position(|&f| f == (id, pos)) {
+                            Some(i) => 0u64.wrapping_sub((v >> i) & 1),
+                            None => words[net],
                         }
-                    }
-                }
-                self.srcs.push(if self.tfo_mask[f.index()] & sel_mask != 0 {
-                    Src::Scratch(f.index() as u32)
+                    })
                 } else {
-                    Src::Base(f.index() as u32)
-                });
+                    sim.eval(g, |_, net| words[net])
+                };
             }
-            let mask = self.tfo_mask[id.index()];
-            let mut dep = 0u8;
-            for (b, &gb) in bits.iter().enumerate() {
-                if mask & (1u128 << gb) != 0 {
-                    dep |= 1 << b;
-                }
-            }
-            self.tape.push(TapeOp {
-                dst: id.index() as u32,
-                kind: node.kind(),
-                off,
-                len: (self.srcs.len() as u32) - off,
-                dep,
-            });
-        }
-        let srcs = &self.srcs;
-        let exec = |op: &TapeOp, v: u64, base: &[u64], words: &mut [u64], buf: &mut Vec<u64>| {
-            buf.clear();
-            for src in &srcs[op.off as usize..(op.off + op.len) as usize] {
-                buf.push(match *src {
-                    Src::Base(i) => base[i as usize],
-                    Src::Scratch(i) => words[i as usize],
-                    Src::Forced(b) => {
-                        if (v >> b) & 1 == 1 {
-                            !0u64
-                        } else {
-                            0u64
-                        }
-                    }
-                });
-            }
-            words[op.dst as usize] = op.kind.eval64(buf);
         };
-        let (words, buf) = (&mut self.words, &mut self.buf);
-        let root = self.root.index();
-        // Gray-code sweep over the 2^s value combinations: consecutive
-        // steps toggle one pin, so only tape ops depending on that pin
-        // replay — the rest of the scratch slice stays valid.
-        for (base, block) in self.baselines.iter().zip(&self.blocks) {
-            let mut ok = 0u64;
+        let blocks = self.words.iter_mut().zip(self.baseline.blocks());
+        for (k, (words, base)) in blocks.enumerate() {
+            let (fprime, mask) = (self.fprime[k], self.baseline.mask(k));
+            // Replaying the freed pins' slices one after another leaves
+            // every node right: it is replayed last with the slice of its
+            // last freed ancestor, whose replay has already updated all of
+            // its fanins.
             let mut v = 0u64;
-            for op in &self.tape {
-                exec(op, v, base, words, buf);
+            for &b in bits {
+                replay(b, v, words);
             }
-            ok |= !(words[root] ^ block.fprime);
+            let mut ok = !(words[self.root] ^ fprime);
+            // Gray-code sweep over the 2^s value combinations: consecutive
+            // steps toggle one pin, so only that pin's slice replays.
             for step in 1..(1u64 << set.len()) {
-                if ok & block.mask == block.mask {
+                if ok & mask == mask {
                     break;
                 }
                 let toggled = step.trailing_zeros();
                 v ^= 1u64 << toggled;
-                let tbit = 1u8 << toggled;
-                for op in &self.tape {
-                    if op.dep & tbit != 0 {
-                        exec(op, v, base, words, buf);
-                    }
-                }
-                ok |= !(words[root] ^ block.fprime);
+                replay(bits[toggled as usize], v, words);
+                ok |= !(words[self.root] ^ fprime);
             }
-            if ok & block.mask != block.mask {
+            for &b in bits {
+                for &g in &self.pin_tfo[b] {
+                    let id = sim.node(g as usize).index();
+                    words[id] = base[id];
+                }
+            }
+            if ok & mask != mask {
                 return false;
             }
         }
@@ -816,21 +691,51 @@ mod tests {
         (c, s)
     }
 
-    /// A random cone of 4–10 gates over 3–5 inputs, 2–6 samples with random
-    /// revised bits, and its candidate pins.
+    /// Packs one bit per sample into one word per 64-sample block.
+    fn pack(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (k, &bit) in bits.iter().enumerate() {
+            words[k / 64] |= u64::from(bit) << (k % 64);
+        }
+        words
+    }
+
+    /// Seeds of [`Instance::random`]: 40 single-block instances, then 10
+    /// that span several blocks.
+    const SEEDS: std::ops::Range<u64> = 0..50;
+
+    /// A random cone of 4–10 gates, samples, revised bits, and its
+    /// candidate pins.
     struct Instance {
         circuit: Circuit,
         root: NetId,
         samples: Vec<Vec<bool>>,
         fprime_bits: Vec<bool>,
         pins: Vec<Pin>,
+        sim: Compiled,
+        words: Simulated,
+        /// `fprime_bits` packed per block.
+        fprime: Vec<u64>,
     }
 
     impl Instance {
+        /// Below seed 40: 3–5 inputs and 2–6 samples (one partial block)
+        /// with random revised bits. From seed 40: 8–10 inputs and 65–130
+        /// samples (two or three blocks). Random bits
+        /// over that many samples would leave only the output pin feasible,
+        /// so the first block's bits are the unmodified cone's, and the
+        /// later blocks' come from the cone with one to three random gate
+        /// pins driven by random values: only the later blocks decide
+        /// feasibility.
         fn random(seed: u64) -> Self {
+            let wide = seed >= 40;
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut c = Circuit::new("rnd");
-            let num_inputs = rng.gen_range(3..=5);
+            let num_inputs = if wide {
+                rng.gen_range(8..=10)
+            } else {
+                rng.gen_range(3..=5)
+            };
             let mut nets: Vec<_> = (0..num_inputs)
                 .map(|i| c.add_input(format!("x{i}")))
                 .collect();
@@ -853,26 +758,54 @@ mod tests {
             let root = *nets.last().unwrap();
             c.add_output("y", root);
 
-            let samples: Vec<Vec<bool>> = (0..rng.gen_range(2..=6))
+            let num_samples = if wide {
+                rng.gen_range(65..=130)
+            } else {
+                rng.gen_range(2..=6)
+            };
+            let samples: Vec<Vec<bool>> = (0..num_samples)
                 .map(|_| (0..num_inputs).map(|_| rng.gen()).collect())
                 .collect();
-            let fprime_bits: Vec<bool> = samples.iter().map(|_| rng.gen()).collect();
             let pins = candidate_pins(&c, root, 0, 10);
-            Instance {
+            let sim = Compiled::new(&c).unwrap();
+            let words = sim.simulate_all(&samples).unwrap();
+            let mut inst = Instance {
                 circuit: c,
                 root,
                 samples,
-                fprime_bits,
+                fprime_bits: Vec::new(),
                 pins,
-            }
+                sim,
+                words,
+                fprime: Vec::new(),
+            };
+            inst.fprime_bits = if wide {
+                let gate_pins = &inst.pins[..inst.pins.len() - 1];
+                let driven: Vec<Pin> = (0..rng.gen_range(1..=3))
+                    .map(|_| gate_pins[rng.gen_range(0..gate_pins.len())])
+                    .collect();
+                (0..num_samples)
+                    .map(|k| {
+                        let forced: Vec<(Pin, bool)> = match k {
+                            0..=63 => Vec::new(),
+                            _ => driven.iter().map(|&p| (p, rng.gen())).collect(),
+                        };
+                        inst.eval_forced(&inst.samples[k], &forced)
+                    })
+                    .collect()
+            } else {
+                (0..num_samples).map(|_| rng.gen()).collect()
+            };
+            inst.fprime = pack(&inst.fprime_bits);
+            inst
         }
 
         fn sets(&self) -> MinimalSets<'_> {
             MinimalSets::new(
                 &self.circuit,
-                &self.samples,
-                &self.fprime_bits,
-                self.root,
+                &self.sim,
+                &self.words,
+                &self.fprime,
                 0,
                 &self.pins,
             )
@@ -992,7 +925,10 @@ mod tests {
             .iter()
             .map(|x| s.eval_nets(x).unwrap()[s.outputs()[0].net().index()])
             .collect();
-        let mut sets = MinimalSets::new(&c, &samples, &fprime_bits, root, 0, &pins);
+        let sim = Compiled::new(&c).unwrap();
+        let words = sim.simulate_all(&samples).unwrap();
+        let fprime = pack(&fprime_bits);
+        let mut sets = MinimalSets::new(&c, &sim, &words, &fprime, 0, &pins);
         assert_eq!(sets.of_size(1, 8), vec![vec![Pin::output(0)]]);
         assert_eq!(sets.of_size(2, 8), vec![pins[..2].to_vec()]);
         assert!(sets.of_size(3, 8).is_empty());
@@ -1018,7 +954,10 @@ mod tests {
             .map(|&p| vec![p])
             .collect();
         assert_eq!(gate_singles.len(), 2);
-        let mut sets = MinimalSets::new(&c, &samples, &fprime_bits, root, 0, &pins);
+        let sim = Compiled::new(&c).unwrap();
+        let words = sim.simulate_all(&samples).unwrap();
+        let fprime = pack(&fprime_bits);
+        let mut sets = MinimalSets::new(&c, &sim, &words, &fprime, 0, &pins);
         assert_eq!(sets.of_size(1, 8), gate_singles);
         assert_eq!(sets.of_size(1, 1), gate_singles[..1]);
         assert!(sets.of_size(2, 8).is_empty());
@@ -1032,7 +971,7 @@ mod tests {
     /// serves every selection size the engine escalates through.
     #[test]
     fn simulation_and_restriction_h_agree() {
-        for seed in 0..40u64 {
+        for seed in SEEDS {
             let inst = Instance::random(seed);
             let mut sets = inst.sets();
             for m_points in 1..=3usize {
@@ -1073,7 +1012,7 @@ mod tests {
     fn returned_sets_are_minimal_by_brute_force() {
         // Sets checked per size.
         let mut checked = [0usize; 3];
-        for seed in 0..40u64 {
+        for seed in SEEDS {
             let inst = Instance::random(seed);
             if inst.feasible(&[]) {
                 continue; // the matching cone is the next test's case
@@ -1107,7 +1046,7 @@ mod tests {
     /// of the uncapped list, and a capped query leaves later ones whole.
     #[test]
     fn sets_come_in_pin_order_and_caps_take_a_prefix() {
-        for seed in 0..40u64 {
+        for seed in SEEDS {
             let inst = Instance::random(seed);
             let code = |set: &PointSet| -> Vec<usize> {
                 let mut codes: Vec<usize> = set

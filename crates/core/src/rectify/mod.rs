@@ -40,6 +40,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use eco_bdd::BddCounters;
+use eco_netlist::sim::Compiled;
 use eco_netlist::{topo, Circuit};
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
@@ -581,6 +582,8 @@ pub(crate) fn rewire_rectify_with(
     // Search phase: pure per-output searches on the worker pool.
     // ------------------------------------------------------------------
     let base: &Circuit = implementation;
+    // Neither circuit changes during the search phase: compile each once.
+    let (base_sim, spec_sim) = (Compiled::new(base)?, Compiled::new(spec)?);
     // One metrics shard per worker lane: counters are relaxed atomics, so
     // the search hot path never takes a lock; the registry folds the shards
     // at snapshot time.
@@ -599,6 +602,8 @@ pub(crate) fn rewire_rectify_with(
         let mut search = OutputSearch {
             base,
             spec,
+            base_sim: &base_sim,
+            spec_sim: &spec_sim,
             corr: &corr,
             pair,
             seed: seeds.get(&pair.impl_index).map(Vec::as_slice),

@@ -3,12 +3,13 @@
 //! `Ξ(c)` choices (§4.4), and SAT validation with refinement (§5.2),
 //! all against the immutable base circuit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use eco_bdd::{Bdd, BddError, BddManager};
-use eco_netlist::{topo, Circuit, NetId};
+use eco_netlist::sim::Compiled;
+use eco_netlist::Circuit;
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
 use eco_telemetry::{ArgValue, Histogram, MetricsShard, SpanToken, TraceBuffer};
@@ -46,6 +47,9 @@ use crate::EcoError;
 pub(super) struct OutputSearch<'a> {
     pub(super) base: &'a Circuit,
     pub(super) spec: &'a Circuit,
+    /// `base` and `spec` compiled for simulation, once per run.
+    pub(super) base_sim: &'a Compiled,
+    pub(super) spec_sim: &'a Compiled,
     pub(super) corr: &'a Correspondence,
     pub(super) pair: &'a OutputPair,
     /// Detection's counterexample for this output, when it found one.
@@ -290,24 +294,23 @@ impl OutputSearch<'_> {
         samples: &mut Vec<Vec<bool>>,
         sample_bank: &mut Vec<Vec<bool>>,
     ) -> Result<bool, EcoError> {
-        let no_clones: HashMap<NetId, NetId> = HashMap::new();
         self.stats.validations += 1;
         let validating = (self.trace.start(), Instant::now());
-        let result = SampleBank::new(self.spec, self.corr, sample_bank.clone()).and_then(|bank| {
-            validate_rewires(
-                self.base,
-                self.spec,
-                self.corr,
-                proposal,
-                self.pair,
-                self.failing,
-                &bank,
-                &no_clones,
-                VALIDATION_BUDGET,
-                Some(self.budget),
-                &mut self.proofs,
-            )
-        });
+        let result =
+            SampleBank::new(self.spec_sim, self.corr, sample_bank.clone()).and_then(|bank| {
+                validate_rewires(
+                    self.base,
+                    self.spec,
+                    self.corr,
+                    proposal,
+                    self.pair,
+                    self.failing,
+                    &bank,
+                    VALIDATION_BUDGET,
+                    Some(self.budget),
+                    &mut self.proofs,
+                )
+            });
         // An injected abort is a simulated crash, not a stale record.
         #[cfg(any(test, feature = "fault-injection"))]
         if let Err(EcoError::InjectedAbort) = result {
@@ -388,6 +391,7 @@ impl OutputSearch<'_> {
         sample_bank: &[Vec<bool>],
     ) -> Result<Attempt, EcoError> {
         let (base, spec, pair) = (self.base, self.spec, self.pair);
+        let (base_sim, spec_sim) = (self.base_sim, self.spec_sim);
         let root = base.outputs()[pair.impl_index as usize].net();
         let spec_root = spec.outputs()[pair.spec_index as usize].net();
         let domain = SamplingDomain::new(samples.to_vec(), Z_BASE)?;
@@ -411,18 +415,15 @@ impl OutputSearch<'_> {
             Err(e) => return bdd_cut(e),
         };
         let fprime = spec_vals[spec_root.index()];
-        // The revised output value per sample — the constants the minimal-set
-        // enumeration compares each simulated cone against.
-        let fprime_bits: Vec<bool> = (0..domain.len())
-            .map(|k| m.eval(fprime, &domain.code_assignment(k)))
-            .collect();
 
         let pins = candidate_pins(base, root, pair.impl_index, pin_cap);
-        let ctx = RewireNetContext::build(base, spec, self.corr, spec_root, samples)?;
+        // The attempt's one simulation of its domain: candidate utilities and
+        // the minimal-set enumeration both read these words.
+        let ctx = RewireNetContext::build(base_sim, spec, spec_sim, self.corr, spec_root, samples)?;
         // The candidate screen runs over the full sample bank (a strict
         // superset of this attempt's sampling domain): one spec simulation per
         // attempt, reused by every validation below.
-        let bank = SampleBank::new(spec, self.corr, sample_bank.to_vec())?;
+        let bank = SampleBank::new(spec_sim, self.corr, sample_bank.to_vec())?;
         // Handles the search must keep across collections: the
         // per-input domain functions and every evaluated net of both circuits
         // (`fprime` and `g_spec` entries are aliases into these).
@@ -431,10 +432,6 @@ impl OutputSearch<'_> {
         search_roots.extend_from_slice(&g_impl);
         search_roots.extend_from_slice(&impl_vals);
         search_roots.extend_from_slice(&spec_vals);
-        // Searches run against the pristine base circuit, so candidate cost is
-        // estimated without cross-output clone sharing; the merge phase dedups
-        // actual clones via its shared map.
-        let no_clones: HashMap<NetId, NetId> = HashMap::new();
 
         let mut first_counterexample: Option<Vec<bool>> = None;
         // All validated candidates across every m, scored by patch cost: cloned
@@ -451,11 +448,15 @@ impl OutputSearch<'_> {
             rewires: Vec<CandidateRewire>,
         }
         const EARLY_COMMIT_COST: usize = 1;
+        // Searches run against the pristine base circuit, so candidate cost is
+        // estimated without cross-output clone sharing; the merge phase dedups
+        // actual clones via its shared map. Every spec candidate comes from
+        // the spec cone, whose cone sizes the context holds.
         let clone_cost = |rewires: &[CandidateRewire]| -> usize {
             rewires
                 .iter()
                 .filter(|r| r.candidate.from_spec)
-                .map(|r| topo::cone_size(spec, r.candidate.net).max(1))
+                .map(|r| ctx.spec_cone_sizes[&r.candidate.net].max(1))
                 .sum()
         };
         let mut valid: Vec<ValidOption> = Vec::new();
@@ -486,7 +487,14 @@ impl OutputSearch<'_> {
             self.budget.fault_span(SpanPoint::PointSets)?;
             let sets = minimal
                 .get_or_insert_with(|| {
-                    MinimalSets::new(base, samples, &fprime_bits, root, pair.impl_index, &pins)
+                    MinimalSets::new(
+                        base,
+                        base_sim,
+                        &ctx.impl_words,
+                        &ctx.fprime,
+                        pair.impl_index,
+                        &pins,
+                    )
                 })
                 .of_size(m_points, MAX_POINT_SETS - sets_found);
             sets_found += sets.len();
@@ -617,7 +625,6 @@ impl OutputSearch<'_> {
                         pair,
                         self.failing,
                         &bank,
-                        &no_clones,
                         VALIDATION_BUDGET,
                         Some(self.budget),
                         &mut self.proofs,

@@ -17,7 +17,8 @@
 
 use std::collections::HashSet;
 
-use eco_netlist::{sim, topo, Circuit, GateKind, NetId, NetlistError, NodeId, Pin};
+use eco_netlist::sim::{Compiled, Simulated};
+use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError, NodeId, Pin};
 use eco_timing::TimingReport;
 
 use crate::correspond::Correspondence;
@@ -43,76 +44,54 @@ pub struct RewireCandidate {
 #[derive(Debug, Clone)]
 pub struct SupportTable {
     words: usize,
-    sets: Vec<Vec<u64>>,
+    /// The support bitmap of net `i` is `sets[i * words..(i + 1) * words]`.
+    sets: Vec<u64>,
 }
 
 impl SupportTable {
-    /// Computes the input support of every net of `circuit`. For the
-    /// specification, `input_translation` maps the circuit's own input
-    /// positions to implementation positions (identity for the
-    /// implementation itself).
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::Cyclic`] on cyclic circuits (earlier versions
-    /// panicked here, turning a malformed caller input into an abort).
-    pub fn build(
-        circuit: &Circuit,
-        input_translation: &[usize],
-        num_impl_inputs: usize,
-    ) -> Result<Self, NetlistError> {
+    /// Computes the input support of every net of the compiled circuit
+    /// `sim`. For the specification, `input_translation` maps the
+    /// circuit's own input positions to implementation positions (identity
+    /// for the implementation itself).
+    pub fn build(sim: &Compiled, input_translation: &[usize], num_impl_inputs: usize) -> Self {
         let words = num_impl_inputs.div_ceil(64).max(1);
-        let mut sets = vec![vec![0u64; words]; circuit.num_nodes()];
-        let order = topo::topo_order(circuit)?;
-        for id in order {
-            let node = circuit.node(id);
-            if node.kind() == GateKind::Input {
-                let pos = circuit.input_position(id).expect("registered input");
-                let impl_pos = input_translation[pos];
-                sets[id.index()][impl_pos / 64] |= 1u64 << (impl_pos % 64);
-                continue;
-            }
-            let fanins: Vec<NetId> = node.fanins().to_vec();
-            for f in fanins {
-                // Manual split borrow: OR fanin set into this node's set.
-                let src = sets[f.index()].clone();
-                for (w, s) in sets[id.index()].iter_mut().zip(&src) {
-                    *w |= s;
+        let mut sets = vec![0u64; sim.num_nodes() * words];
+        for (&id, &impl_pos) in sim.inputs().iter().zip(input_translation) {
+            sets[id as usize * words + impl_pos / 64] |= 1u64 << (impl_pos % 64);
+        }
+        for g in 0..sim.num_gates() {
+            let dst = sim.node(g).index() * words;
+            for &f in sim.fanins(g) {
+                for w in 0..words {
+                    sets[dst + w] |= sets[f as usize * words + w];
                 }
             }
         }
-        Ok(SupportTable { words, sets })
+        SupportTable { words, sets }
     }
 
     /// Whether the support of `a` is contained in the bitmap `within`.
     pub fn contained(&self, a: NetId, within: &[u64]) -> bool {
-        self.sets[a.index()]
-            .iter()
-            .zip(within)
-            .all(|(x, y)| x & !y == 0)
+        self.support(a).iter().zip(within).all(|(x, y)| x & !y == 0)
     }
 
     /// The support bitmap of `net`.
     pub fn support(&self, net: NetId) -> &[u64] {
-        &self.sets[net.index()]
-    }
-
-    /// Number of 64-bit words per bitmap.
-    pub fn words(&self) -> usize {
-        self.words
+        &self.sets[net.index() * self.words..(net.index() + 1) * self.words]
     }
 }
 
-/// Precomputed per-output context for candidate selection, shared across the
-/// rectification points of one output.
+/// Precomputed per-attempt context for candidate selection, shared across
+/// the rectification points of one output: both circuits simulated once
+/// over the attempt's samples.
 #[derive(Debug)]
 pub struct RewireNetContext {
-    /// Implementation net values on the sample set, one block per 64 samples.
-    pub impl_blocks: Vec<Vec<u64>>,
-    /// Specification net values on the (translated) sample set.
-    pub spec_blocks: Vec<Vec<u64>>,
-    /// Number of samples.
-    pub num_samples: usize,
+    /// Implementation net values on the samples.
+    pub impl_words: Simulated,
+    /// Specification net values on the (translated) samples.
+    pub spec_words: Simulated,
+    /// The revised output `f'` per 64-sample block.
+    pub fprime: Vec<u64>,
     /// Support table of the implementation.
     pub impl_supports: SupportTable,
     /// Support table of the specification (in implementation positions).
@@ -126,30 +105,34 @@ pub struct RewireNetContext {
 }
 
 impl RewireNetContext {
-    /// Builds the context for one output pair over `samples`
-    /// (implementation input order).
+    /// Builds the context for the output whose specification root is
+    /// `spec_root`, over `samples` (implementation input order). `base` is
+    /// the implementation compiled, `spec_sim` the specification.
     ///
     /// # Errors
     ///
     /// Propagates [`NetlistError`] from simulation.
     pub fn build(
-        implementation: &Circuit,
+        base: &Compiled,
         spec: &Circuit,
+        spec_sim: &Compiled,
         corr: &Correspondence,
         spec_root: NetId,
         samples: &[Vec<bool>],
     ) -> Result<Self, NetlistError> {
-        let impl_blocks = sim::simulate_patterns(implementation, samples)?;
+        let impl_words = base.simulate_all(samples)?;
         let spec_samples: Vec<Vec<bool>> =
             samples.iter().map(|s| corr.spec_assignment(s)).collect();
-        let spec_blocks = sim::simulate_patterns(spec, &spec_samples)?;
+        let spec_words = spec_sim.simulate_all(&spec_samples)?;
+        let fprime = spec_words
+            .blocks()
+            .iter()
+            .map(|words| words[spec_root.index()])
+            .collect();
 
-        let impl_translation: Vec<usize> = (0..implementation.num_inputs()).collect();
-        let impl_supports = SupportTable::build(
-            implementation,
-            &impl_translation,
-            implementation.num_inputs(),
-        )?;
+        let num_inputs = base.inputs().len();
+        let impl_translation: Vec<usize> = (0..num_inputs).collect();
+        let impl_supports = SupportTable::build(base, &impl_translation, num_inputs);
         // Spec input position -> implementation position.
         let mut spec_translation = vec![0usize; spec.num_inputs()];
         for (impl_pos, sp) in corr.spec_input_pos.iter().enumerate() {
@@ -157,8 +140,7 @@ impl RewireNetContext {
                 spec_translation[*sp] = impl_pos;
             }
         }
-        let spec_supports =
-            SupportTable::build(spec, &spec_translation, implementation.num_inputs())?;
+        let spec_supports = SupportTable::build(spec_sim, &spec_translation, num_inputs);
         let fprime_support = spec_supports.support(spec_root).to_vec();
 
         let in_cone = topo::tfi(spec, &[spec_root.source()]);
@@ -178,9 +160,9 @@ impl RewireNetContext {
             .map(|&w| (w, topo::cone_size(spec, w)))
             .collect();
         Ok(RewireNetContext {
-            impl_blocks,
-            spec_blocks,
-            num_samples: samples.len(),
+            impl_words,
+            spec_words,
+            fprime,
             impl_supports,
             spec_supports,
             fprime_support,
@@ -188,30 +170,19 @@ impl RewireNetContext {
             spec_cone_sizes,
         })
     }
+}
 
-    fn value_bits(&self, blocks: &[Vec<u64>], net: NetId) -> Vec<u64> {
-        blocks.iter().map(|b| b[net.index()]).collect()
-    }
-
-    /// Fraction of samples on which two packed value vectors differ.
-    fn diff_fraction(&self, a: &[u64], b: &[u64]) -> f64 {
-        let mut diff = 0u32;
-        let mut remaining = self.num_samples;
-        for (x, y) in a.iter().zip(b) {
-            let take = remaining.min(64);
-            let mask = if take == 64 {
-                !0u64
-            } else {
-                (1u64 << take) - 1
-            };
-            diff += ((x ^ y) & mask).count_ones();
-            remaining -= take;
-        }
-        if self.num_samples == 0 {
-            0.0
-        } else {
-            diff as f64 / self.num_samples as f64
-        }
+/// Fraction of the samples on which net `a` of `a_words` and net `b` of
+/// `b_words` differ.
+fn diff_fraction(a_words: &Simulated, a: NetId, b_words: &Simulated, b: NetId) -> f64 {
+    let blocks = a_words.blocks().iter().zip(b_words.blocks());
+    let diff: u32 = blocks
+        .enumerate()
+        .map(|(k, (x, y))| ((x[a.index()] ^ y[b.index()]) & a_words.mask(k)).count_ones())
+        .sum();
+    match a_words.num_assignments() {
+        0 => 0.0,
+        n => diff as f64 / n as f64,
     }
 }
 
@@ -227,7 +198,6 @@ impl RewireNetContext {
 /// # Errors
 ///
 /// Propagates [`NetlistError`] for invalid pins.
-#[allow(clippy::too_many_arguments)]
 pub fn candidates_for_pin(
     implementation: &Circuit,
     ctx: &RewireNetContext,
@@ -236,7 +206,8 @@ pub fn candidates_for_pin(
     timing: Option<&TimingReport>,
 ) -> Result<Vec<RewireCandidate>, NetlistError> {
     let driver = implementation.pin_net(pin)?;
-    let driver_bits = ctx.value_bits(&ctx.impl_blocks, driver);
+    let utility =
+        |words: &Simulated, net: NetId| diff_fraction(words, net, &ctx.impl_words, driver);
 
     // Nets that would create a cycle: the consumer's transitive fanout.
     let forbidden: Vec<bool> = match pin.node() {
@@ -253,8 +224,7 @@ pub fn candidates_for_pin(
         if !ctx.impl_supports.contained(net, &ctx.fprime_support) {
             continue;
         }
-        let bits = ctx.value_bits(&ctx.impl_blocks, net);
-        let utility = ctx.diff_fraction(&bits, &driver_bits);
+        let utility = utility(&ctx.impl_words, net);
         if utility == 0.0 {
             continue; // identical on the whole error domain: no help
         }
@@ -266,8 +236,7 @@ pub fn candidates_for_pin(
         });
     }
     for &net in &ctx.spec_cone {
-        let bits = ctx.value_bits(&ctx.spec_blocks, net);
-        let utility = ctx.diff_fraction(&bits, &driver_bits);
+        let utility = utility(&ctx.spec_words, net);
         if utility == 0.0 {
             continue;
         }
@@ -337,6 +306,17 @@ mod tests {
     use super::*;
     use eco_netlist::GateKind;
 
+    fn context(
+        c: &Circuit,
+        s: &Circuit,
+        corr: &Correspondence,
+        spec_root: NetId,
+        samples: &[Vec<bool>],
+    ) -> RewireNetContext {
+        let (base, spec) = (Compiled::new(c).unwrap(), Compiled::new(s).unwrap());
+        RewireNetContext::build(&base, s, &spec, corr, spec_root, samples).unwrap()
+    }
+
     /// impl: y = a & b; spec: y = a | b. Error domain: a != b.
     fn setup() -> (Circuit, Circuit, Correspondence, RewireNetContext, NetId) {
         let mut c = Circuit::new("impl");
@@ -351,7 +331,7 @@ mod tests {
         s.add_output("y", sg);
         let corr = Correspondence::build(&c, &s).unwrap();
         let samples = vec![vec![true, false], vec![false, true]];
-        let ctx = RewireNetContext::build(&c, &s, &corr, sg, &samples).unwrap();
+        let ctx = context(&c, &s, &corr, sg, &samples);
         (c, s, corr, ctx, g)
     }
 
@@ -399,7 +379,7 @@ mod tests {
         s.add_output("y", sg);
         let corr = Correspondence::build(&c, &s).unwrap();
         let samples = vec![vec![true, true], vec![true, false]];
-        let ctx = RewireNetContext::build(&c, &s, &corr, sg, &samples).unwrap();
+        let ctx = context(&c, &s, &corr, sg, &samples);
         let pin = Pin::gate(g.source(), 0);
         let cands = candidates_for_pin(&c, &ctx, pin, 16, None).unwrap();
         for cand in &cands {
@@ -436,7 +416,7 @@ mod tests {
             vec![false, true, true],
             vec![false, false, true],
         ];
-        let ctx = RewireNetContext::build(&c, &s, &corr, sg, &samples).unwrap();
+        let ctx = context(&c, &s, &corr, sg, &samples);
         let cands = candidates_for_pin(&c, &ctx, Pin::output(0), 16, None).unwrap();
         for cand in &cands {
             if !cand.from_spec {
@@ -455,7 +435,7 @@ mod tests {
         let g2 = c.add_gate(GateKind::Or, &[g1, d]).unwrap();
         c.add_output("y", g2);
         let tr: Vec<usize> = (0..3).collect();
-        let t = SupportTable::build(&c, &tr, 3).unwrap();
+        let t = SupportTable::build(&Compiled::new(&c).unwrap(), &tr, 3);
         assert!(t.contained(g1, t.support(g2)));
         assert!(!t.contained(g2, t.support(g1)));
         assert!(t.contained(a, t.support(g1)));

@@ -28,8 +28,8 @@ impl SamplingDomain {
     ///
     /// [`EcoError::EmptySamplingDomain`] when `samples` is empty — an empty
     /// domain quantifies over nothing and would make every rectification
-    /// vacuously feasible. (Earlier versions panicked here instead; by
-    /// construction a domain is never empty, so `len() > 0` always holds.)
+    /// vacuously feasible. A domain is therefore never empty: `len() > 0`
+    /// always holds.
     pub fn new(samples: Vec<Vec<bool>>, z_base: u32) -> Result<Self, EcoError> {
         if samples.is_empty() {
             return Err(EcoError::EmptySamplingDomain);
@@ -68,18 +68,6 @@ impl SamplingDomain {
     /// `k mod N`, keeping the padded code space consistent.
     pub fn sample_for_code(&self, k: usize) -> &[bool] {
         &self.samples[k % self.samples.len()]
-    }
-
-    /// The total `z` assignment selecting code `k`: a vector indexed by
-    /// BDD variable (false below `z_base`), suitable for
-    /// [`BddManager::eval`] of any function over this domain's `z` block.
-    pub fn code_assignment(&self, k: usize) -> Vec<bool> {
-        let bits = self.num_z_vars();
-        let mut assign = vec![false; (self.z_base + bits) as usize];
-        for b in 0..bits {
-            assign[(self.z_base + b) as usize] = (k >> (bits - 1 - b)) & 1 == 1;
-        }
-        assign
     }
 
     /// Builds the minterm `z^k` ("big-endian" bit order as in §4.1).

@@ -11,7 +11,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use eco_netlist::{sim, topo, Circuit, NetId, NetlistError, Pin};
+use eco_netlist::sim::{Compiled, Simulated};
+use eco_netlist::{topo, Circuit, NetId, NetlistError, Pin};
 use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
 use eco_sat::{tseitin, SolveResult, SolverStats};
 
@@ -58,26 +59,26 @@ pub enum Validation {
     Unknown,
 }
 
-/// The input assignments banked for one output's search, with every
-/// specification output simulated over them once, so screening a candidate
+/// The input assignments banked for one output's search, with the
+/// specification simulated over them once, so screening a candidate
 /// simulates only the rewired implementation.
 #[derive(Debug, Default)]
 pub struct SampleBank {
     /// The banked input assignments, in implementation input order.
     assignments: Vec<Vec<bool>>,
-    /// Specification output values per 64-assignment block:
-    /// `spec_outputs[block][spec output index]`.
-    spec_outputs: Vec<Vec<u64>>,
+    /// Specification net values over the bank.
+    spec: Simulated,
 }
 
 impl SampleBank {
-    /// Banks `assignments` and simulates the specification over them.
+    /// Banks `assignments` and simulates the compiled specification
+    /// `spec_sim` over them.
     ///
     /// # Errors
     ///
     /// Propagates [`EcoError`] from specification simulation.
     pub fn new(
-        spec: &Circuit,
+        spec_sim: &Compiled,
         corr: &Correspondence,
         assignments: Vec<Vec<bool>>,
     ) -> Result<Self, EcoError> {
@@ -85,32 +86,20 @@ impl SampleBank {
             .iter()
             .map(|s| corr.spec_assignment(s))
             .collect();
-        let spec_outputs = sim::simulate_patterns(spec, &spec_assignments)?
-            .into_iter()
-            .map(|words| {
-                spec.outputs()
-                    .iter()
-                    .map(|o| words[o.net().index()])
-                    .collect()
-            })
-            .collect();
-        Ok(SampleBank {
-            assignments,
-            spec_outputs,
-        })
+        let spec = spec_sim.simulate_all(&spec_assignments)?;
+        Ok(SampleBank { assignments, spec })
     }
 
     /// The first banked assignment on which implementation net `net`,
-    /// simulated over the bank into `blocks`, differs from specification
-    /// output `spec_index`.
-    fn first_mismatch(&self, blocks: &[Vec<u64>], net: NetId, spec_index: u32) -> Option<&[bool]> {
-        for (block, (words, spec)) in blocks.iter().zip(&self.spec_outputs).enumerate() {
-            let diff = words[net.index()] ^ spec[spec_index as usize];
+    /// simulated over the bank into `words`, differs from specification
+    /// net `spec_net`.
+    fn first_mismatch(&self, words: &Simulated, net: NetId, spec_net: NetId) -> Option<&[bool]> {
+        let blocks = words.blocks().iter().zip(self.spec.blocks());
+        for (b, (block, spec_block)) in blocks.enumerate() {
+            let diff = (block[net.index()] ^ spec_block[spec_net.index()]) & words.mask(b);
             if diff != 0 {
-                // Only the last block has bits past the bank's end; they
-                // simulate the all-zero padding pattern, not a banked one.
-                let k = block * 64 + diff.trailing_zeros() as usize;
-                return self.assignments.get(k).map(Vec::as_slice);
+                let k = b * 64 + diff.trailing_zeros() as usize;
+                return Some(&self.assignments[k]);
             }
         }
         None
@@ -223,14 +212,12 @@ pub fn validate_rewires<'s>(
     representative: &OutputPair,
     failing: &HashSet<u32>,
     bank: &SampleBank,
-    shared_clones: &HashMap<NetId, NetId>,
     budget: u64,
     governor: Option<&Budget>,
     proofs: &mut ProofCache<'s>,
 ) -> Result<(Validation, SolverStats), EcoError> {
     let mut scratch = implementation.clone();
-    let mut scratch_clones = shared_clones.clone();
-    match apply_rewires(&mut scratch, spec, rewires, &mut scratch_clones) {
+    match apply_rewires(&mut scratch, spec, rewires, &mut HashMap::new()) {
         Ok(_) => {}
         Err(NetlistError::WouldCycle { .. }) => {
             return Ok((Validation::Infeasible, SolverStats::default()))
@@ -238,11 +225,12 @@ pub fn validate_rewires<'s>(
         Err(e) => return Err(e.into()),
     }
 
-    let blocks = sim::simulate_patterns(&scratch, &bank.assignments)?;
+    let words = Compiled::new(&scratch)?.simulate_all(&bank.assignments)?;
     // Read output nets *after* apply: an output-pin rewire changes them.
     let mismatch = |pair: &OutputPair| {
         let net = scratch.outputs()[pair.impl_index as usize].net();
-        bank.first_mismatch(&blocks, net, pair.spec_index)
+        let spec_net = spec.outputs()[pair.spec_index as usize].net();
+        bank.first_mismatch(&words, net, spec_net)
     };
     if let Some(x) = mismatch(representative) {
         return Ok((Validation::Screened(x.to_vec()), SolverStats::default()));
@@ -384,7 +372,7 @@ mod tests {
         rewires: &[CandidateRewire],
         bank: Vec<Vec<bool>>,
     ) -> (Validation, SolverStats) {
-        let bank = SampleBank::new(s, corr, bank).unwrap();
+        let bank = SampleBank::new(&Compiled::new(s).unwrap(), corr, bank).unwrap();
         let failing: HashSet<u32> = [0].into_iter().collect();
         validate_rewires(
             c,
@@ -394,7 +382,6 @@ mod tests {
             &corr.outputs[0],
             &failing,
             &bank,
-            &HashMap::new(),
             100_000,
             None,
             &mut ProofCache::new(),

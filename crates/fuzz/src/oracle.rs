@@ -11,7 +11,8 @@
 use std::collections::HashMap;
 
 use eco_bdd::{Bdd, BddError, BddManager};
-use eco_netlist::{sim, topo, Circuit, GateKind, NetId};
+use eco_netlist::sim::Compiled;
+use eco_netlist::{topo, Circuit, GateKind, NetId};
 use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
 use eco_sat::tseitin::{encode_pairs, model_inputs};
 use eco_sat::{SolveResult, Solver};
@@ -172,45 +173,6 @@ impl Default for SimOracle {
     }
 }
 
-impl SimOracle {
-    fn compare_block(
-        implementation: &Circuit,
-        spec: &Circuit,
-        map: &PortMap,
-        impl_patterns: &[u64],
-        valid: u32,
-        verdicts: &mut [Option<Verdict>],
-    ) -> Result<(), FuzzError> {
-        let spec_patterns: Vec<u64> = map
-            .impl_pos_of_spec
-            .iter()
-            .map(|&p| impl_patterns[p])
-            .collect();
-        let iw = sim::simulate64(implementation, impl_patterns)?;
-        let sw = sim::simulate64(spec, &spec_patterns)?;
-        let mask = if valid == 64 {
-            !0u64
-        } else {
-            (1u64 << valid) - 1
-        };
-        for (k, pair) in map.pairs.iter().enumerate() {
-            if verdicts[k].is_some() {
-                continue;
-            }
-            let a = iw[implementation.outputs()[pair.impl_index].net().index()];
-            let b = sw[spec.outputs()[pair.spec_index].net().index()];
-            let diff = (a ^ b) & mask;
-            if diff != 0 {
-                let bit = diff.trailing_zeros() as usize;
-                let witness: Vec<bool> =
-                    impl_patterns.iter().map(|&w| (w >> bit) & 1 == 1).collect();
-                verdicts[k] = Some(Verdict::Different(witness));
-            }
-        }
-        Ok(())
-    }
-}
-
 impl Oracle for SimOracle {
     fn name(&self) -> &str {
         "sim"
@@ -224,6 +186,38 @@ impl Oracle for SimOracle {
     ) -> Result<Vec<Verdict>, FuzzError> {
         let n = implementation.num_inputs();
         let mut verdicts: Vec<Option<Verdict>> = vec![None; map.pairs.len()];
+        let (impl_sim, spec_sim) = (Compiled::new(implementation)?, Compiled::new(spec)?);
+        // Simulates one block whose low `valid` patterns count; returns
+        // whether every pair has a verdict.
+        let mut compare_block = |impl_patterns: &[u64], valid: u32| -> Result<bool, FuzzError> {
+            let spec_patterns: Vec<u64> = map
+                .impl_pos_of_spec
+                .iter()
+                .map(|&p| impl_patterns[p])
+                .collect();
+            let iw = impl_sim.simulate(impl_patterns)?;
+            let sw = spec_sim.simulate(&spec_patterns)?;
+            let mask = if valid == 64 {
+                !0u64
+            } else {
+                (1u64 << valid) - 1
+            };
+            for (k, pair) in map.pairs.iter().enumerate() {
+                if verdicts[k].is_some() {
+                    continue;
+                }
+                let a = iw[implementation.outputs()[pair.impl_index].net().index()];
+                let b = sw[spec.outputs()[pair.spec_index].net().index()];
+                let diff = (a ^ b) & mask;
+                if diff != 0 {
+                    let bit = diff.trailing_zeros() as usize;
+                    let witness: Vec<bool> =
+                        impl_patterns.iter().map(|&w| (w >> bit) & 1 == 1).collect();
+                    verdicts[k] = Some(Verdict::Different(witness));
+                }
+            }
+            Ok(verdicts.iter().all(Option::is_some))
+        };
         let exhaustive = (n as u32) <= self.exhaustive_limit;
         if exhaustive {
             let total: u64 = 1u64 << n;
@@ -241,8 +235,7 @@ impl Oracle for SimOracle {
                         w
                     })
                     .collect();
-                Self::compare_block(implementation, spec, map, &patterns, valid, &mut verdicts)?;
-                if verdicts.iter().all(|v| v.is_some()) {
+                if compare_block(&patterns, valid)? {
                     break;
                 }
                 base += 64;
@@ -251,8 +244,7 @@ impl Oracle for SimOracle {
             let mut rng = SmallRng::seed_from_u64(self.seed);
             for _ in 0..self.random_blocks {
                 let patterns: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-                Self::compare_block(implementation, spec, map, &patterns, 64, &mut verdicts)?;
-                if verdicts.iter().all(|v| v.is_some()) {
+                if compare_block(&patterns, 64)? {
                     break;
                 }
             }

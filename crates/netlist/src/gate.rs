@@ -122,32 +122,37 @@ impl GateKind {
         }
     }
 
-    /// Evaluates the gate over 64 parallel patterns packed in `u64` words.
+    /// Evaluates the gate over 64 parallel patterns packed in `u64` words,
+    /// one per fanin in pin order.
     ///
     /// Bit `i` of the result is the gate output for pattern `i`.
     ///
     /// # Panics
     ///
     /// Same conditions as [`GateKind::eval`].
-    pub fn eval64(self, inputs: &[u64]) -> u64 {
+    pub(crate) fn eval64(self, mut inputs: impl ExactSizeIterator<Item = u64>) -> u64 {
         debug_assert!(
             self.accepts_arity(inputs.len()),
             "gate {self} applied to {} fanins",
             inputs.len()
         );
+        let mut next = || inputs.next().expect("arity checked");
         match self {
             GateKind::Input => panic!("primary input has no gate function"),
             GateKind::Const0 => 0,
             GateKind::Const1 => !0,
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().fold(!0, |acc, &w| acc & w),
-            GateKind::Or => inputs.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Nand => !inputs.iter().fold(!0, |acc, &w| acc & w),
-            GateKind::Nor => !inputs.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Xor => inputs.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Xnor => !inputs.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Mux => (inputs[0] & inputs[2]) | (!inputs[0] & inputs[1]),
+            GateKind::Buf => next(),
+            GateKind::Not => !next(),
+            GateKind::And => inputs.fold(!0, |acc, w| acc & w),
+            GateKind::Or => inputs.fold(0, |acc, w| acc | w),
+            GateKind::Nand => !inputs.fold(!0, |acc, w| acc & w),
+            GateKind::Nor => !inputs.fold(0, |acc, w| acc | w),
+            GateKind::Xor => inputs.fold(0, |acc, w| acc ^ w),
+            GateKind::Xnor => !inputs.fold(0, |acc, w| acc ^ w),
+            GateKind::Mux => {
+                let (sel, d0, d1) = (next(), next(), next());
+                (sel & d1) | (!sel & d0)
+            }
         }
     }
 }
@@ -237,7 +242,7 @@ mod tests {
         let w0 = 0b1010u64;
         let w1 = 0b1100u64;
         for kind in kinds {
-            let packed = kind.eval64(&[w0, w1]);
+            let packed = kind.eval64([w0, w1].into_iter());
             for i in 0..4 {
                 let a = (w0 >> i) & 1 == 1;
                 let b = (w1 >> i) & 1 == 1;
@@ -247,7 +252,7 @@ mod tests {
         let sel = 0b1100u64;
         let d0 = 0b1010u64;
         let d1 = 0b0110u64;
-        let packed = GateKind::Mux.eval64(&[sel, d0, d1]);
+        let packed = GateKind::Mux.eval64([sel, d0, d1].into_iter());
         for i in 0..4 {
             let bits = [(sel >> i) & 1 == 1, (d0 >> i) & 1 == 1, (d1 >> i) & 1 == 1];
             assert_eq!((packed >> i) & 1 == 1, GateKind::Mux.eval(&bits));

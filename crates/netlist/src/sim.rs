@@ -4,15 +4,205 @@
 //! pattern values into a `u64` word. This is the workhorse behind error-
 //! domain sampling and the rectification-utility heuristic (paper §4.3),
 //! where many candidate nets must be compared over a set of error minterms.
+//!
+//! [`Compiled`] is the one word-level evaluator: a circuit's topological
+//! order flattened once into arrays, then simulated over any number of
+//! 64-pattern blocks.
 
 use crate::topo::topo_order;
-use crate::{Circuit, GateKind, NetlistError};
+use crate::{Circuit, GateKind, NetlistError, NodeId};
 
-/// Simulates `circuit` over up to 64 parallel patterns.
+/// A circuit's topological order compiled into flat arrays, for repeated
+/// bit-parallel simulation.
 ///
-/// `patterns[i]` packs the values of primary input `i` (in declaration
-/// order): bit `j` is the value of input `i` under pattern `j`. The result is
-/// indexed by net and packed the same way.
+/// The tape lists every live non-input node (gates and constants) in
+/// topological order; gate `g` on the tape writes net `node(g)` from the
+/// nets in [`fanins(g)`](Compiled::fanins). Simulation keeps one `u64` per
+/// net per 64-pattern block, indexed by net like [`Circuit`]'s own ids.
+/// Dead nodes are not on the tape and simulate to 0.
+///
+/// The compiled form is a snapshot: a later mutation of the circuit is not
+/// seen.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    num_nodes: usize,
+    /// Node of each primary input, in declaration order.
+    inputs: Vec<u32>,
+    /// Node written by each tape gate.
+    nodes: Vec<u32>,
+    kinds: Vec<GateKind>,
+    /// Tape gate `g` reads `fanins[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    fanins: Vec<u32>,
+}
+
+impl Compiled {
+    /// Compiles `circuit`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::Cyclic`] for cyclic circuits.
+    pub fn new(circuit: &Circuit) -> Result<Self, NetlistError> {
+        let mut compiled = Compiled {
+            num_nodes: circuit.num_nodes(),
+            inputs: circuit
+                .inputs()
+                .iter()
+                .map(|id| id.index() as u32)
+                .collect(),
+            nodes: Vec::new(),
+            kinds: Vec::new(),
+            starts: vec![0],
+            fanins: Vec::new(),
+        };
+        for id in topo_order(circuit)? {
+            let node = circuit.node(id);
+            if node.kind() == GateKind::Input {
+                continue;
+            }
+            compiled.nodes.push(id.index() as u32);
+            compiled.kinds.push(node.kind());
+            compiled
+                .fanins
+                .extend(node.fanins().iter().map(|f| f.index() as u32));
+            compiled.starts.push(compiled.fanins.len() as u32);
+        }
+        Ok(compiled)
+    }
+
+    /// Number of nodes (live or dead) of the compiled circuit: the length
+    /// of a simulated word vector.
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// Node index of each primary input, in declaration order.
+    pub fn inputs(&self) -> &[u32] {
+        &self.inputs
+    }
+
+    /// Number of gates on the tape.
+    pub fn num_gates(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The node tape gate `g` writes.
+    pub fn node(&self, g: usize) -> NodeId {
+        NodeId::from_index(self.nodes[g] as usize)
+    }
+
+    /// The net indices tape gate `g` reads, in pin order.
+    pub fn fanins(&self, g: usize) -> &[u32] {
+        &self.fanins[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Evaluates tape gate `g` over 64 patterns, reading the word of its
+    /// fanin at pin position `pos` on net index `net` as `word(pos, net)`.
+    #[inline]
+    pub fn eval(&self, g: usize, mut word: impl FnMut(usize, usize) -> u64) -> u64 {
+        self.kinds[g].eval64(
+            self.fanins(g)
+                .iter()
+                .enumerate()
+                .map(|(pos, &net)| word(pos, net as usize)),
+        )
+    }
+
+    /// Simulates one 64-pattern block.
+    ///
+    /// `patterns[i]` packs the values of primary input `i` (in declaration
+    /// order): bit `j` is the value of input `i` under pattern `j`. The
+    /// result is indexed by net and packed the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::InputCountMismatch`] when `patterns` does not match
+    /// the number of primary inputs.
+    pub fn simulate(&self, patterns: &[u64]) -> Result<Vec<u64>, NetlistError> {
+        if patterns.len() != self.inputs.len() {
+            return Err(NetlistError::InputCountMismatch {
+                expected: self.inputs.len(),
+                got: patterns.len(),
+            });
+        }
+        let mut words = vec![0u64; self.num_nodes];
+        for (&id, &p) in self.inputs.iter().zip(patterns) {
+            words[id as usize] = p;
+        }
+        for g in 0..self.nodes.len() {
+            let w = self.eval(g, |_, net| words[net]);
+            words[self.nodes[g] as usize] = w;
+        }
+        Ok(words)
+    }
+
+    /// Simulates an arbitrary number of patterns, given as explicit
+    /// assignments: `assignments[k]` is the primary-input vector of
+    /// pattern `k`, which lands in block `k / 64`, bit `k % 64`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::InputCountMismatch`] unless every assignment has
+    /// exactly one value per primary input.
+    pub fn simulate_all(&self, assignments: &[Vec<bool>]) -> Result<Simulated, NetlistError> {
+        let n = self.inputs.len();
+        let mut blocks = Vec::with_capacity(assignments.len().div_ceil(64));
+        for chunk in assignments.chunks(64) {
+            let mut patterns = vec![0u64; n];
+            for (j, a) in chunk.iter().enumerate() {
+                if a.len() != n {
+                    return Err(NetlistError::InputCountMismatch {
+                        expected: n,
+                        got: a.len(),
+                    });
+                }
+                for (p, &v) in patterns.iter_mut().zip(a) {
+                    *p |= u64::from(v) << j;
+                }
+            }
+            blocks.push(self.simulate(&patterns)?);
+        }
+        Ok(Simulated {
+            blocks,
+            len: assignments.len(),
+        })
+    }
+}
+
+/// A circuit's net values over a list of assignments, from
+/// [`Compiled::simulate_all`].
+#[derive(Debug, Clone, Default)]
+pub struct Simulated {
+    blocks: Vec<Vec<u64>>,
+    len: usize,
+}
+
+impl Simulated {
+    /// The simulated blocks: `blocks()[b][net]` packs the values of `net`
+    /// under assignments `64 b .. 64 b + 64`, bit `k % 64` for assignment
+    /// `k`.
+    pub fn blocks(&self) -> &[Vec<u64>] {
+        &self.blocks
+    }
+
+    /// Number of assignments.
+    pub fn num_assignments(&self) -> usize {
+        self.len
+    }
+
+    /// The bits of block `b` that hold an assignment. Only the last block
+    /// can have others; they simulate the all-zero padding pattern.
+    pub fn mask(&self, b: usize) -> u64 {
+        match self.len - 64 * b {
+            left if left >= 64 => !0,
+            left => (1u64 << left) - 1,
+        }
+    }
+}
+
+/// Simulates `circuit` over up to 64 parallel patterns, packed as for
+/// [`Compiled::simulate`]; compile once with [`Compiled::new`] to simulate
+/// several blocks.
 ///
 /// # Errors
 ///
@@ -37,65 +227,7 @@ use crate::{Circuit, GateKind, NetlistError};
 /// # }
 /// ```
 pub fn simulate64(circuit: &Circuit, patterns: &[u64]) -> Result<Vec<u64>, NetlistError> {
-    if patterns.len() != circuit.num_inputs() {
-        return Err(NetlistError::InputCountMismatch {
-            expected: circuit.num_inputs(),
-            got: patterns.len(),
-        });
-    }
-    let order = topo_order(circuit)?;
-    let mut words = vec![0u64; circuit.num_nodes()];
-    for (pos, &id) in circuit.inputs().iter().enumerate() {
-        words[id.index()] = patterns[pos];
-    }
-    let mut buf: Vec<u64> = Vec::with_capacity(4);
-    for id in order {
-        let node = circuit.node(id);
-        if node.kind() == GateKind::Input {
-            continue;
-        }
-        buf.clear();
-        buf.extend(node.fanins().iter().map(|f| words[f.index()]));
-        words[id.index()] = node.kind().eval64(&buf);
-    }
-    Ok(words)
-}
-
-/// Simulates an arbitrary number of patterns, given as explicit assignments.
-///
-/// `assignments[j]` is the primary-input vector of pattern `j`. Returns one
-/// word vector per 64-pattern block, as produced by [`simulate64`]; pattern
-/// `j` lives in block `j / 64`, bit `j % 64`.
-///
-/// # Errors
-///
-/// Propagates [`simulate64`] errors; every assignment must have exactly
-/// `circuit.num_inputs()` values or [`NetlistError::InputCountMismatch`] is
-/// returned.
-pub fn simulate_patterns(
-    circuit: &Circuit,
-    assignments: &[Vec<bool>],
-) -> Result<Vec<Vec<u64>>, NetlistError> {
-    let n = circuit.num_inputs();
-    let mut blocks = Vec::new();
-    for chunk in assignments.chunks(64) {
-        let mut patterns = vec![0u64; n];
-        for (j, a) in chunk.iter().enumerate() {
-            if a.len() != n {
-                return Err(NetlistError::InputCountMismatch {
-                    expected: n,
-                    got: a.len(),
-                });
-            }
-            for (i, &v) in a.iter().enumerate() {
-                if v {
-                    patterns[i] |= 1u64 << j;
-                }
-            }
-        }
-        blocks.push(simulate64(circuit, &patterns)?);
-    }
-    Ok(blocks)
+    Compiled::new(circuit)?.simulate(patterns)
 }
 
 /// Extracts the boolean value of `bit` within pattern-block `words` for the
@@ -150,12 +282,16 @@ mod tests {
         let assignments: Vec<Vec<bool>> = (0..100)
             .map(|j| vec![j % 2 == 0, j % 3 == 0, j % 5 == 0])
             .collect();
-        let blocks = simulate_patterns(&c, &assignments).unwrap();
-        assert_eq!(blocks.len(), 2);
+        let sim = Compiled::new(&c)
+            .unwrap()
+            .simulate_all(&assignments)
+            .unwrap();
+        assert_eq!(sim.blocks().len(), 2);
+        assert_eq!((sim.mask(0), sim.mask(1)), (!0, (1 << 36) - 1));
         let ynet = c.outputs()[0].net();
         for (j, a) in assignments.iter().enumerate() {
             let scalar = c.eval(a).unwrap()[0];
-            let got = word_bit(&blocks[j / 64], ynet.index(), j % 64);
+            let got = word_bit(&sim.blocks()[j / 64], ynet.index(), j % 64);
             assert_eq!(got, scalar, "pattern {j}");
         }
     }
@@ -163,7 +299,9 @@ mod tests {
     #[test]
     fn input_count_checked() {
         let c = sample();
+        let compiled = Compiled::new(&c).unwrap();
         assert!(simulate64(&c, &[0, 0]).is_err());
-        assert!(simulate_patterns(&c, &[vec![true, false]]).is_err());
+        assert!(compiled.simulate(&[0, 0]).is_err());
+        assert!(compiled.simulate_all(&[vec![true, false]]).is_err());
     }
 }

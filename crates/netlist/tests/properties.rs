@@ -113,6 +113,63 @@ proptest! {
         }
     }
 
+    /// `Compiled` must walk topological order, not node indices: rewires
+    /// to later-created nets, cones cloned from a second circuit and a
+    /// sweep leave fanins above their consumers and dead nodes between
+    /// them, as the validation screen's rewired scratch copies do.
+    #[test]
+    fn compiled_matches_eval_after_rewires_clones_and_sweep(
+        recipe in circuit_strategy(30),
+        donor in circuit_strategy(20),
+        rewires in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..8),
+    ) {
+        let mut c = build(&recipe);
+        let donor = build(&CircuitRecipe {
+            num_inputs: donor.num_inputs.min(recipe.num_inputs),
+            ..donor
+        });
+        let roots: Vec<NetId> = donor.outputs().iter().map(|p| p.net()).collect();
+        let map = c.clone_cone(&donor, &roots, &HashMap::new()).unwrap();
+        for (i, root) in roots.iter().enumerate() {
+            c.add_output(format!("d{i}"), map[root]);
+        }
+        for (gate_sel, net_sel) in rewires {
+            let gates: Vec<_> = c
+                .iter_live()
+                .filter(|&id| !c.node(id).fanins().is_empty())
+                .collect();
+            let g = gates[gate_sel as usize % gates.len()];
+            let later = c.num_nodes() - g.index() - 1;
+            if later == 0 {
+                continue;
+            }
+            let pos = (gate_sel >> 16) as usize % c.node(g).fanins().len();
+            let net = NetId::from_index(g.index() + 1 + net_sel as usize % later);
+            // A rewire that would close a cycle is refused and changes nothing.
+            let _ = c.rewire(Pin::gate(g, pos as u8), net);
+        }
+        c.sweep();
+        prop_assert!(c.check_well_formed().is_ok());
+
+        let all = all_assignments(c.num_inputs());
+        let assigns: Vec<Vec<bool>> = (0..100).map(|k| all[k % all.len()].clone()).collect();
+        let compiled = sim::Compiled::new(&c).unwrap();
+        let words = compiled.simulate_all(&assigns).unwrap();
+        let mut first = vec![0u64; c.num_inputs()];
+        for (j, a) in assigns.iter().take(64).enumerate() {
+            for (p, &v) in first.iter_mut().zip(a) {
+                *p |= u64::from(v) << j;
+            }
+        }
+        prop_assert_eq!(&sim::simulate64(&c, &first).unwrap(), &words.blocks()[0]);
+        for (k, a) in assigns.iter().enumerate() {
+            let scalar = c.eval_nets(a).unwrap();
+            for (net, &value) in scalar.iter().enumerate() {
+                prop_assert_eq!(sim::word_bit(&words.blocks()[k / 64], net, k % 64), value);
+            }
+        }
+    }
+
     #[test]
     fn strash_preserves_function(recipe in circuit_strategy(40)) {
         let mut c = build(&recipe);

@@ -36,7 +36,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use eco_netlist::{sim, topo, Circuit, GateKind, NetId, NetlistError};
+use eco_netlist::sim::Compiled;
+use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -264,6 +265,7 @@ impl<'s> ProofCache<'s> {
         let mut rng = SmallRng::seed_from_u64(options.seed);
         let mut left_patterns = Vec::with_capacity(blocks);
         let mut right_words = Vec::with_capacity(blocks);
+        let right_sim = Compiled::new(right)?;
         // Shared random simulation, inputs matched by label.
         for _ in 0..blocks {
             let mut by_label: HashMap<&str, u64> = HashMap::new();
@@ -281,7 +283,7 @@ impl<'s> ProofCache<'s> {
                     .collect()
             };
             left_patterns.push(patterns(left));
-            right_words.push(sim::simulate64(right, &patterns(right))?);
+            right_words.push(right_sim.simulate(&patterns(right))?);
         }
 
         // Candidate pairs in topological (level) order of the right side, so
@@ -356,10 +358,11 @@ pub fn assist_equivalences<'s>(
     let left_ids = cache.intern(left)?;
 
     // Index left nets by signature, each bucket shallowest first.
+    let left_sim = Compiled::new(left)?;
     let left_words = spec
         .left_patterns
         .iter()
-        .map(|p| sim::simulate64(left, p))
+        .map(|p| left_sim.simulate(p))
         .collect::<Result<Vec<_>, _>>()?;
     let left_levels = topo::levels(left)?;
     let mut by_sig: HashMap<Vec<u64>, Vec<NetId>> = HashMap::new();

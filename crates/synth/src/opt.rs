@@ -9,7 +9,8 @@
 
 use std::collections::HashMap;
 
-use eco_netlist::{sim, strash, topo, Circuit, GateKind, NetId, NetlistError, Pin};
+use eco_netlist::sim::Compiled;
+use eco_netlist::{strash, topo, Circuit, GateKind, NetId, NetlistError, Pin};
 use eco_sat::{tseitin, SolveResult, Solver};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -456,9 +457,10 @@ pub fn sat_sweep(circuit: &mut Circuit, budget: u64, seed: u64) -> Result<usize,
 
     // Signatures from three random pattern blocks.
     let mut signatures: HashMap<NetId, [u64; 3]> = HashMap::new();
+    let compiled = Compiled::new(circuit)?;
     for block in 0..3 {
         let patterns: Vec<u64> = (0..circuit.num_inputs()).map(|_| rng.gen()).collect();
-        let words = sim::simulate64(circuit, &patterns)?;
+        let words = compiled.simulate(&patterns)?;
         for &id in &order {
             let net = NetId::from(id);
             signatures.entry(net).or_insert([0; 3])[block] = words[net.index()];

@@ -11,14 +11,14 @@
 //! cargo run --release -p syseco --example symbolic_sampling
 //! ```
 
-use eco_bdd::BddManager;
+use eco_netlist::sim::Compiled;
 use eco_netlist::{Circuit, GateKind, Pin};
 use eco_sat::cec::ProofCache;
 use syseco::correspond::Correspondence;
 use syseco::error_domain::collect_samples;
 use syseco::points::{candidate_pins, MinimalSets};
 use syseco::rewire_nets::{candidates_for_pin, RewireNetContext};
-use syseco::sampling::{eval_all_bdd, SamplingDomain};
+use syseco::sampling::SamplingDomain;
 use syseco::SamplePolicy;
 
 fn implementation() -> Circuit {
@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  x̂ = {s:?}");
     }
 
-    // Build the sampling domain and the functions g(z).
-    let mut m = BddManager::new();
+    // Build the sampling domain, then simulate both circuits over it once:
+    // the minimal point-sets and the candidate utilities read these values.
     const Z_BASE: u32 = 40;
     let domain = SamplingDomain::new(samples, Z_BASE)?;
     println!(
@@ -87,20 +87,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         domain.len(),
         domain.num_z_vars()
     );
-    let g = domain.input_functions(&mut m, impl_c.num_inputs())?;
-
-    // Spec value f'(g(z)) over the domain.
-    let mut g_spec = vec![m.zero(); spec.num_inputs()];
-    for (pos, sp) in corr.spec_input_pos.iter().enumerate() {
-        if let Some(sp) = sp {
-            g_spec[*sp] = g[pos];
-        }
-    }
-    let spec_vals = eval_all_bdd(&spec, &mut m, &g_spec)?;
-    let fprime = spec_vals[spec.outputs()[0].net().index()];
-    let fprime_bits: Vec<bool> = (0..domain.len())
-        .map(|k| m.eval(fprime, &domain.code_assignment(k)))
-        .collect();
+    let (impl_sim, spec_sim) = (Compiled::new(&impl_c)?, Compiled::new(&spec)?);
+    let spec_root = spec.outputs()[0].net();
+    let ctx = RewireNetContext::build(
+        &impl_sim,
+        &spec,
+        &spec_sim,
+        &corr,
+        spec_root,
+        domain.samples(),
+    )?;
 
     // §4.2 — H(t)'s prime cubes are its minimal feasible point-sets.
     let root = impl_c.outputs()[0].net();
@@ -109,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (j, p) in pins.iter().enumerate() {
         println!("  q_{j} = {p}");
     }
-    let mut minimal = MinimalSets::new(&impl_c, domain.samples(), &fprime_bits, root, 0, &pins);
+    let mut minimal = MinimalSets::new(&impl_c, &impl_sim, &ctx.impl_words, &ctx.fprime, 0, &pins);
     for m_points in 1..=2 {
         let sets = minimal.of_size(m_points, 8);
         println!(
@@ -123,8 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // §4.3 — candidate rewiring nets for the v0 gating pin.
-    let spec_root = spec.outputs()[0].net();
-    let ctx = RewireNetContext::build(&impl_c, &spec, &corr, spec_root, domain.samples())?;
     let gating_pin = pins
         .iter()
         .copied()

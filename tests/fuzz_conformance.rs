@@ -77,6 +77,7 @@ fn fuzz_reports_are_reproducible() {
 /// refuse (DESIGN.md §16's "sound, never complete" contract).
 #[test]
 fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
+    use eco_netlist::sim::Compiled;
     use eco_netlist::NetId;
     use eco_sat::cec::ProofCache;
     use std::collections::{HashMap, HashSet};
@@ -122,7 +123,8 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
             .collect();
         let pair = &corr.outputs[rng.below(corr.outputs.len())];
         let root = im.outputs()[pair.impl_index as usize].net();
-        let bank = SampleBank::new(sp, &corr, samples.clone()).expect("bank builds");
+        let spec_sim = Compiled::new(sp).expect("spec compiles");
+        let bank = SampleBank::new(&spec_sim, &corr, samples.clone()).expect("bank builds");
         let pins = candidate_pins(im, root, pair.impl_index, 16);
         if pins.is_empty() {
             continue;
@@ -131,7 +133,6 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
         // nothing, making `Valid` as permissive as possible — the hardest
         // setting for a soundness claim about the screen.
         let failing: HashSet<u32> = (0..im.outputs().len() as u32).collect();
-        let no_clones: HashMap<NetId, NetId> = HashMap::new();
         let validate = |rewires: &[CandidateRewire], bank: &SampleBank| {
             validate_rewires(
                 im,
@@ -141,7 +142,6 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
                 pair,
                 &failing,
                 bank,
-                &no_clones,
                 100_000,
                 None,
                 &mut ProofCache::new(),
@@ -230,7 +230,6 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
         let base = detect.freeze();
         let mut warm = base.overlay();
         let failing: HashSet<u32> = (0..im.outputs().len() as u32).collect();
-        let no_clones: HashMap<NetId, NetId> = HashMap::new();
         for k in 0..6usize {
             let pair = &corr.outputs[(seed as usize + k) % corr.outputs.len()];
             let root = im.outputs()[pair.impl_index as usize].net();
@@ -276,7 +275,6 @@ fn warm_and_cold_proof_caches_agree_across_two_hundred_scenarios() {
                     pair,
                     &failing,
                     &SampleBank::default(),
-                    &no_clones,
                     100_000,
                     None,
                     proofs,

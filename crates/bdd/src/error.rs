@@ -18,14 +18,6 @@ pub enum BddError {
         /// The offending variable index.
         var: u32,
     },
-    /// The manager's wall-clock deadline passed mid-computation.
-    DeadlineExceeded,
-    /// The manager's cooperative interrupt flag was set mid-computation.
-    Cancelled,
-    /// An event hook vetoed a garbage collection. Emitted only through
-    /// hooks installed with `set_event_hook`; the fault-injection harness
-    /// uses it to abort at deterministic points.
-    Aborted,
 }
 
 impl fmt::Display for BddError {
@@ -35,9 +27,6 @@ impl fmt::Display for BddError {
                 write!(f, "bdd node limit of {limit} nodes exceeded")
             }
             BddError::UnknownVar { var } => write!(f, "unknown bdd variable {var}"),
-            BddError::DeadlineExceeded => write!(f, "bdd deadline exceeded"),
-            BddError::Cancelled => write!(f, "bdd computation cancelled"),
-            BddError::Aborted => write!(f, "bdd event aborted by hook"),
         }
     }
 }
@@ -52,8 +41,6 @@ mod tests {
     fn display_nonempty() {
         assert!(!BddError::NodeLimit { limit: 10 }.to_string().is_empty());
         assert!(!BddError::UnknownVar { var: 3 }.to_string().is_empty());
-        assert!(!BddError::DeadlineExceeded.to_string().is_empty());
-        assert!(!BddError::Cancelled.to_string().is_empty());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Reduced ordered binary decision diagrams (ROBDDs) for syseco.
 //!
-//! The paper's symbolic computations — the feasible-point-set characteristic
-//! function `H(t)` (§4.2), the valid-rewiring characteristic `Ξ(c)` (§4.4),
-//! and the sampling-domain functions `g(z)` (§5.1) — are all carried out on
-//! BDDs. This crate provides a self-contained BDD package in the spirit of
+//! The paper carries its symbolic computations — the feasible-point-set
+//! characteristic function `H(t)` (§4.2), the valid-rewiring characteristic
+//! `Ξ(c)` (§4.4), and the sampling-domain functions `g(z)` (§5.1) — out on
+//! BDDs. syseco's search computes them by simulation over the samples; the
+//! BDD constructions remain as its test oracles and as the benchmark's BDD
+//! layer. This crate provides a self-contained BDD package in the spirit of
 //! the paper's in-house implementation:
 //!
 //! * a [`BddManager`] storing complement-tagged edges in a dense `u32`
@@ -13,19 +15,16 @@
 //!   variable cubes, memoized through sized generational operation
 //!   caches (direct-mapped, epoch-invalidated),
 //! * assignment counting ([`BddManager::sat_count`]) and satisfying-cube
-//!   enumeration ([`BddManager::sat_cubes`]) used to decode rewiring
-//!   choices,
+//!   enumeration ([`BddManager::sat_cubes`]),
 //! * mark-and-sweep garbage collection over an explicit root set
 //!   ([`BddManager::gc`], [`BddManager::maybe_gc`]) — surviving handles
 //!   keep their indices,
 //! * a configurable node limit so domain computations stay
-//!   resource-bounded ([`BddError::NodeLimit`]), plus deadlines, a
-//!   cooperative interrupt, and a pre-collection hook
-//!   ([`BddManager::set_event_hook`]) used by the fault-injection harness.
+//!   resource-bounded ([`BddError::NodeLimit`]).
 //!
 //! The variable order is fixed: a variable's index is its level, lower
 //! indices nearer the root. Callers number their variables in the order
-//! they want them in the diagram (syseco uses `c < y < z`).
+//! they want them in the diagram (the `Ξ(c)` oracle uses `c < y < z`).
 //!
 //! # Example
 //!
@@ -53,4 +52,4 @@ mod unique;
 
 pub use cubes::Cube;
 pub use error::BddError;
-pub use manager::{Bdd, BddCounters, BddManager, EventHook, OpCacheSizes};
+pub use manager::{Bdd, BddCounters, BddManager};

@@ -25,9 +25,6 @@
 //!   operands' nodes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use crate::arena::{Arena, TERMINAL_VAR};
 use crate::opcache::DirectCache;
@@ -53,13 +50,6 @@ const E_FALSE: u32 = 1;
 
 const OP_AND: u32 = 0;
 const OP_XOR: u32 = 1;
-
-/// Observer callback installed by [`BddManager::set_event_hook`]. It runs
-/// *before* every garbage collection; returning an error aborts the
-/// collection (and the operation that triggered it) without mutating the
-/// diagram. This is the deterministic seam used by the fault-injection
-/// harness.
-pub type EventHook = Box<dyn FnMut() -> Result<(), BddError> + Send>;
 
 /// Operation-cache hit/miss counters of a [`BddManager`].
 ///
@@ -122,24 +112,6 @@ impl std::ops::AddAssign for BddCounters {
     }
 }
 
-/// Entry counts of a [`BddManager`]'s operation caches at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCacheSizes {
-    /// Apply-cache (AND/XOR) entries.
-    pub apply: usize,
-    /// ITE-cache entries.
-    pub ite: usize,
-    /// Quantification-cache entries.
-    pub quant: usize,
-}
-
-impl OpCacheSizes {
-    /// Total entries across every operation cache.
-    pub fn total(&self) -> usize {
-        self.apply + self.ite + self.quant
-    }
-}
-
 /// An ROBDD manager: arena node store, open-addressed unique table,
 /// generational operation caches, optional garbage collection, and a node
 /// budget.
@@ -153,15 +125,11 @@ pub struct BddManager {
     quant_cache: DirectCache,
     num_vars: u32,
     node_limit: usize,
-    deadline: Option<Instant>,
-    interrupt: Option<Arc<AtomicBool>>,
-    op_tick: u64,
     counters: BddCounters,
     resizes_offset: u64,
     protected: HashMap<u32, u32>,
     gc_threshold: Option<usize>,
     gc_initial_threshold: usize,
-    hook: Option<EventHook>,
 }
 
 impl std::fmt::Debug for BddManager {
@@ -206,15 +174,11 @@ impl BddManager {
             quant_cache: DirectCache::new(1 << 10, 1 << 21),
             num_vars: 0,
             node_limit,
-            deadline: None,
-            interrupt: None,
-            op_tick: 0,
             counters: BddCounters::default(),
             resizes_offset: 0,
             protected: HashMap::new(),
             gc_threshold: None,
             gc_initial_threshold: 0,
-            hook: None,
         }
     }
 
@@ -285,52 +249,12 @@ impl BddManager {
         idx << 1
     }
 
-    /// Sets an absolute wall-clock deadline; `None` removes it. Operations
-    /// poll it periodically and fail with [`BddError::DeadlineExceeded`]
-    /// once it has passed.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Installs a cooperative interrupt flag; `None` removes it. Setting
-    /// the flag makes in-flight operations fail with
-    /// [`BddError::Cancelled`] at their next periodic check.
-    pub fn set_interrupt(&mut self, interrupt: Option<Arc<AtomicBool>>) {
-        self.interrupt = interrupt;
-    }
-
-    /// Installs an observer of garbage collections; `None` removes it. The
-    /// hook runs *before* each collection; an error return aborts the
-    /// collection and propagates to the caller. Used by the
-    /// fault-injection harness.
-    pub fn set_event_hook(&mut self, hook: Option<EventHook>) {
-        self.hook = hook;
-    }
-
     #[inline]
-    fn check_budget(&mut self) -> Result<(), BddError> {
+    fn check_budget(&self) -> Result<(), BddError> {
         if self.arena.live() > self.node_limit {
             return Err(BddError::NodeLimit {
                 limit: self.node_limit,
             });
-        }
-        // Deadline/interrupt polls amortized over ~1024 cache-missing
-        // recursion steps; skipped entirely when neither is installed.
-        if self.deadline.is_some() || self.interrupt.is_some() {
-            self.op_tick = self.op_tick.wrapping_add(1);
-            // `== 1` so the very first governed operation already polls.
-            if self.op_tick & 0x3FF == 1 {
-                if let Some(d) = self.deadline {
-                    if Instant::now() >= d {
-                        return Err(BddError::DeadlineExceeded);
-                    }
-                }
-                if let Some(flag) = &self.interrupt {
-                    if flag.load(Ordering::Relaxed) {
-                        return Err(BddError::Cancelled);
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -775,37 +699,7 @@ impl BddManager {
     /// [`protect`](BddManager::protect)ed set. Operation caches are
     /// invalidated; surviving nodes keep their indices, so every handle
     /// rooted in the live set stays valid.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the installed [event hook](BddManager::set_event_hook)
-    /// returns; the diagram is untouched in that case.
-    pub fn gc(&mut self, roots: &[Bdd]) -> Result<usize, BddError> {
-        if let Some(hook) = self.hook.as_mut() {
-            hook()?;
-        }
-        Ok(self.collect(roots))
-    }
-
-    /// Collects when garbage collection is enabled and the live node count
-    /// exceeds the adaptive threshold; returns whether it ran.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the installed [event hook](BddManager::set_event_hook)
-    /// returns.
-    pub fn maybe_gc(&mut self, roots: &[Bdd]) -> Result<bool, BddError> {
-        match self.gc_threshold {
-            Some(t) if self.arena.live() > t => {
-                self.gc(roots)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Mark-and-sweep from `roots` and the protected set.
-    fn collect(&mut self, roots: &[Bdd]) -> usize {
+    pub fn gc(&mut self, roots: &[Bdd]) -> usize {
         let mut marked = vec![false; self.arena.capacity()];
         marked[0] = true;
         let mut stack: Vec<u32> = roots.iter().map(|f| f.0 >> 1).collect();
@@ -840,6 +734,18 @@ impl BddManager {
         freed
     }
 
+    /// Collects when garbage collection is enabled and the live node count
+    /// exceeds the adaptive threshold; returns whether it ran.
+    pub fn maybe_gc(&mut self, roots: &[Bdd]) -> bool {
+        match self.gc_threshold {
+            Some(t) if self.arena.live() > t => {
+                self.gc(roots);
+                true
+            }
+            _ => false,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Instrumentation
     // ------------------------------------------------------------------
@@ -869,15 +775,6 @@ impl BddManager {
     #[inline]
     pub fn unique_table_len(&self) -> usize {
         self.unique.len()
-    }
-
-    /// Current entry counts of each operation cache.
-    pub fn op_cache_sizes(&self) -> OpCacheSizes {
-        OpCacheSizes {
-            apply: self.apply_cache.len(),
-            ite: self.ite_cache.len(),
-            quant: self.quant_cache.len(),
-        }
     }
 
     /// Live node count per level: index `v` holds the number of live nodes
@@ -967,9 +864,8 @@ impl BddManager {
     }
 }
 
-// The rectification scheduler moves a manager into each worker thread, so
-// `Send` is load-bearing: keep the store free of `Rc`/raw-pointer state
-// (the event hook is constrained to `Send` closures).
+// Managers are built on worker threads (the fuzz oracles, the benchmark),
+// so keep the store `Send`: free of `Rc`/raw-pointer state.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -1046,21 +942,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_clears_count_evictions_and_sizes_report() {
+    fn cache_clears_count_evictions() {
         let mut m = mgr();
         let a = m.var(0);
         let b = m.var(1);
         let _ = m.xor(a, b).unwrap();
-        let sizes = m.op_cache_sizes();
-        assert!(sizes.apply > 0, "xor populates the apply cache");
-        assert_eq!(sizes.total(), sizes.apply + sizes.ite + sizes.quant);
-        let expected = sizes.total() as u64;
         m.clear_caches();
-        assert_eq!(m.counters().evictions, expected);
-        assert_eq!(m.op_cache_sizes().total(), 0);
+        let evicted = m.counters().evictions;
+        assert!(evicted > 0, "xor populates the apply cache");
         // A clear of empty caches evicts nothing further.
         m.clear_caches();
-        assert_eq!(m.counters().evictions, expected);
+        assert_eq!(m.counters().evictions, evicted);
     }
 
     #[test]
@@ -1279,59 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_fails_operations() {
-        let mut m = mgr();
-        m.set_deadline(Some(Instant::now()));
-        let mut r = Ok(m.zero());
-        for i in 0..64 {
-            let v = m.var(i);
-            let f = r.unwrap_or(m.zero());
-            r = m.xor(f, v);
-            if r.is_err() {
-                break;
-            }
-        }
-        assert_eq!(r, Err(BddError::DeadlineExceeded));
-        // Clearing the deadline restores normal operation.
-        m.set_deadline(None);
-        let a = m.var(0);
-        let b = m.var(1);
-        assert!(m.and(a, b).is_ok());
-    }
-
-    #[test]
-    fn interrupt_flag_fails_operations() {
-        let mut m = mgr();
-        let flag = Arc::new(AtomicBool::new(true));
-        m.set_interrupt(Some(Arc::clone(&flag)));
-        let mut r = Ok(m.zero());
-        for i in 0..64 {
-            let v = m.var(i);
-            let f = r.unwrap_or(m.zero());
-            r = m.xor(f, v);
-            if r.is_err() {
-                break;
-            }
-        }
-        assert_eq!(r, Err(BddError::Cancelled));
-        flag.store(false, Ordering::Relaxed);
-        let a = m.var(0);
-        let b = m.var(1);
-        assert!(m.and(a, b).is_ok());
-    }
-
-    #[test]
-    fn generous_deadline_does_not_interfere() {
-        let mut m = mgr();
-        m.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
-        m.set_interrupt(Some(Arc::new(AtomicBool::new(false))));
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.xor(a, b).unwrap();
-        assert_eq!(m.sat_count(f, 2), 2.0);
-    }
-
-    #[test]
     fn implies_check_decides() {
         let mut m = mgr();
         let a = m.var(0);
@@ -1434,7 +1273,7 @@ mod tests {
         // Roots must name every handle we keep using: `keep`'s DAG does
         // not contain the single-variable node `a` (complement sharing),
         // so it must be listed explicitly.
-        let freed = m.gc(&[keep, a, b]).unwrap();
+        let freed = m.gc(&[keep, a, b]);
         assert!(freed > 0);
         assert_eq!(m.num_nodes(), before - freed);
         assert_eq!(m.unique_table_len(), m.num_nodes() - 1);
@@ -1455,10 +1294,10 @@ mod tests {
         let b = m.var(1);
         let f = m.and(a, b).unwrap();
         m.protect(f);
-        let freed_protected = m.gc(&[]).unwrap();
+        let freed_protected = m.gc(&[]);
         assert!(m.eval(f, &[true, true]));
         m.unprotect(f);
-        let freed_after = m.gc(&[]).unwrap();
+        let freed_after = m.gc(&[]);
         assert!(
             freed_after > 0,
             "unprotected function is collected (protected pass freed {freed_protected})"
@@ -1472,14 +1311,14 @@ mod tests {
         m.set_gc_threshold(Some(8));
         let a = m.var(0);
         let b = m.var(1);
-        assert!(!m.maybe_gc(&[a, b]).unwrap(), "below threshold: no gc");
+        assert!(!m.maybe_gc(&[a, b]), "below threshold: no gc");
         let mut junk = m.one();
         for i in 0..32 {
             let v = m.var(i);
             junk = m.xor(junk, v).unwrap();
         }
         let keep = m.and(a, b).unwrap();
-        assert!(m.maybe_gc(&[keep]).unwrap());
+        assert!(m.maybe_gc(&[keep]));
         assert!(m.counters().gc_runs >= 1);
         assert!(m.eval(keep, &[true, true]));
         // Disabled managers never collect.
@@ -1490,21 +1329,7 @@ mod tests {
             junk2 = m.xor(junk2, v).unwrap();
         }
         let n = m.num_nodes();
-        assert!(!m.maybe_gc(&[]).unwrap());
+        assert!(!m.maybe_gc(&[]));
         assert_eq!(m.num_nodes(), n);
-    }
-
-    #[test]
-    fn event_hook_can_abort_gc() {
-        let mut m = mgr();
-        let a = m.var(0);
-        let b = m.var(1);
-        let _f = m.and(a, b).unwrap();
-        let nodes = m.num_nodes();
-        m.set_event_hook(Some(Box::new(|| Err(BddError::Cancelled))));
-        assert_eq!(m.gc(&[]), Err(BddError::Cancelled));
-        assert_eq!(m.num_nodes(), nodes, "aborted gc must not mutate");
-        m.set_event_hook(None);
-        assert!(m.gc(&[]).is_ok());
     }
 }

@@ -55,12 +55,6 @@ impl DirectCache {
         }
     }
 
-    /// Entries stored under the current epoch.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.occupancy
-    }
-
     #[inline]
     pub fn lookup(&self, k0: u32, k1: u32, k2: u32) -> Option<u32> {
         let s = &self.slots[hash(k0, k1, k2) as usize & self.mask];
@@ -141,7 +135,7 @@ mod tests {
         let mut c = DirectCache::new(8, 64);
         assert_eq!(c.lookup(1, 2, 3), None);
         assert_eq!(c.insert(1, 2, 3, 42), 0);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.occupancy, 1);
         assert_eq!(c.lookup(1, 2, 3), Some(42));
         assert_eq!(
             c.insert(1, 2, 3, 43),
@@ -150,7 +144,7 @@ mod tests {
         );
         assert_eq!(c.lookup(1, 2, 3), Some(43));
         assert_eq!(c.clear(), 1);
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.occupancy, 0);
         assert_eq!(c.lookup(1, 2, 3), None);
     }
 
@@ -179,6 +173,6 @@ mod tests {
             evicted += c.insert(i, 0, 0, i);
         }
         assert!(evicted > 0, "a full direct-mapped cache must evict");
-        assert!(c.len() <= 4);
+        assert!(c.occupancy <= 4);
     }
 }

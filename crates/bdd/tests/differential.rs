@@ -132,7 +132,7 @@ impl Expr {
             }
         };
         m.protect(r);
-        m.maybe_gc(&[]).unwrap();
+        m.maybe_gc(&[]);
         m.unprotect(r);
         r
     }
@@ -282,7 +282,7 @@ proptest! {
         let f = e.build_under_pressure(&mut m);
         let truth = e.truth();
         check_eval_and_count(&m, f, &truth);
-        m.gc(&[f]).unwrap();
+        m.gc(&[f]);
         check_eval_and_count(&m, f, &truth);
         check_cubes(&m, f, &truth);
         prop_assert_eq!(m.unique_table_len(), m.num_nodes() - 1);
@@ -306,7 +306,7 @@ fn gc_pressure_fires_mid_build() {
         let v = m.var(i);
         f = m.xor(f, v).unwrap();
         m.protect(f);
-        m.maybe_gc(&[]).unwrap();
+        m.maybe_gc(&[]);
         m.unprotect(f);
     }
     let c = m.counters();

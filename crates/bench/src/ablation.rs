@@ -1,7 +1,7 @@
 //! Ablation studies backing the paper's design claims.
 //!
 //! * **A — sampling-domain size** (§5.1): sweeping `N` trades false
-//!   positives (refinements) against per-attempt BDD cost.
+//!   positives (refinements) against per-attempt simulation cost.
 //! * **B — error-domain vs random samples** (§5.1: "fewer false positives
 //!   when sampled assignments are from the error domain").
 //! * **C — level-driven rewiring choice** (§6, the basis of Table 3).

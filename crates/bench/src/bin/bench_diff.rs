@@ -10,9 +10,8 @@
 //! time-like keys regress upward, rate-like keys regress downward,
 //! counters only drift. The default tolerance is ±20%; `--tol` changes
 //! it globally and `--metric-tol key=0.05` pins one key.
-//! `--metric-dir key=lower|higher|info` overrides a key's direction —
-//! the way CI turns informational node counts (`direct_build.peak_nodes`)
-//! into lower-is-better gates.
+//! `--metric-dir key=lower|higher|info` overrides a key's direction, e.g.
+//! to turn an informational count into a lower-is-better gate.
 //!
 //! Exit codes: 0 no regressions, 1 at least one regression, 2 usage or
 //! parse error. `--self-test` seeds a >20% wall-clock regression into a

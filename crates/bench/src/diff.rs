@@ -1,7 +1,7 @@
 //! BENCH-file regression comparison (the `bench_diff` binary's engine).
 //!
 //! Compares two benchmark JSON documents (a committed baseline like
-//! `BENCH_bdd.json` and a freshly regenerated copy) metric by
+//! `BENCH_serve.json` and a freshly regenerated copy) metric by
 //! metric. Each numeric leaf is classified by its key into a comparison
 //! direction:
 //!
@@ -18,8 +18,8 @@
 //! ±20%): benchmark hosts jitter, and the CI perf gate built on this is a
 //! soft signal, not a merge blocker. Per-metric overrides tighten or
 //! loosen individual keys, and per-metric *direction* overrides promote
-//! informational counters (e.g. `direct_build.peak_nodes`) into
-//! lower-is-better gates so structural wins stay locked in.
+//! informational counters into lower-is-better gates so structural wins
+//! stay locked in.
 
 use std::fmt::Write as _;
 
@@ -84,8 +84,7 @@ impl Direction {
 /// Tolerances for [`compare`]: a default plus per-metric overrides.
 ///
 /// Direction overrides make otherwise-informational counters gate-worthy
-/// (`direct_build.peak_nodes=lower` turns node-count growth into a
-/// regression) or silence a directional key whose unit heuristic
+/// (`KEY=lower` turns the count's growth into a regression) or silence a directional key whose unit heuristic
 /// misclassifies it; they take precedence over [`direction`]'s key-based
 /// classification.
 #[derive(Debug, Clone)]

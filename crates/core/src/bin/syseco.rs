@@ -35,8 +35,7 @@
 //! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto) by
 //! default, span-per-line JSONL when `FILE` ends in `.jsonl`.
 //! `--metrics-out FILE` writes the folded metrics registry (SAT conflict
-//! counts, BDD cache hit rates, search/validate timing histograms) as
-//! JSON. `--report-out FILE` renders the deterministic markdown run
+//! counts, search counts, search/validate timing histograms) as JSON. `--report-out FILE` renders the deterministic markdown run
 //! report (DESIGN.md §14) directly from the run's spans and metrics.
 //! `--openmetrics-out FILE` writes the metrics registry in OpenMetrics
 //! text exposition format for scrape-style collection. All four are

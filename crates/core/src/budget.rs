@@ -6,7 +6,7 @@
 //! guarantees completeness whenever the search runs out of anything. This
 //! module carries those constraints as one value — a [`Budget`] combining a
 //! wall-clock deadline with a cooperative [`CancelToken`] — threaded through
-//! the engine, the per-output search, the SAT solver, and the BDD manager.
+//! the engine, the per-output search, and the SAT solver.
 //!
 //! Exhaustion never aborts a run. The engine degrades along the paper's
 //! completeness ladder (best-validated option so far, else the always
@@ -14,8 +14,8 @@
 //! [`Degradation`] in the run statistics.
 //!
 //! Under `cfg(test)` or the `fault-injection` feature, a
-//! [`FaultPlan`](crate::fault) deterministically forces BDD node-limit
-//! hits, SAT budget exhaustion, synthetic panics, span-boundary
+//! [`FaultPlan`](crate::fault) deterministically forces SAT budget
+//! exhaustion, synthetic panics, span-boundary
 //! cancellations/aborts, and cache/checkpoint I/O faults at chosen call
 //! counts so every degradation and recovery path is testable (see
 //! [`crate::fault`]).
@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eco_bdd::BddManager;
 use eco_cache::{RetryPolicy, Vfs};
 use eco_sat::Solver;
 
@@ -203,56 +202,9 @@ impl Budget {
         solver.set_interrupt(self.cancel.as_ref().map(CancelToken::shared_flag));
     }
 
-    /// Arms a BDD manager likewise; exhaustion surfaces as
-    /// [`eco_bdd::BddError::DeadlineExceeded`] / [`eco_bdd::BddError::Cancelled`].
-    ///
-    /// Under a fault plan arming `bdd-gc`, this also installs an event
-    /// hook that vetoes the Nth collection with
-    /// [`eco_bdd::BddError::Aborted`] — and forces a tiny GC threshold so
-    /// the faulted machinery is guaranteed to run.
-    pub fn arm_bdd(&self, manager: &mut BddManager) {
-        manager.set_deadline(self.deadline);
-        manager.set_interrupt(self.cancel.as_ref().map(CancelToken::shared_flag));
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(at) = self.plan.policy.bdd_gc_abort_from {
-            let gc_events = Arc::clone(&self.fault_state.bdd_gc_events);
-            let injected = Arc::clone(&self.fault_state.injected);
-            manager.set_event_hook(Some(Box::new(move || {
-                let n = gc_events.fetch_add(1, Ordering::Relaxed) + 1;
-                if n >= at {
-                    injected.fetch_add(1, Ordering::Relaxed);
-                    return Err(eco_bdd::BddError::Aborted);
-                }
-                Ok(())
-            })));
-            manager.set_gc_threshold(Some(64));
-        }
-    }
-
     // ------------------------------------------------------------------
     // Deterministic fault injection (no-ops unless enabled).
     // ------------------------------------------------------------------
-
-    /// Counts one per-output BDD domain attempt; `true` when the policy says
-    /// this attempt must hit the node limit.
-    #[inline]
-    pub(crate) fn inject_bdd_node_limit(&self) -> bool {
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            let n = self
-                .fault_state
-                .bdd_attempts
-                .fetch_add(1, Ordering::Relaxed)
-                + 1;
-            if matches!(self.plan.policy.bdd_node_limit_from, Some(at) if n >= at) {
-                self.fault_state.injected.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            return false;
-        }
-        #[allow(unreachable_code)]
-        false
-    }
 
     /// Counts one SAT validation; `true` when the policy says this
     /// validation must report budget exhaustion.
@@ -394,9 +346,6 @@ pub enum DegradeReason {
     DeadlineExceeded,
     /// The run was cancelled through its [`CancelToken`].
     Cancelled,
-    /// The sampling-domain BDD exceeded its node budget even at the
-    /// smallest candidate-pin cap.
-    BddNodeLimit,
     /// SAT validation exhausted its conflict budget without a verdict.
     SatBudgetExhausted,
     /// The search panicked; the payload is the panic message.
@@ -415,7 +364,6 @@ impl fmt::Display for DegradeReason {
         match self {
             DegradeReason::DeadlineExceeded => write!(f, "deadline exceeded"),
             DegradeReason::Cancelled => write!(f, "cancelled"),
-            DegradeReason::BddNodeLimit => write!(f, "bdd node limit"),
             DegradeReason::SatBudgetExhausted => write!(f, "sat budget exhausted"),
             DegradeReason::SearchPanicked(msg) => write!(f, "search panicked: {msg}"),
             DegradeReason::SearchError(msg) => write!(f, "search error: {msg}"),
@@ -514,15 +462,12 @@ mod tests {
     #[test]
     fn fault_policy_counts_from_thresholds() {
         let b = Budget::unlimited().with_faults(FaultPolicy {
-            bdd_node_limit_from: Some(2),
-            sat_exhaust_from: Some(1),
+            sat_exhaust_from: Some(2),
             panic_at: None,
-            ..FaultPolicy::default()
         });
-        assert!(!b.inject_bdd_node_limit()); // attempt 1
-        assert!(b.inject_bdd_node_limit()); // attempt 2
-        assert!(b.inject_bdd_node_limit()); // attempt 3 (>= threshold)
-        assert!(b.inject_sat_exhaust());
+        assert!(!b.inject_sat_exhaust()); // validation 1
+        assert!(b.inject_sat_exhaust()); // validation 2
+        assert!(b.inject_sat_exhaust()); // validation 3 (>= threshold)
         b.inject_search_panic(); // no panic configured
     }
 

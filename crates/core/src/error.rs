@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use eco_bdd::BddError;
 use eco_netlist::NetlistError;
 
 /// Errors produced by the syseco engine.
@@ -16,8 +15,6 @@ pub enum EcoError {
     PortMismatch(String),
     /// A netlist operation failed.
     Netlist(NetlistError),
-    /// A BDD computation exceeded its node budget.
-    Bdd(BddError),
     /// The engine could not rectify an output within its resource limits
     /// (should not happen: the output-rewire fallback is always applicable).
     RectificationFailed {
@@ -41,7 +38,6 @@ impl fmt::Display for EcoError {
         match self {
             EcoError::PortMismatch(msg) => write!(f, "port mismatch: {msg}"),
             EcoError::Netlist(e) => write!(f, "netlist error: {e}"),
-            EcoError::Bdd(e) => write!(f, "bdd error: {e}"),
             EcoError::RectificationFailed { output } => {
                 write!(f, "failed to rectify output {output:?}")
             }
@@ -60,7 +56,6 @@ impl Error for EcoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EcoError::Netlist(e) => Some(e),
-            EcoError::Bdd(e) => Some(e),
             _ => None,
         }
     }
@@ -73,13 +68,6 @@ impl From<NetlistError> for EcoError {
     }
 }
 
-#[doc(hidden)]
-impl From<BddError> for EcoError {
-    fn from(e: BddError) -> Self {
-        EcoError::Bdd(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +77,6 @@ mod tests {
         let cases = [
             EcoError::PortMismatch("x".into()),
             EcoError::Netlist(NetlistError::Cyclic),
-            EcoError::Bdd(BddError::NodeLimit { limit: 1 }),
             EcoError::RectificationFailed { output: "y".into() },
             EcoError::EmptySamplingDomain,
             EcoError::InjectedAbort,

@@ -11,10 +11,8 @@
 //!
 //! The registry spans four layers:
 //!
-//! * **search resources** — forced BDD node-limit hits, SAT budget
-//!   exhaustion, and synthetic per-output search panics (`FaultPolicy`,
-//!   promoted here from `budget.rs` where PR 1 planted it under
-//!   `cfg(test)`);
+//! * **search resources** — SAT budget exhaustion and synthetic
+//!   per-output search panics (`FaultPolicy`);
 //! * **span boundaries** — cooperative cancellation or a simulated
 //!   hard crash ([`SpanPoint`], one per telemetry span) exercised through
 //!   `Budget::fault_span` hooks on the engine's hot path;
@@ -121,23 +119,17 @@ impl fmt::Display for SpanPoint {
 
 /// Deterministic fault schedule for the search-resource layer.
 ///
-/// Counters are 1-based: `bdd_node_limit_from: Some(1)` faults every BDD
-/// domain attempt from the first one on. Only available under `cfg(test)`
-/// or the `fault-injection` feature.
+/// Counters are 1-based: `sat_exhaust_from: Some(1)` faults every SAT
+/// validation from the first one on. Only available under `cfg(test)` or
+/// the `fault-injection` feature.
 #[cfg(any(test, feature = "fault-injection"))]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Force the per-output BDD manager to a 1-node limit from the Nth
-    /// domain attempt onwards.
-    pub bdd_node_limit_from: Option<u64>,
     /// Force SAT validation to report exhaustion (`Unknown`) from the Nth
     /// validation onwards.
     pub sat_exhaust_from: Option<u64>,
     /// Panic inside the Nth per-output search (exactly once).
     pub panic_at: Option<u64>,
-    /// Abort (veto through the BDD event hook) from the Nth garbage
-    /// collection pass onwards, in any manager armed by this budget.
-    pub bdd_gc_abort_from: Option<u64>,
 }
 
 /// A complete, named, replayable fault schedule for one run.
@@ -149,7 +141,7 @@ pub struct FaultPolicy {
 #[cfg(any(test, feature = "fault-injection"))]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Search-resource faults (BDD/SAT exhaustion, worker panics).
+    /// Search-resource faults (SAT exhaustion, worker panics).
     pub policy: FaultPolicy,
     /// Trip the run's cancellation at the Nth entry to a span point.
     pub cancel_at: Option<(SpanPoint, u64)>,
@@ -176,12 +168,7 @@ impl FaultPlan {
     /// token; the chaos harness sweeps exactly this list, so a fault point
     /// that is not exercised does not exist.
     pub fn point_names() -> Vec<String> {
-        let mut names = vec![
-            "bdd-node-limit".to_string(),
-            "sat-exhaust".to_string(),
-            "search-panic".to_string(),
-            "bdd-gc".to_string(),
-        ];
+        let mut names = vec!["sat-exhaust".to_string(), "search-panic".to_string()];
         for p in SpanPoint::ALL {
             names.push(format!("cancel:{}", p.name()));
         }
@@ -240,10 +227,8 @@ impl FaultPlan {
             };
             let window = Some((count, burst));
             match base {
-                "bdd-node-limit" => plan.policy.bdd_node_limit_from = Some(count),
                 "sat-exhaust" => plan.policy.sat_exhaust_from = Some(count),
                 "search-panic" => plan.policy.panic_at = Some(count),
-                "bdd-gc" => plan.policy.bdd_gc_abort_from = Some(count),
                 "cache-read-error" => plan.cache_io.read_error_at = window,
                 "cache-short-write" => plan.cache_io.short_write_at = window,
                 "cache-rename-error" => plan.cache_io.rename_error_at = window,
@@ -260,17 +245,11 @@ impl FaultPlan {
     /// reproduces the plan exactly.
     pub fn spec(&self) -> String {
         let mut tokens = Vec::new();
-        if let Some(n) = self.policy.bdd_node_limit_from {
-            tokens.push(format!("bdd-node-limit@{n}"));
-        }
         if let Some(n) = self.policy.sat_exhaust_from {
             tokens.push(format!("sat-exhaust@{n}"));
         }
         if let Some(n) = self.policy.panic_at {
             tokens.push(format!("search-panic@{n}"));
-        }
-        if let Some(n) = self.policy.bdd_gc_abort_from {
-            tokens.push(format!("bdd-gc@{n}"));
         }
         if let Some((p, n)) = self.cancel_at {
             tokens.push(format!("cancel:{}@{n}", p.name()));
@@ -304,16 +283,11 @@ impl FaultPlan {
 #[cfg(any(test, feature = "fault-injection"))]
 #[derive(Debug, Default)]
 pub(crate) struct FaultState {
-    pub(crate) bdd_attempts: std::sync::atomic::AtomicU64,
     pub(crate) sat_validations: std::sync::atomic::AtomicU64,
     pub(crate) searches: std::sync::atomic::AtomicU64,
-    /// GC passes observed across every manager this budget armed; `Arc`
-    /// because the counting happens inside event-hook closures that
-    /// outlive the borrow of the budget.
-    pub(crate) bdd_gc_events: std::sync::Arc<std::sync::atomic::AtomicU64>,
     pub(crate) spans: [std::sync::atomic::AtomicU64; SpanPoint::ALL.len()],
     pub(crate) cancelled: std::sync::atomic::AtomicBool,
-    pub(crate) injected: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    pub(crate) injected: std::sync::atomic::AtomicU64,
     pub(crate) cache_vfs: std::sync::OnceLock<std::sync::Arc<eco_cache::FaultVfs>>,
     pub(crate) checkpoint_vfs: std::sync::OnceLock<std::sync::Arc<eco_cache::FaultVfs>>,
 }
@@ -345,7 +319,7 @@ mod tests {
             assert_eq!(plan.spec(), spec, "{name} spec must roundtrip");
             assert_eq!(FaultPlan::parse(&plan.spec()).unwrap(), plan);
         }
-        assert_eq!(FaultPlan::point_names().len(), 4 + 22 + 12);
+        assert_eq!(FaultPlan::point_names().len(), 2 + 22 + 12);
     }
 
     #[test]
@@ -365,7 +339,10 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_points_and_zero_counts() {
         assert!(FaultPlan::parse("warp-core-breach").is_err());
+        // Retired fault points.
         assert!(FaultPlan::parse("bdd-reorder@1").is_err());
+        assert!(FaultPlan::parse("bdd-node-limit@1").is_err());
+        assert!(FaultPlan::parse("bdd-gc@1").is_err());
         assert!(FaultPlan::parse("cancel:nope").is_err());
         assert!(FaultPlan::parse("abort:nope@1").is_err());
         assert!(FaultPlan::parse("search-panic@0").is_err());

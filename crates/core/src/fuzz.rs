@@ -906,13 +906,7 @@ mod tests {
         // Points every run must pass through actually fired. Cache points
         // stay at zero here (the sweep runs without a result cache), and
         // late spans (e.g. verify) may not be reached on tiny scenarios.
-        for point in [
-            "abort:run",
-            "abort:search",
-            "search-panic",
-            "cancel:search",
-            "bdd-gc",
-        ] {
+        for point in ["abort:run", "abort:search", "search-panic", "cancel:search"] {
             assert!(
                 report.coverage[point] > 0,
                 "fault point {point} never fired: {:?}",

@@ -28,9 +28,8 @@ use crate::budget::Budget;
 use crate::correspond::OutputPair;
 use crate::options::{EcoOptions, SamplePolicy};
 use crate::rectify::{
-    RectifyStats, BDD_NODE_LIMIT, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS,
-    MAX_POINT_SETS, MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT,
-    VALIDATION_BUDGET,
+    RectifyStats, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS, MAX_POINT_SETS,
+    MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT, VALIDATION_BUDGET,
 };
 use crate::rewire_nets::RewireCandidate;
 use crate::validate::CandidateRewire;
@@ -80,7 +79,9 @@ pub(crate) fn options_fingerprint(options: &EcoOptions) -> Sig128 {
         GOOD_ENOUGH_COST as u64,
         u64::from(options.level_driven),
         options.seed,
-        BDD_NODE_LIMIT as u64,
+        // The retired per-attempt BDD node limit keeps its slot, so records
+        // written while the search built BDDs still hit.
+        2_000_000,
     ])
 }
 

@@ -34,14 +34,14 @@ pub enum SamplePolicy {
 ///
 /// The defaults correspond to the configuration used by the benchmark
 /// harness; individual studies (the ablation benches) override single
-/// fields. The search caps (`m`, `M`, SAT and BDD budgets, …) are not
+/// fields. The search caps (`m`, `M`, SAT budgets, …) are not
 /// options but fixed constants, such as [`MAX_POINTS`](crate::rectify::MAX_POINTS).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EcoOptions {
     /// Target number of sampled assignments in the symbolic sampling domain
-    /// (paper §5.1). Rounded up to a power of two internally; `⌈log2 N⌉`
-    /// BDD variables encode the domain.
+    /// (paper §5.1). Each search attempt simulates both circuits over
+    /// them, 64 per word.
     pub num_samples: usize,
     /// Sampling-domain policy (§5.1; ablation B compares the variants).
     pub sample_policy: SamplePolicy,

@@ -386,18 +386,83 @@ impl<'c> MinimalSets<'c> {
         }
     }
 
+    /// The match words `h_v ≡ f'` of the point set `points`, as
+    /// [`of_size`](Self::of_size) returns it: `words[k][v]` has bit `i` set
+    /// when, on sample `i` of block `k`, the cone with the freed pins driven
+    /// by `v` equals `f'`. Point `p` of the set reads bit `p` of `v`. The
+    /// output pin's singleton drives the output itself. Bits past the
+    /// block's mask are meaningless.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gate pin of `points` is not among the candidate pins,
+    /// or when the output pin shares a set.
+    pub fn match_words(&mut self, points: &[Pin]) -> Vec<Vec<u64>> {
+        if let [Pin::Output { .. }] = points {
+            return self.fprime.iter().map(|&f| vec![!f, f]).collect();
+        }
+        let (set, bits): (Vec<usize>, Vec<usize>) = points
+            .iter()
+            .map(|p| {
+                let b = self
+                    .gate_pins
+                    .iter()
+                    .position(|&j| self.pins[j] == *p)
+                    .expect("point-set pins are candidate gate pins");
+                (self.gate_pins[b], b)
+            })
+            .unzip();
+        self.free(&set);
+        (0..self.words.len())
+            .map(|k| {
+                let mut row = vec![0u64; 1 << set.len()];
+                self.sweep(k, &bits, |v, word| {
+                    row[v as usize] = word;
+                    true
+                });
+                row
+            })
+            .collect()
+    }
+
     /// Whether freeing the gate pins `set` (pin codes, with mask bits
     /// `bits`) lets the cone match `f'` on every sample: for each block, OR
-    /// the match words over all value combinations of the freed pins, then
-    /// require every sample bit.
+    /// the match words over the value combinations of the freed pins until
+    /// every sample bit is set.
     fn feasible(&mut self, set: &[usize], bits: &[usize]) -> bool {
-        // Freed pin `i` of the set reads bit `i` of the value combination.
+        self.free(set);
+        for k in 0..self.words.len() {
+            let mask = self.baseline.mask(k);
+            let mut ok = 0u64;
+            self.sweep(k, bits, |_, word| {
+                ok |= word;
+                ok & mask != mask
+            });
+            if ok & mask != mask {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Records the gate pins `set` (pin codes) as the freed pins of the
+    /// next [`sweep`](Self::sweep)s; pin `i` of the set reads bit `i` of
+    /// the value combination.
+    fn free(&mut self, set: &[usize]) {
         self.forced.clear();
         self.forced.extend(set.iter().map(|&j| match self.pins[j] {
             Pin::Gate { node, pos } => (node.index(), pos as usize),
-            Pin::Output { .. } => unreachable!("the pool holds gate pins only"),
+            Pin::Output { .. } => unreachable!("only gate pins are freed"),
         }));
+    }
+
+    /// Sweeps the freed pins, with mask bits `bits`, through their value
+    /// combinations `v` on block `k`, handing `visit(v, word)` the match
+    /// word `h_v ≡ f'` of each, until `visit` returns `false`. The block's
+    /// scratch words are the baseline again afterwards.
+    fn sweep(&mut self, k: usize, bits: &[usize], mut visit: impl FnMut(u64, u64) -> bool) {
         let (sim, forced) = (self.sim, &self.forced);
+        let (fprime, words) = (self.fprime[k], &mut self.words[k]);
         // Re-simulates the fanout slice of the gate pin with mask bit `b`
         // under the value combination `v`.
         let replay = |b: usize, v: u64, words: &mut [u64]| {
@@ -415,40 +480,32 @@ impl<'c> MinimalSets<'c> {
                 };
             }
         };
-        let blocks = self.words.iter_mut().zip(self.baseline.blocks());
-        for (k, (words, base)) in blocks.enumerate() {
-            let (fprime, mask) = (self.fprime[k], self.baseline.mask(k));
-            // Replaying the freed pins' slices one after another leaves
-            // every node right: it is replayed last with the slice of its
-            // last freed ancestor, whose replay has already updated all of
-            // its fanins.
-            let mut v = 0u64;
-            for &b in bits {
-                replay(b, v, words);
+        // Replaying the freed pins' slices one after another leaves every
+        // node right: it is replayed last with the slice of its last freed
+        // ancestor, whose replay has already updated all of its fanins.
+        let mut v = 0u64;
+        for &b in bits {
+            replay(b, v, words);
+        }
+        // Gray-code sweep over the 2^s value combinations: consecutive
+        // steps toggle one pin, so only that pin's slice replays.
+        let mut more = visit(v, !(words[self.root] ^ fprime));
+        for step in 1..(1u64 << bits.len()) {
+            if !more {
+                break;
             }
-            let mut ok = !(words[self.root] ^ fprime);
-            // Gray-code sweep over the 2^s value combinations: consecutive
-            // steps toggle one pin, so only that pin's slice replays.
-            for step in 1..(1u64 << set.len()) {
-                if ok & mask == mask {
-                    break;
-                }
-                let toggled = step.trailing_zeros();
-                v ^= 1u64 << toggled;
-                replay(bits[toggled as usize], v, words);
-                ok |= !(words[self.root] ^ fprime);
-            }
-            for &b in bits {
-                for &g in &self.pin_tfo[b] {
-                    let id = sim.node(g as usize).index();
-                    words[id] = base[id];
-                }
-            }
-            if ok & mask != mask {
-                return false;
+            let toggled = step.trailing_zeros();
+            v ^= 1u64 << toggled;
+            replay(bits[toggled as usize], v, words);
+            more = visit(v, !(words[self.root] ^ fprime));
+        }
+        let base = &self.baseline.blocks()[k];
+        for &b in bits {
+            for &g in &self.pin_tfo[b] {
+                let id = sim.node(g as usize).index();
+                words[id] = base[id];
             }
         }
-        true
     }
 }
 

@@ -39,17 +39,15 @@ mod search;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use eco_bdd::BddCounters;
 use eco_netlist::sim::Compiled;
 use eco_netlist::{topo, Circuit};
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
-use eco_telemetry::{ArgValue, Counter, Gauge, Histogram, MetricsShard, SpanRecord, TraceBuffer};
+use eco_telemetry::{ArgValue, Counter, Histogram, MetricsShard, SpanRecord, TraceBuffer};
 use eco_timing::{DelayModel, TimingReport};
 
 use crate::budget::{Budget, Degradation, DegradeReason};
 use crate::checkpoint::{CheckpointSession, CheckpointVerdict};
-use crate::choices::block_bits;
 use crate::correspond::{Correspondence, OutputPair};
 use crate::error_domain::{classify_outputs_with_stats, Equivalence};
 use crate::fault::SpanPoint;
@@ -64,21 +62,14 @@ use crate::EcoError;
 use merge::Merge;
 use search::OutputSearch;
 
-/// BDD variable layout: choice block, rectification inputs, sampling
-/// block — the `c < y < z` order of DESIGN.md.
-const C_BASE: u32 = 0;
-const Y_BASE: u32 = 128;
-const Z_BASE: u32 = 140;
-
-// Fixed search caps (DESIGN.md "Fixed search caps"). All but the GC
-// threshold are hashed by `memo::options_fingerprint`, so changing one
-// re-keys every cache and checkpoint record.
+// Fixed search caps (DESIGN.md "Fixed search caps"). All are hashed by
+// `memo::options_fingerprint`, so changing one re-keys every cache and
+// checkpoint record.
 
 /// `m`: most rectification points tried per output (§4.2).
 pub const MAX_POINTS: usize = 3;
 /// `M`: most candidate sink pins per output, the output pin included
-/// (§4.2). Halved on each BDD node-limit hit; a hit at 4 pins or fewer
-/// ends the search.
+/// (§4.2).
 pub const MAX_CANDIDATE_PINS: usize = 48;
 /// Most point-sets tried per search attempt, smallest first: the first
 /// minimal feasible sets of `H(t)` (§4.2).
@@ -100,22 +91,10 @@ pub const MAX_VALIDATIONS_PER_OUTPUT: usize = 24;
 /// Escalation to more points stops once a validated option clones at
 /// most this many spec gates.
 pub const GOOD_ENOUGH_COST: usize = 4;
-/// Node budget of each per-output BDD manager.
-pub const BDD_NODE_LIMIT: usize = 2_000_000;
-/// Live-node count that triggers a BDD collection at the next point-set
-/// boundary. The manager raises it after each pass, so a large working
-/// set is not thrashed. Collection never changes a function, so the
-/// fingerprint leaves it out.
-pub const BDD_GC_THRESHOLD: usize = 1 << 16;
 
-// The caps must fit the minimal-set enumeration (its subset and pin masks)
-// and the variable layout: `m` choice blocks below `Y_BASE` (a candidate
-// list holds up to two cheap spec nets beyond the cap, see
-// `candidates_for_pin`) and `m` rectification inputs below `Z_BASE`.
+// The caps must fit the minimal-set enumeration: its subset and pin masks.
 const _: () = assert!(MAX_POINTS >= 1 && MAX_POINTS <= points::MAX_SUBSET_SIZE);
 const _: () = assert!(MAX_CANDIDATE_PINS >= 2 && MAX_CANDIDATE_PINS - 1 <= points::MAX_GATE_PINS);
-const _: () = assert!(C_BASE + MAX_POINTS as u32 * block_bits(MAX_REWIRE_CANDIDATES + 2) <= Y_BASE);
-const _: () = assert!(Y_BASE + MAX_POINTS as u32 <= Z_BASE);
 
 /// How one output was handled, with its search wall-clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,10 +159,6 @@ pub struct RectifyStats {
     /// solving (same scope). The reuse rate is
     /// `cec_reused / (cec_proofs + cec_reused)`.
     pub cec_reused: u64,
-    /// BDD operation-cache hits/misses summed over every per-output manager.
-    pub bdd: BddCounters,
-    /// Largest node count any single BDD manager reached.
-    pub bdd_peak_nodes: usize,
     /// Persistent-cache records reused after passing re-verification: a
     /// whole-run replay counts one, each reused per-output proposal counts
     /// one (DESIGN.md §11). Zero when no cache directory is configured.
@@ -240,9 +215,6 @@ struct SearchStats {
     sat: SolverStats,
     cec_proofs: u64,
     cec_reused: u64,
-    bdd: BddCounters,
-    bdd_peak_nodes: usize,
-    bdd_unique_entries: usize,
     /// Memoized proposals that re-validated and were returned directly.
     cache_hits: u64,
     /// Memoized proposals that failed re-validation against this spec.
@@ -359,24 +331,12 @@ fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration)
     add_sat_counters(shard, &s.sat);
     shard.add(Counter::CecProofs, s.cec_proofs);
     shard.add(Counter::CecReused, s.cec_reused);
-    shard.add(Counter::BddApplyHits, s.bdd.apply_hits);
-    shard.add(Counter::BddApplyMisses, s.bdd.apply_misses);
-    shard.add(Counter::BddIteHits, s.bdd.ite_hits);
-    shard.add(Counter::BddIteMisses, s.bdd.ite_misses);
-    shard.add(Counter::BddQuantHits, s.bdd.quant_hits);
-    shard.add(Counter::BddQuantMisses, s.bdd.quant_misses);
-    shard.add(Counter::BddUniqueResizes, s.bdd.unique_resizes);
-    shard.add(Counter::BddEvictions, s.bdd.evictions);
-    shard.add(Counter::BddGcRuns, s.bdd.gc_runs);
-    shard.add(Counter::BddGcFreed, s.bdd.gc_freed_nodes);
     shard.add(Counter::RectifyRefinements, s.refinements as u64);
     shard.add(Counter::RectifyValidations, s.validations as u64);
     shard.add(Counter::RectifyPointSets, s.point_sets_tried as u64);
     shard.add(Counter::RectifyChoices, s.choices_tried as u64);
     shard.add(Counter::PrefilterScreened, s.prefilter_screened as u64);
     shard.add(Counter::PrefilterPassed, s.prefilter_passed as u64);
-    shard.gauge_max(Gauge::BddPeakNodes, s.bdd_peak_nodes as u64);
-    shard.gauge_max(Gauge::BddUniqueEntries, s.bdd_unique_entries as u64);
     shard.observe(Histogram::SearchMicros, search.as_micros() as u64);
 }
 
@@ -670,8 +630,6 @@ pub(crate) fn rewire_rectify_with(
         stats.sat += r.stats.sat;
         stats.cec_proofs += r.stats.cec_proofs;
         stats.cec_reused += r.stats.cec_reused;
-        stats.bdd += r.stats.bdd;
-        stats.bdd_peak_nodes = stats.bdd_peak_nodes.max(r.stats.bdd_peak_nodes);
         stats.cache_hits += r.stats.cache_hits;
         stats.cache_verify_rejects += r.stats.cache_verify_rejects;
         verdicts.push((r.verdict, r.search));
@@ -962,8 +920,8 @@ mod tests {
         assert!(trace.iter().any(|sp| sp.name == "search" && sp.lane == 1));
         assert!(stats.validations > 0);
         assert!(stats.sat.propagations > 0, "{stats:?}");
-        assert!(stats.bdd.total_misses() > 0, "{stats:?}");
-        assert!(stats.bdd_peak_nodes >= 2);
+        assert!(stats.point_sets_tried > 0, "{stats:?}");
+        assert!(stats.choices_tried > 0, "{stats:?}");
         let snapshot = telemetry.snapshot();
         assert_eq!(
             snapshot.counter(Counter::RectifyValidations),
@@ -971,9 +929,22 @@ mod tests {
         );
         assert_eq!(snapshot.counter(Counter::SatConflicts), stats.sat.conflicts);
         assert_eq!(
-            snapshot.gauge(Gauge::BddPeakNodes),
-            stats.bdd_peak_nodes as u64
+            snapshot.counter(Counter::RectifyPointSets),
+            stats.point_sets_tried as u64
         );
+        assert_eq!(
+            snapshot.counter(Counter::RectifyChoices),
+            stats.choices_tried as u64
+        );
+        // The search builds no BDD: every `bdd.*` name the registry keeps
+        // reads 0.
+        let bdd: Vec<(&str, u64)> = snapshot
+            .counters()
+            .chain(snapshot.gauges())
+            .filter(|(name, _)| name.starts_with("bdd."))
+            .collect();
+        assert_eq!(bdd.len(), 7, "{bdd:?}");
+        assert!(bdd.iter().all(|&(_, v)| v == 0), "{bdd:?}");
         assert_eq!(stats.per_output.len(), 1);
         assert_eq!(stats.per_output[0].output, "y");
         assert_ne!(stats.per_output[0].action, OutputAction::AlreadyEquivalent);
@@ -997,24 +968,6 @@ mod tests {
         let options = EcoOptions::with_seed(3);
         let (_patch, stats) = rectify(&mut c, &s, &options, Some(&budget));
         (c, s, stats)
-    }
-
-    #[test]
-    fn injected_bdd_node_limit_falls_back_to_output_rewire() {
-        let (c, s, stats) = rectify_with_faults(FaultPolicy {
-            bdd_node_limit_from: Some(1),
-            ..FaultPolicy::default()
-        });
-        // Every BDD attempt hits the forced node limit, the pin cap shrinks
-        // to its floor, and the output takes the guaranteed fallback.
-        assert_eq!(stats.degradations.len(), 1);
-        let d = &stats.degradations[0];
-        assert_eq!(d.output, "y");
-        assert_eq!(d.reason, DegradeReason::BddNodeLimit);
-        assert!(matches!(d.action, DegradeAction::OutputRewireFallback));
-        assert!(stats.fallbacks >= 1);
-        check_equiv(&c, &s);
-        c.check_well_formed().unwrap();
     }
 
     #[test]

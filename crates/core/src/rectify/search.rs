@@ -7,9 +7,8 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use eco_bdd::{Bdd, BddError, BddManager};
 use eco_netlist::sim::Compiled;
-use eco_netlist::Circuit;
+use eco_netlist::{Circuit, Pin};
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
 use eco_telemetry::{ArgValue, Histogram, MetricsShard, SpanToken, TraceBuffer};
@@ -18,10 +17,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use super::{
-    flush_search_metrics, SearchResult, SearchStats, SearchVerdict, BDD_GC_THRESHOLD,
-    BDD_NODE_LIMIT, C_BASE, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS,
-    MAX_POINT_SETS, MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT,
-    VALIDATION_BUDGET, Y_BASE, Z_BASE,
+    flush_search_metrics, SearchResult, SearchStats, SearchVerdict, GOOD_ENOUGH_COST,
+    MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS, MAX_POINT_SETS, MAX_REFINEMENTS,
+    MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT, VALIDATION_BUDGET,
 };
 use crate::budget::{Budget, DegradeReason};
 use crate::choices::find_choices;
@@ -32,7 +30,7 @@ use crate::memo::WarmStart;
 use crate::options::EcoOptions;
 use crate::points::{candidate_pins, MinimalSets};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
-use crate::sampling::{eval_all_bdd, SamplingDomain};
+use crate::sampling::SamplingDomain;
 use crate::schedule::per_output_seed;
 use crate::validate::{validate_rewires, CandidateRewire, SampleBank, Validation};
 use crate::EcoError;
@@ -80,8 +78,6 @@ enum Attempt {
     },
     /// The domain produced a false positive; refine with this assignment.
     Refine(Vec<bool>),
-    /// BDD budget exceeded; retry with fewer candidate pins.
-    NodeLimit,
     /// SAT validation ran out of budget on every remaining choice.
     SatExhausted,
     /// No valid choice found in this domain.
@@ -219,7 +215,8 @@ impl OutputSearch<'_> {
             }
         }
 
-        let mut pin_cap = MAX_CANDIDATE_PINS;
+        let root = self.base.outputs()[self.pair.impl_index as usize].net();
+        let pins = candidate_pins(self.base, root, self.pair.impl_index, MAX_CANDIDATE_PINS);
         let mut refinements_left = MAX_REFINEMENTS;
         let mut ended: Option<DegradeReason> = None;
         loop {
@@ -227,23 +224,7 @@ impl OutputSearch<'_> {
                 ended = Some(reason);
                 break;
             }
-            let node_limit = if self.budget.inject_bdd_node_limit() {
-                1 // fault injection: force an immediate NodeLimit on the first op
-            } else {
-                BDD_NODE_LIMIT
-            };
-            let mut m = BddManager::with_node_limit(node_limit);
-            // Automatic collection trigger, checked at point-set boundaries.
-            // Fault arming may lower it to force the machinery under test.
-            m.set_gc_threshold(Some(BDD_GC_THRESHOLD));
-            self.budget.arm_bdd(&mut m);
-            let attempt = self.attempt(&mut m, &samples, pin_cap, &sample_bank);
-            // The manager's counters are folded on every exit of the
-            // attempt, early cuts included.
-            self.stats.bdd += m.counters();
-            self.stats.bdd_peak_nodes = self.stats.bdd_peak_nodes.max(m.peak_num_nodes());
-            self.stats.bdd_unique_entries = self.stats.bdd_unique_entries.max(m.unique_table_len());
-            match attempt? {
+            match self.attempt(&samples, &pins, &sample_bank)? {
                 Attempt::Found { rewires, cut } => {
                     return Ok(SearchVerdict::Proposal { rewires, cut });
                 }
@@ -259,13 +240,6 @@ impl OutputSearch<'_> {
                     }
                     self.refined.push(x.clone());
                     samples.push(x);
-                }
-                Attempt::NodeLimit => {
-                    if pin_cap <= 4 {
-                        ended = Some(DegradeReason::BddNodeLimit);
-                        break;
-                    }
-                    pin_cap /= 2;
                 }
                 Attempt::SatExhausted => {
                     ended = Some(DegradeReason::SatBudgetExhausted);
@@ -380,58 +354,33 @@ impl OutputSearch<'_> {
         }
     }
 
-    /// One search attempt over a fixed sampling domain, inside the
-    /// attempt's own manager `m`. Read-only with respect to the circuit: a
-    /// validated choice is returned as [`Attempt::Found`], not applied.
+    /// One search attempt over a fixed sampling domain, with the output's
+    /// candidate `pins`. Read-only with respect to the circuit: a validated
+    /// choice is returned as [`Attempt::Found`], not applied.
     fn attempt(
         &mut self,
-        m: &mut BddManager,
         samples: &[Vec<bool>],
-        pin_cap: usize,
+        pins: &[Pin],
         sample_bank: &[Vec<bool>],
     ) -> Result<Attempt, EcoError> {
         let (base, spec, pair) = (self.base, self.spec, self.pair);
         let (base_sim, spec_sim) = (self.base_sim, self.spec_sim);
-        let root = base.outputs()[pair.impl_index as usize].net();
         let spec_root = spec.outputs()[pair.spec_index as usize].net();
-        let domain = SamplingDomain::new(samples.to_vec(), Z_BASE)?;
-
-        let g_impl = match domain.input_functions(m, base.num_inputs()) {
-            Ok(v) => v,
-            Err(e) => return bdd_cut(e),
-        };
-        let mut g_spec = vec![m.zero(); spec.num_inputs()];
-        for (pos, sp) in self.corr.spec_input_pos.iter().enumerate() {
-            if let Some(sp) = sp {
-                g_spec[*sp] = g_impl[pos];
-            }
-        }
-        let impl_vals = match eval_all_bdd(base, m, &g_impl) {
-            Ok(v) => v,
-            Err(e) => return bdd_cut(e),
-        };
-        let spec_vals = match eval_all_bdd(spec, m, &g_spec) {
-            Ok(v) => v,
-            Err(e) => return bdd_cut(e),
-        };
-        let fprime = spec_vals[spec_root.index()];
-
-        let pins = candidate_pins(base, root, pair.impl_index, pin_cap);
-        // The attempt's one simulation of its domain: candidate utilities and
-        // the minimal-set enumeration both read these words.
-        let ctx = RewireNetContext::build(base_sim, spec, spec_sim, self.corr, spec_root, samples)?;
+        let domain = SamplingDomain::new(samples.to_vec())?;
+        // The attempt's one simulation of its domain: candidate utilities,
+        // the minimal-set enumeration and `Ξ(c)` all read these words.
+        let ctx = RewireNetContext::build(
+            base_sim,
+            spec,
+            spec_sim,
+            self.corr,
+            spec_root,
+            domain.samples(),
+        )?;
         // The candidate screen runs over the full sample bank (a strict
         // superset of this attempt's sampling domain): one spec simulation per
         // attempt, reused by every validation below.
         let bank = SampleBank::new(spec_sim, self.corr, sample_bank.to_vec())?;
-        // Handles the search must keep across collections: the
-        // per-input domain functions and every evaluated net of both circuits
-        // (`fprime` and `g_spec` entries are aliases into these).
-        let mut search_roots: Vec<Bdd> =
-            Vec::with_capacity(g_impl.len() + impl_vals.len() + spec_vals.len());
-        search_roots.extend_from_slice(&g_impl);
-        search_roots.extend_from_slice(&impl_vals);
-        search_roots.extend_from_slice(&spec_vals);
 
         let mut first_counterexample: Option<Vec<bool>> = None;
         // All validated candidates across every m, scored by patch cost: cloned
@@ -485,18 +434,17 @@ impl OutputSearch<'_> {
             }
             let span_sets = self.trace.start();
             self.budget.fault_span(SpanPoint::PointSets)?;
-            let sets = minimal
-                .get_or_insert_with(|| {
-                    MinimalSets::new(
-                        base,
-                        base_sim,
-                        &ctx.impl_words,
-                        &ctx.fprime,
-                        pair.impl_index,
-                        &pins,
-                    )
-                })
-                .of_size(m_points, MAX_POINT_SETS - sets_found);
+            let minimal = minimal.get_or_insert_with(|| {
+                MinimalSets::new(
+                    base,
+                    base_sim,
+                    &ctx.impl_words,
+                    &ctx.fprime,
+                    pair.impl_index,
+                    pins,
+                )
+            });
+            let sets = minimal.of_size(m_points, MAX_POINT_SETS - sets_found);
             sets_found += sets.len();
             self.trace.end_with(span_sets, "point_sets", "rectify", || {
                 vec![
@@ -513,13 +461,6 @@ impl OutputSearch<'_> {
                     break 'outer;
                 }
                 self.stats.point_sets_tried += 1;
-                // Point-set boundary: the previous iteration's choice
-                // intermediates are garbage now. Give the manager a chance to
-                // collect against the handles still needed; a no-op until its
-                // automatic threshold trips.
-                if let Err(e) = m.maybe_gc(&search_roots) {
-                    return bdd_cut(e);
-                }
                 let mut cand_lists: Vec<Vec<RewireCandidate>> = Vec::with_capacity(point_set.len());
                 for &p in &point_set {
                     cand_lists.push(candidates_for_pin(
@@ -532,25 +473,8 @@ impl OutputSearch<'_> {
                 }
                 let span_choices = self.trace.start();
                 self.budget.fault_span(SpanPoint::Choices)?;
-                let choices = match find_choices(
-                    base,
-                    m,
-                    &g_impl,
-                    &impl_vals,
-                    &spec_vals,
-                    fprime,
-                    root,
-                    pair.impl_index,
-                    &point_set,
-                    &cand_lists,
-                    Y_BASE,
-                    C_BASE,
-                    &domain.z_vars(),
-                    MAX_CHOICES,
-                ) {
-                    Ok(c) => c,
-                    Err(e) => return bdd_cut(e),
-                };
+                let matches = minimal.match_words(&point_set);
+                let choices = find_choices(&matches, &ctx, &cand_lists, MAX_CHOICES);
                 self.trace.end_with(span_choices, "choices", "rectify", || {
                     vec![
                         ("m", ArgValue::U64(m_points as u64)),
@@ -713,23 +637,6 @@ impl OutputSearch<'_> {
             None if unknowns > 0 => Attempt::SatExhausted,
             None => Attempt::Exhausted,
         })
-    }
-}
-
-/// Maps a BDD failure inside an attempt to the matching [`Attempt`] outcome:
-/// node-limit hits shrink the domain, budget cuts bubble up as degradations,
-/// anything else is a hard error.
-fn bdd_cut(e: BddError) -> Result<Attempt, EcoError> {
-    match e {
-        BddError::NodeLimit { .. } => Ok(Attempt::NodeLimit),
-        BddError::DeadlineExceeded => Ok(Attempt::BudgetOut(DegradeReason::DeadlineExceeded)),
-        BddError::Cancelled => Ok(Attempt::BudgetOut(DegradeReason::Cancelled)),
-        // An armed bdd-gc fault point vetoed the collection through the
-        // event hook: simulate a hard crash, exactly like an abort:
-        // span fault — the run must be resumable from its checkpoints.
-        #[cfg(any(test, feature = "fault-injection"))]
-        BddError::Aborted => Err(EcoError::InjectedAbort),
-        other => Err(EcoError::from(other)),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The multi-threaded per-output scheduler.
 //!
-//! Per-output rectification searches are independent (each owns its BDD
-//! manager, SAT solvers, and RNG stream), so [`WorkerPool::run`] fans them
+//! Per-output rectification searches are independent (each owns its
+//! simulation words, SAT solvers, and RNG stream), so [`WorkerPool::run`] fans them
 //! out over `std::thread::scope` workers. Determinism is preserved by
 //! construction: work item `i` always writes result slot `i`, every item's
 //! RNG stream is derived from the run seed and the item (not the worker),
@@ -11,8 +11,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// BDD and netlist traversals recurse; give workers a deep stack so a cone
-/// that fits on the (8 MiB) main thread also fits on a worker.
+/// Netlist traversals recurse; give workers a deep stack so a cone that
+/// fits on the (8 MiB) main thread also fits on a worker.
 const WORKER_STACK: usize = 16 << 20;
 
 /// A fixed-width fan-out helper over scoped threads.

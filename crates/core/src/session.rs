@@ -401,18 +401,12 @@ mod tests {
             .is_empty());
     }
 
-    /// With every BDD manager's automatic GC threshold forced low enough to
-    /// fire during the per-output searches, the engine must stay
-    /// bit-deterministic across worker counts: GC runs inside each output's
-    /// own manager against a deterministic operation sequence, so
-    /// `bdd.gc.runs`, the prefilter counters, and the patch itself are
-    /// independent of `jobs`. GC never changes a function either, so the
-    /// patch must also equal the one under the default threshold — the
-    /// cache and checkpoint fingerprints leave the GC threshold out on that
-    /// ground.
+    /// The engine is bit-deterministic across worker counts: every search
+    /// runs a deterministic sequence against the pristine base, so the
+    /// patch, the normalized stats and trace, and every counter are
+    /// independent of `jobs`, and the screen's accounting reconciles.
     #[test]
-    fn gc_does_not_change_the_patch_across_jobs() {
-        use crate::fault::FaultPolicy;
+    fn patch_trace_and_counters_match_across_jobs() {
         use eco_telemetry::export::spans_jsonl;
         use eco_telemetry::Counter;
         use eco_workload::{build_case, CaseParams, RevisionKind};
@@ -433,24 +427,13 @@ mod tests {
             heavy_optimization: false,
             aggressive_optimization: false,
         });
-        let run = |jobs: usize, forced_gc: bool| {
-            // A `bdd-gc` fault armed at a count no run reaches: `arm_bdd`
-            // drops every manager's GC threshold to 64, and the hook never
-            // aborts a collection.
-            let budget = if forced_gc {
-                Budget::unlimited().with_faults(FaultPolicy {
-                    bdd_gc_abort_from: Some(u64::MAX),
-                    ..FaultPolicy::default()
-                })
-            } else {
-                Budget::unlimited()
-            };
+        let run = |jobs: usize| {
             let telemetry = Telemetry::enabled();
             let options = EcoOptions::builder().seed(11 ^ 0x7E1E).jobs(jobs).build();
             let session = Session::new(options).with_telemetry(&telemetry);
             let result = session
-                .run_with_budget(&case.implementation, &case.spec, &budget)
-                .expect("rectification succeeds under forced GC");
+                .run(&case.implementation, &case.spec)
+                .expect("rectification succeeds");
             let snap = session.metrics_snapshot();
             let metrics: Vec<(&'static str, u64)> = Counter::ALL
                 .iter()
@@ -464,8 +447,8 @@ mod tests {
                 metrics,
             )
         };
-        let (p1, b1, s1, t1, m1) = run(1, true);
-        let (p4, b4, s4, t4, m4) = run(4, true);
+        let (p1, b1, s1, t1, m1) = run(1);
+        let (p4, b4, s4, t4, m4) = run(4);
         assert_eq!(p1, p4, "patch must be identical across worker counts");
         assert_eq!(
             b1, b4,
@@ -474,22 +457,12 @@ mod tests {
         assert_eq!(s1, s4, "normalized stats must match across worker counts");
         assert_eq!(t1, t4, "normalized trace must match across worker counts");
         assert_eq!(m1, m4, "counters must match across worker counts");
-        let (pd, bd, ..) = run(1, false);
-        assert_eq!(p1, pd, "forced GC must not change the patch");
-        assert_eq!(b1, bd, "forced GC must not change the patched netlist");
-        // The forced threshold is low enough that the machinery actually ran:
-        // this test guards live GC, not the no-op path.
         let counter = |name: &str| {
             m1.iter()
                 .find(|(n, _)| *n == name)
                 .map(|&(_, v)| v)
                 .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
         };
-        assert!(
-            counter("bdd.gc.runs") >= 1,
-            "forced GC threshold never fired"
-        );
-        assert_eq!(counter("fault.injected"), 0, "the GC hook never aborts");
         // Screen accounting: every examined candidate is screened or passed,
         // and without a cache each validation slot went to a passed candidate.
         assert!(

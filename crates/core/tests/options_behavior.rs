@@ -99,27 +99,6 @@ fn tiny_validation_budget_degrades_to_fallback_not_failure() {
     );
 }
 
-/// Every BDD domain attempt hits the node limit (the `bdd-node-limit`
-/// fault).
-#[cfg(feature = "fault-injection")]
-#[test]
-fn tiny_bdd_budget_degrades_gracefully() {
-    let budget = Budget::unlimited().with_faults(FaultPolicy {
-        bdd_node_limit_from: Some(1),
-        ..FaultPolicy::default()
-    });
-    let r = rectify_under(EcoOptions::with_seed(24), &budget);
-    assert!(!r.rectify.degradations.is_empty());
-    assert!(
-        r.rectify
-            .degradations
-            .iter()
-            .all(|d| d.reason == DegradeReason::BddNodeLimit),
-        "{:?}",
-        r.rectify.degradations
-    );
-}
-
 #[test]
 fn small_domain_needs_no_more_than_max_refinements() {
     let mut options = EcoOptions::with_seed(25);

@@ -47,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod export;
 pub mod json;
 mod metrics;

@@ -52,28 +52,19 @@ metric_enum! {
         CecProofs => names::CEC_PROOFS,
         /// Internal equivalences asserted from the proof cache.
         CecReused => names::CEC_REUSED,
-        /// BDD apply-cache hits.
+        /// Retired: BDD apply-cache hits, always 0 (the engine builds no
+        /// BDD). Each retired `Bdd*` metric is kept for the end-to-end
+        /// benchmark's report.
         BddApplyHits => names::BDD_APPLY_HITS,
-        /// BDD apply-cache misses.
+        /// Retired: BDD apply-cache misses, always 0.
         BddApplyMisses => names::BDD_APPLY_MISSES,
-        /// BDD ITE-cache hits.
-        BddIteHits => names::BDD_ITE_HITS,
-        /// BDD ITE-cache misses.
-        BddIteMisses => names::BDD_ITE_MISSES,
-        /// BDD quantification-cache hits.
+        /// Retired: BDD quantification-cache hits, always 0.
         BddQuantHits => names::BDD_QUANT_HITS,
-        /// BDD quantification-cache misses.
+        /// Retired: BDD quantification-cache misses, always 0.
         BddQuantMisses => names::BDD_QUANT_MISSES,
-        /// BDD unique-table resize (rehash) events.
-        BddUniqueResizes => names::BDD_UNIQUE_RESIZES,
-        /// BDD operation-cache entries dropped by explicit clears.
-        BddEvictions => names::BDD_EVICTIONS,
-        /// BDD mark-and-sweep garbage-collection passes.
+        /// Retired: BDD garbage-collection passes, always 0.
         BddGcRuns => names::BDD_GC_RUNS,
-        /// BDD nodes reclaimed by garbage collection.
-        BddGcFreed => names::BDD_GC_FREED,
-        /// Retired: BDD variable-reorder passes, always 0 (the variable
-        /// order is fixed). Kept for the end-to-end benchmark's report.
+        /// Retired: BDD variable-reorder passes, always 0.
         BddReorders => names::BDD_REORDERS,
         /// Sampling-domain refinements (false positives fed back).
         RectifyRefinements => names::RECTIFY_REFINEMENTS,
@@ -139,10 +130,8 @@ metric_enum! {
 metric_enum! {
     /// High-water marks folded by maximum.
     Gauge {
-        /// Peak node count over every BDD manager of the run.
+        /// Retired: peak BDD node count, always 0.
         BddPeakNodes => names::BDD_PEAK_NODES,
-        /// Peak unique-table size over every BDD manager of the run.
-        BddUniqueEntries => names::BDD_UNIQUE_ENTRIES,
         /// Peak number of jobs queued across all scheduler lanes.
         ServeQueueDepth => names::SERVE_QUEUE_DEPTH,
         /// Peak number of jobs running concurrently on daemon workers.

@@ -29,29 +29,20 @@ pub const SAT_LEARNT_LITERALS: &str = "sat.learnt_literals";
 pub const CEC_PROOFS: &str = "cec.proofs";
 /// Internal equivalences asserted from a run's proof cache without solving.
 pub const CEC_REUSED: &str = "cec.reused";
-/// BDD apply-cache hits.
+// The engine builds no BDD: the seven `bdd.*` names always read 0. They
+// stay registered because the end-to-end benchmark still reports them.
+
+/// Retired: BDD apply-cache hits, always 0.
 pub const BDD_APPLY_HITS: &str = "bdd.apply.hits";
-/// BDD apply-cache misses.
+/// Retired: BDD apply-cache misses, always 0.
 pub const BDD_APPLY_MISSES: &str = "bdd.apply.misses";
-/// BDD ITE-cache hits.
-pub const BDD_ITE_HITS: &str = "bdd.ite.hits";
-/// BDD ITE-cache misses.
-pub const BDD_ITE_MISSES: &str = "bdd.ite.misses";
-/// BDD quantification-cache hits.
+/// Retired: BDD quantification-cache hits, always 0.
 pub const BDD_QUANT_HITS: &str = "bdd.quant.hits";
-/// BDD quantification-cache misses.
+/// Retired: BDD quantification-cache misses, always 0.
 pub const BDD_QUANT_MISSES: &str = "bdd.quant.misses";
-/// BDD unique-table resize (rehash) events.
-pub const BDD_UNIQUE_RESIZES: &str = "bdd.unique.resizes";
-/// BDD operation-cache entries dropped by explicit cache clears.
-pub const BDD_EVICTIONS: &str = "bdd.evictions";
-/// BDD mark-and-sweep garbage-collection passes.
+/// Retired: BDD garbage-collection passes, always 0.
 pub const BDD_GC_RUNS: &str = "bdd.gc.runs";
-/// BDD nodes reclaimed by garbage collection.
-pub const BDD_GC_FREED: &str = "bdd.gc.freed";
-/// Retired: BDD variable-reorder passes. The engine keeps one fixed
-/// variable order, so this counter always reads 0; the name stays
-/// registered because the end-to-end benchmark still reports it.
+/// Retired: BDD variable-reorder passes, always 0.
 pub const BDD_REORDERS: &str = "bdd.reorders";
 /// Sampling-domain refinements (false positives fed back).
 pub const RECTIFY_REFINEMENTS: &str = "rectify.refinements";
@@ -115,10 +106,8 @@ pub const SERVE_SHED: &str = "serve.shed";
 // Gauges
 // ---------------------------------------------------------------------
 
-/// Peak node count over every BDD manager of the run.
+/// Retired: peak BDD node count, always 0 (see the `bdd.*` counters).
 pub const BDD_PEAK_NODES: &str = "bdd.peak_nodes";
-/// Peak unique-table size over every BDD manager of the run.
-pub const BDD_UNIQUE_ENTRIES: &str = "bdd.unique_entries";
 /// Peak number of jobs queued across all scheduler lanes.
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 /// Peak number of jobs running concurrently on daemon workers.
@@ -158,14 +147,9 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     CEC_REUSED,
     BDD_APPLY_HITS,
     BDD_APPLY_MISSES,
-    BDD_ITE_HITS,
-    BDD_ITE_MISSES,
     BDD_QUANT_HITS,
     BDD_QUANT_MISSES,
-    BDD_UNIQUE_RESIZES,
-    BDD_EVICTIONS,
     BDD_GC_RUNS,
-    BDD_GC_FREED,
     BDD_REORDERS,
     RECTIFY_REFINEMENTS,
     RECTIFY_VALIDATIONS,
@@ -197,7 +181,6 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     SERVE_SHED,
     // gauges
     BDD_PEAK_NODES,
-    BDD_UNIQUE_ENTRIES,
     SERVE_QUEUE_DEPTH,
     SERVE_ACTIVE_JOBS,
     // histograms

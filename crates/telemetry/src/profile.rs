@@ -1,7 +1,5 @@
 //! The hierarchical profiler: folds a flat span trace back into a
-//! self/total-time tree with per-phase and per-output attribution, plus a
-//! time-sliced counter sampler for turning end-of-run totals into time
-//! series.
+//! self/total-time tree with per-phase and per-output attribution.
 //!
 //! Spans are recorded flat, per lane, children before parents (a span is
 //! pushed when it *ends*). The profiler reconstructs nesting by interval
@@ -15,10 +13,6 @@
 use crate::json::{self, Value};
 use crate::names;
 use crate::span::{ArgValue, SpanRecord};
-use crate::{Counter, MetricsSnapshot, Telemetry};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// A span that owns its strings — the form the profiler works on, so
 /// traces can come either from a live run ([`SpanRecord`]) or re-parsed
@@ -375,84 +369,6 @@ fn fold(spans: &[OwnedSpan], raw: &RawNode, parent: &mut ProfileNode) {
     }
 }
 
-/// One time slice captured by a [`CounterSampler`].
-#[derive(Debug, Clone)]
-pub struct CounterSample {
-    /// Milliseconds since sampling started.
-    pub elapsed_ms: u64,
-    /// The full metrics snapshot at this instant.
-    pub snapshot: MetricsSnapshot,
-}
-
-impl CounterSample {
-    /// Convenience: one counter's value at this instant.
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.snapshot.counter(counter)
-    }
-}
-
-/// Samples the metrics registry on a background thread at a fixed
-/// interval, turning monotonic totals into a time series (e.g. BDD apply
-/// throughput and hit rate over the course of a run).
-///
-/// Sampling only reads the registry's folded snapshot — the recording hot
-/// path stays lock-free and unaffected.
-#[derive(Debug)]
-pub struct CounterSampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<Vec<CounterSample>>>,
-}
-
-impl CounterSampler {
-    /// Starts sampling `telemetry` every `interval`. A disabled handle
-    /// yields an empty series.
-    pub fn start(telemetry: &Telemetry, interval: Duration) -> CounterSampler {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let telemetry = telemetry.clone();
-        let handle = std::thread::spawn(move || {
-            let mut samples = Vec::new();
-            if !telemetry.is_enabled() {
-                return samples;
-            }
-            let started = std::time::Instant::now();
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                samples.push(CounterSample {
-                    elapsed_ms: started.elapsed().as_millis() as u64,
-                    snapshot: telemetry.snapshot(),
-                });
-            }
-            samples
-        });
-        CounterSampler {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the sampler and returns the captured series. Callers that
-    /// need the end-of-run totals take one more
-    /// [`Telemetry::snapshot`] themselves.
-    pub fn stop(mut self) -> Vec<CounterSample> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("sampler stopped twice")
-            .join()
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for CounterSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,28 +531,5 @@ mod tests {
         let direct = Profile::from_spans(&trace);
         let reparsed = Profile::from_owned(owned);
         assert_eq!(direct.root, reparsed.root);
-    }
-
-    #[test]
-    fn sampler_returns_a_monotone_series() {
-        let t = Telemetry::enabled();
-        let shard = t.shard();
-        let sampler = CounterSampler::start(&t, Duration::from_millis(1));
-        for _ in 0..50 {
-            shard.add(Counter::BddApplyHits, 10);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let samples = sampler.stop();
-        assert!(!samples.is_empty());
-        let values: Vec<u64> = samples
-            .iter()
-            .map(|s| s.counter(Counter::BddApplyHits))
-            .collect();
-        assert!(values.windows(2).all(|w| w[0] <= w[1]), "monotone totals");
-        assert_eq!(*values.last().unwrap() % 10, 0);
-        // Disabled telemetry yields nothing.
-        let none = CounterSampler::start(&Telemetry::disabled(), Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(none.stop().is_empty());
     }
 }

@@ -235,9 +235,8 @@ pub fn render(profile: &Profile, metrics: &MetricsDoc, options: &ReportOptions) 
         )
     };
     out.push_str(&format!(
-        "| sat conflicts | {} |\n| cec proofs reused | {reuse} |\n| bdd peak nodes | {} |\n",
+        "| sat conflicts | {} |\n| cec proofs reused | {reuse} |\n",
         metrics.counter(names::SAT_CONFLICTS),
-        metrics.gauge(names::BDD_PEAK_NODES),
     ));
 
     // ---- Hot paths ---------------------------------------------------

@@ -4,8 +4,8 @@
 //! The implementation computes `w_k = (w1_k ∧ v0) ∨ (w2_k ∧ v1)`; the
 //! revision introduces `c = a ∧ b` and wants `w_k = (w1_k ∧ c) ∨ (w2_k ∧ ¬c)`.
 //! We build the sampling domain by hand, enumerate the minimal feasible
-//! point-sets of `H(t)`, rank rewiring candidates for `Ξ(c)`, and print what
-//! the engine would see.
+//! point-sets of `H(t)`, rank rewiring candidates, decode the valid
+//! rewiring choices of `Ξ(c)`, and print what the engine would see.
 //!
 //! ```text
 //! cargo run --release -p syseco --example symbolic_sampling
@@ -14,9 +14,11 @@
 use eco_netlist::sim::Compiled;
 use eco_netlist::{Circuit, GateKind, Pin};
 use eco_sat::cec::ProofCache;
+use syseco::choices::find_choices;
 use syseco::correspond::Correspondence;
 use syseco::error_domain::collect_samples;
 use syseco::points::{candidate_pins, MinimalSets};
+use syseco::rectify::{MAX_CHOICES, MAX_REWIRE_CANDIDATES};
 use syseco::rewire_nets::{candidates_for_pin, RewireNetContext};
 use syseco::sampling::SamplingDomain;
 use syseco::SamplePolicy;
@@ -79,14 +81,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Build the sampling domain, then simulate both circuits over it once:
-    // the minimal point-sets and the candidate utilities read these values.
-    const Z_BASE: u32 = 40;
-    let domain = SamplingDomain::new(samples, Z_BASE)?;
-    println!(
-        "\nsampling domain: N = {} samples → {} z-variables",
-        domain.len(),
-        domain.num_z_vars()
-    );
+    // the minimal point-sets, the candidate utilities and Ξ(c) read these
+    // values.
+    let domain = SamplingDomain::new(samples)?;
+    println!("\nsampling domain: N = {} samples", domain.len());
     let (impl_sim, spec_sim) = (Compiled::new(&impl_c)?, Compiled::new(&spec)?);
     let spec_root = spec.outputs()[0].net();
     let ctx = RewireNetContext::build(
@@ -124,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .find(|p| matches!(p, Pin::Gate { .. }))
         .expect("gate pins exist");
-    let cands = candidates_for_pin(&impl_c, &ctx, gating_pin, 8, None)?;
+    let cands = candidates_for_pin(&impl_c, &ctx, gating_pin, MAX_REWIRE_CANDIDATES, None)?;
     println!("\nrewiring candidates for pin {gating_pin} (utility = |differs on E|/|E|):");
     for c in &cands {
         println!(
@@ -133,6 +131,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if c.from_spec { " (spec)" } else { "" },
             c.utility
         );
+    }
+
+    // §4.4 — Ξ(c) of the first 2-pin point-set that has valid choices: each
+    // choice picks one candidate net per pin (index 0 keeps the driver).
+    for set in minimal.of_size(2, 8) {
+        let lists = set
+            .iter()
+            .map(|&p| candidates_for_pin(&impl_c, &ctx, p, MAX_REWIRE_CANDIDATES, None))
+            .collect::<Result<Vec<_>, _>>()?;
+        let choices = find_choices(&minimal.match_words(&set), &ctx, &lists, MAX_CHOICES);
+        if choices.is_empty() {
+            continue;
+        }
+        let names: Vec<String> = set.iter().map(|p| p.to_string()).collect();
+        println!(
+            "\nΞ(c) of {{{}}}: {} choice(s)",
+            names.join(", "),
+            choices.len()
+        );
+        for choice in &choices {
+            let nets: Vec<String> = choice
+                .iter()
+                .zip(&lists)
+                .map(|(&j, list)| {
+                    let c = &list[j];
+                    format!("{}{}", c.net, if c.from_spec { " (spec)" } else { "" })
+                })
+                .collect();
+            println!("  ({})", nets.join(", "));
+        }
+        break;
     }
     println!("\nThe engine validates choices of Ξ(c) with SAT and rewires —");
     println!("run `cargo run --example figure1` to see the end-to-end result.");

@@ -213,58 +213,6 @@ fn killed_at_every_fault_point_resumes_byte_identically() {
     }
 }
 
-/// The BDD engine's own fault point: abort injected through the manager's
-/// event hook at the first garbage collection. Arming it forces the
-/// manager's GC threshold low so the faulted machinery genuinely runs; the
-/// veto surfaces as the same simulated crash as a span abort, and a
-/// faultless rerun over the surviving checkpoints must reproduce the
-/// uninterrupted bytes.
-#[cfg(feature = "fault-injection")]
-#[test]
-fn killed_inside_bdd_gc_resumes_byte_identically() {
-    use syseco::{Budget, EcoError, FaultPlan, Session};
-
-    let case = build_case(&multi_output_params());
-    for jobs in [1usize, 4] {
-        let options = EcoOptions::builder().seed(0xC4EC).jobs(jobs).build();
-        let reference = Session::new(options)
-            .run(&case.implementation, &case.spec)
-            .expect("uninterrupted run succeeds");
-        let reference = write_blif(&reference.patched);
-
-        let dir = tmp_dir(&format!("ckpt-kill-bdd-gc-j{jobs}"));
-        let options = EcoOptions::builder()
-            .seed(0xC4EC)
-            .jobs(jobs)
-            .checkpoint_dir(&dir)
-            .build();
-        let plan = FaultPlan::parse("bdd-gc@1").unwrap();
-        let session = Session::new(options);
-        match session.run_with_budget(
-            &case.implementation,
-            &case.spec,
-            &Budget::unlimited().with_fault_plan(plan),
-        ) {
-            Err(EcoError::InjectedAbort) => {
-                let resumed = session
-                    .run_with_budget(&case.implementation, &case.spec, &Budget::unlimited())
-                    .unwrap_or_else(|e| panic!("resume after bdd-gc@1 (jobs={jobs}) failed: {e}"));
-                assert_eq!(
-                    write_blif(&resumed.patched),
-                    reference,
-                    "resume after bdd-gc@1 diverged (jobs={jobs})"
-                );
-                assert!(verify_rectification(&resumed.patched, &case.spec).unwrap());
-            }
-            other => panic!(
-                "armed bdd-gc@1 must reach its forced-threshold event and abort \
-                 (jobs={jobs}); got {other:?}"
-            ),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

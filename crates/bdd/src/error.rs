@@ -7,16 +7,11 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BddError {
-    /// The manager's node limit was exceeded; the computation should fall
-    /// back to a smaller sampling domain or a SAT-based path.
+    /// The manager's node limit was exceeded; the caller should report
+    /// the computation as undecided or take a non-BDD path.
     NodeLimit {
         /// The configured limit that was hit.
         limit: usize,
-    },
-    /// A variable index outside the allocated range was used.
-    UnknownVar {
-        /// The offending variable index.
-        var: u32,
     },
 }
 
@@ -26,7 +21,6 @@ impl fmt::Display for BddError {
             BddError::NodeLimit { limit } => {
                 write!(f, "bdd node limit of {limit} nodes exceeded")
             }
-            BddError::UnknownVar { var } => write!(f, "unknown bdd variable {var}"),
         }
     }
 }
@@ -40,7 +34,6 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!BddError::NodeLimit { limit: 10 }.to_string().is_empty());
-        assert!(!BddError::UnknownVar { var: 3 }.to_string().is_empty());
     }
 
     #[test]

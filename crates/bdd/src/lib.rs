@@ -4,23 +4,21 @@
 //! characteristic function `H(t)` (§4.2), the valid-rewiring characteristic
 //! `Ξ(c)` (§4.4), and the sampling-domain functions `g(z)` (§5.1) — out on
 //! BDDs. syseco's search computes them by simulation over the samples; the
-//! BDD constructions remain as its test oracles and as the benchmark's BDD
-//! layer. This crate provides a self-contained BDD package in the spirit of
-//! the paper's in-house implementation:
+//! BDD constructions remain as its test oracles, as the fuzz harness's BDD
+//! equivalence oracle, and as the benchmark's BDD layer. This crate
+//! provides a self-contained BDD package for them:
 //!
-//! * a [`BddManager`] storing complement-tagged edges in a dense `u32`
-//!   arena with an open-addressed unique table — negation is a tag flip,
-//!   a function and its complement share every node,
-//! * Boolean connectives, cofactors, and `∃`/`∀` quantification over
-//!   variable cubes, memoized through sized generational operation
-//!   caches (direct-mapped, epoch-invalidated),
+//! * a [`BddManager`] storing complement-tagged edges in a dense,
+//!   append-only `u32` arena with an open-addressed unique table —
+//!   negation is a tag flip, a function and its complement share every
+//!   node,
+//! * Boolean connectives and `∃`/`∀` quantification over variable cubes,
+//!   memoized through sized generational operation caches
+//!   (direct-mapped, epoch-invalidated),
 //! * assignment counting ([`BddManager::sat_count`]) and satisfying-cube
 //!   enumeration ([`BddManager::sat_cubes`]),
-//! * mark-and-sweep garbage collection over an explicit root set
-//!   ([`BddManager::gc`], [`BddManager::maybe_gc`]) — surviving handles
-//!   keep their indices,
-//! * a configurable node limit so domain computations stay
-//!   resource-bounded ([`BddError::NodeLimit`]).
+//! * a configurable node limit so a build stays resource-bounded
+//!   ([`BddError::NodeLimit`]).
 //!
 //! The variable order is fixed: a variable's index is its level, lower
 //! indices nearer the root. Callers number their variables in the order
@@ -37,7 +35,7 @@
 //! let y = m.var(1);
 //! let f = m.and(x, y)?;
 //! let g = m.or(x, y)?;
-//! assert!(m.implies_check(f, g)?);
+//! assert_eq!(m.implies(f, g)?, m.one());
 //! assert_eq!(m.sat_count(f, 2), 1.0);
 //! # Ok(())
 //! # }
@@ -52,4 +50,4 @@ mod unique;
 
 pub use cubes::Cube;
 pub use error::BddError;
-pub use manager::{Bdd, BddCounters, BddManager};
+pub use manager::{Bdd, BddManager};

@@ -3,9 +3,8 @@
 //! The table stores only `u32` node indices; the `(var, lo, hi)` key of an
 //! entry is read back from the arena on probe, so there is no tuple-key
 //! hashing or per-entry key storage. Capacity is always a power of two and
-//! probing is linear, which keeps the hot `find` loop branch-light. Entries
-//! are never removed one by one: garbage collection rebuilds the whole
-//! table from the surviving nodes.
+//! probing is linear, which keeps the hot `find` loop branch-light. Nodes
+//! are never freed, so entries are never removed.
 
 use crate::arena::Arena;
 
@@ -18,7 +17,6 @@ pub(crate) struct UniqueTable {
     slots: Vec<u32>,
     mask: usize,
     len: usize,
-    resizes: u64,
 }
 
 #[inline(always)]
@@ -38,20 +36,7 @@ impl UniqueTable {
             slots: vec![EMPTY; INITIAL_CAPACITY],
             mask: INITIAL_CAPACITY - 1,
             len: 0,
-            resizes: 0,
         }
-    }
-
-    /// Number of stored nodes (terminals are never stored).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Capacity-growth events since creation.
-    #[inline]
-    pub fn resizes(&self) -> u64 {
-        self.resizes
     }
 
     /// Looks up the canonical node for `(var, lo, hi)`.
@@ -86,34 +71,6 @@ impl UniqueTable {
 
     fn grow(&mut self, arena: &Arena) {
         let new_cap = self.slots.len() * 2;
-        self.resizes += 1;
-        self.rehash(arena, new_cap);
-    }
-
-    /// Rebuilds the table from the arena's live nodes. Used after garbage
-    /// collection; does not count as a resize.
-    pub fn rebuild(&mut self, arena: &Arena) {
-        let mut cap = self.slots.len();
-        // Shrink toward the live set, but never below the initial capacity.
-        while cap > INITIAL_CAPACITY && arena.live() * 4 < cap {
-            cap /= 2;
-        }
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY);
-        self.mask = cap - 1;
-        self.len = 0;
-        for idx in arena.live_indices() {
-            let n = arena.node(idx);
-            let mut i = hash(n.var, n.lo, n.hi) as usize & self.mask;
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = idx;
-            self.len += 1;
-        }
-    }
-
-    fn rehash(&mut self, arena: &Arena, new_cap: usize) {
         let old: Vec<u32> = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
         self.mask = new_cap - 1;
         for s in old {
@@ -141,7 +98,7 @@ mod tests {
         let idx = arena.alloc(3, 1, 0);
         assert_eq!(t.find(&arena, 3, 1, 0), None);
         t.insert(&arena, idx, 3, 1, 0);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.len, 1);
         assert_eq!(t.find(&arena, 3, 1, 0), Some(idx));
         assert_eq!(t.find(&arena, 3, 0, 1), None);
     }
@@ -156,24 +113,11 @@ mod tests {
             t.insert(&arena, idx, v, 1, 0);
             ids.push((idx, v));
         }
-        assert!(t.resizes() >= 1);
-        assert_eq!(t.len(), 2000);
+        // 2,000 entries at ≤ 75% load take two doublings of 1,024 slots.
+        assert_eq!(t.slots.len(), INITIAL_CAPACITY << 2);
+        assert_eq!(t.len, 2000);
         for (idx, v) in ids {
             assert_eq!(t.find(&arena, v, 1, 0), Some(idx));
         }
-    }
-
-    #[test]
-    fn rebuild_drops_dead_nodes() {
-        let mut arena = Arena::new();
-        let mut t = UniqueTable::new();
-        let a = arena.alloc(0, 1, 0);
-        let b = arena.alloc(1, 1, 0);
-        t.insert(&arena, a, 0, 1, 0);
-        t.insert(&arena, b, 1, 1, 0);
-        arena.release(a);
-        t.rebuild(&arena);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.find(&arena, 1, 1, 0), Some(b));
     }
 }

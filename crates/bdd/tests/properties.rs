@@ -136,32 +136,4 @@ proptest! {
             prop_assert_eq!(m.eval(fa, &a), e0 && e1);
         }
     }
-
-    #[test]
-    fn restrict_semantics(e in expr_strategy(), v in 0..NUM_VARS, phase in any::<bool>()) {
-        let mut m = BddManager::new();
-        let f = e.build(&mut m);
-        let r = m.restrict(f, v, phase).unwrap();
-        for a in assignments() {
-            let mut forced = a.clone();
-            forced[v as usize] = phase;
-            prop_assert_eq!(m.eval(r, &a), e.eval(&forced));
-        }
-    }
-
-    #[test]
-    fn any_sat_is_a_model(e in expr_strategy()) {
-        let mut m = BddManager::new();
-        let f = e.build(&mut m);
-        match m.any_sat(f) {
-            None => prop_assert_eq!(f, m.zero()),
-            Some(cube) => {
-                let mut a = vec![false; NUM_VARS as usize];
-                for &(v, p) in cube.literals() {
-                    a[v as usize] = p;
-                }
-                prop_assert!(e.eval(&a));
-            }
-        }
-    }
 }

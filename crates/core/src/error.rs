@@ -21,10 +21,6 @@ pub enum EcoError {
         /// Label of the output that resisted rectification.
         output: String,
     },
-    /// A sampling domain was constructed from zero samples. An empty domain
-    /// quantifies over nothing, which would make every rectification
-    /// vacuously feasible, so construction rejects it up front.
-    EmptySamplingDomain,
     /// An active fault plan aborted the run, simulating a hard crash
     /// (SIGKILL) at a span boundary: nothing further was written and the
     /// run must be resumable from its checkpoint directory. Only
@@ -40,9 +36,6 @@ impl fmt::Display for EcoError {
             EcoError::Netlist(e) => write!(f, "netlist error: {e}"),
             EcoError::RectificationFailed { output } => {
                 write!(f, "failed to rectify output {output:?}")
-            }
-            EcoError::EmptySamplingDomain => {
-                write!(f, "sampling domain must not be empty")
             }
             #[cfg(any(test, feature = "fault-injection"))]
             EcoError::InjectedAbort => {
@@ -78,7 +71,6 @@ mod tests {
             EcoError::PortMismatch("x".into()),
             EcoError::Netlist(NetlistError::Cyclic),
             EcoError::RectificationFailed { output: "y".into() },
-            EcoError::EmptySamplingDomain,
             EcoError::InjectedAbort,
         ];
         for e in cases {

@@ -49,7 +49,7 @@ pub enum SpanPoint {
     Samples,
     /// Candidate point-set enumeration.
     PointSets,
-    /// Resynthesis choice enumeration.
+    /// Rewiring-choice enumeration (`Ξ(c)`, §4.4) for one point-set.
     Choices,
     /// SAT validation of one proposal.
     Validate,

@@ -30,7 +30,6 @@ use crate::memo::WarmStart;
 use crate::options::EcoOptions;
 use crate::points::{candidate_pins, MinimalSets};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
-use crate::sampling::SamplingDomain;
 use crate::schedule::per_output_seed;
 use crate::validate::{validate_rewires, CandidateRewire, SampleBank, Validation};
 use crate::EcoError;
@@ -366,17 +365,9 @@ impl OutputSearch<'_> {
         let (base, spec, pair) = (self.base, self.spec, self.pair);
         let (base_sim, spec_sim) = (self.base_sim, self.spec_sim);
         let spec_root = spec.outputs()[pair.spec_index as usize].net();
-        let domain = SamplingDomain::new(samples.to_vec())?;
         // The attempt's one simulation of its domain: candidate utilities,
         // the minimal-set enumeration and `Ξ(c)` all read these words.
-        let ctx = RewireNetContext::build(
-            base_sim,
-            spec,
-            spec_sim,
-            self.corr,
-            spec_root,
-            domain.samples(),
-        )?;
+        let ctx = RewireNetContext::build(base_sim, spec, spec_sim, self.corr, spec_root, samples)?;
         // The candidate screen runs over the full sample bank (a strict
         // superset of this attempt's sampling domain): one spec simulation per
         // attempt, reused by every validation below.

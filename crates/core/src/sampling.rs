@@ -17,42 +17,6 @@
 use eco_bdd::{Bdd, BddError, BddManager};
 use eco_netlist::{topo, Circuit, GateKind};
 
-use crate::EcoError;
-
-/// A sampling domain: the sampled assignments, never empty.
-#[derive(Debug, Clone)]
-pub struct SamplingDomain {
-    samples: Vec<Vec<bool>>,
-}
-
-impl SamplingDomain {
-    /// Creates a domain over `samples` (implementation input order).
-    ///
-    /// # Errors
-    ///
-    /// [`EcoError::EmptySamplingDomain`] when `samples` is empty — an empty
-    /// domain quantifies over nothing and would make every rectification
-    /// vacuously feasible. A domain is therefore never empty: `len() > 0`
-    /// always holds.
-    pub fn new(samples: Vec<Vec<bool>>) -> Result<Self, EcoError> {
-        if samples.is_empty() {
-            return Err(EcoError::EmptySamplingDomain);
-        }
-        Ok(SamplingDomain { samples })
-    }
-
-    /// The sampled assignments.
-    pub fn samples(&self) -> &[Vec<bool>] {
-        &self.samples
-    }
-
-    /// Number of samples `N` (always at least 1).
-    #[allow(clippy::len_without_is_empty)] // empty domains are unconstructible
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-}
-
 /// Evaluates every live net of `circuit` as a BDD, with primary input `i`
 /// overloaded by `input_fns[i]` (typically the sampling functions `g(z)`).
 ///
@@ -176,14 +140,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn empty_domain_rejected() {
-        assert!(matches!(
-            SamplingDomain::new(vec![]),
-            Err(crate::EcoError::EmptySamplingDomain)
-        ));
-        assert_eq!(SamplingDomain::new(vec![vec![true]]).unwrap().len(), 1);
     }
 }

@@ -742,4 +742,19 @@ mod tests {
         let verdicts = oracle.check_all(&a, &b, &map).unwrap();
         assert_eq!(verdicts, vec![Verdict::Unknown; 2]);
     }
+
+    #[test]
+    fn bdd_oracle_over_its_node_limit_reports_unknown() {
+        let (a, b) = pair(true);
+        let map = port_map(&a, &b).unwrap();
+        // Fewer nodes than the pair's three input variables: the first
+        // connective of the build exceeds the limit.
+        let mut oracle = BddOracle { node_limit: 2 };
+        let verdicts = oracle.check_all(&a, &b, &map).unwrap();
+        assert_eq!(verdicts, vec![Verdict::Unknown; 2]);
+        let sat = SatOracle::default().check_all(&a, &b, &map).unwrap();
+        assert!(matches!(sat[1], Verdict::Different(_)));
+        let named = vec![("bdd".to_string(), verdicts), ("sat".to_string(), sat)];
+        assert!(cross_check_oracles(&a, &b, &map, &named).is_empty());
+    }
 }

@@ -32,9 +32,7 @@
 //! ```
 
 pub mod cec;
-pub mod dimacs;
 mod solver;
 pub mod tseitin;
 
-pub use dimacs::{read_dimacs, write_dimacs, Cnf, ParseDimacsError};
 pub use solver::{Lit, SolveResult, Solver, SolverStats, Var};

@@ -253,26 +253,6 @@ impl Solver {
         self.assigns.len()
     }
 
-    /// Number of clauses currently stored (original + learnt).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Conflicts observed so far (across all `solve` calls).
-    pub fn num_conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
-    /// Decisions made so far.
-    pub fn num_decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Propagations performed so far.
-    pub fn num_propagations(&self) -> u64 {
-        self.propagations
-    }
-
     /// All cumulative search counters in one copyable snapshot.
     #[inline]
     pub fn stats(&self) -> SolverStats {
@@ -1061,7 +1041,7 @@ mod tests {
         let v = lits(&mut s, 3);
         s.add_clause(&[v[0], v[1], v[2]]);
         s.solve(&[]);
-        assert!(s.num_decisions() >= 1);
+        assert!(s.stats().decisions >= 1);
         assert!(s.num_vars() == 3);
     }
 

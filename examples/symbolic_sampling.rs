@@ -20,7 +20,6 @@ use syseco::error_domain::collect_samples;
 use syseco::points::{candidate_pins, MinimalSets};
 use syseco::rectify::{MAX_CHOICES, MAX_REWIRE_CANDIDATES};
 use syseco::rewire_nets::{candidates_for_pin, RewireNetContext};
-use syseco::sampling::SamplingDomain;
 use syseco::SamplePolicy;
 
 fn implementation() -> Circuit {
@@ -80,21 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  x̂ = {s:?}");
     }
 
-    // Build the sampling domain, then simulate both circuits over it once:
-    // the minimal point-sets, the candidate utilities and Ξ(c) read these
-    // values.
-    let domain = SamplingDomain::new(samples)?;
-    println!("\nsampling domain: N = {} samples", domain.len());
+    // The samples are the sampling domain: simulate both circuits over it
+    // once; the minimal point-sets, the candidate utilities and Ξ(c) read
+    // these values.
+    println!("\nsampling domain: N = {} samples", samples.len());
     let (impl_sim, spec_sim) = (Compiled::new(&impl_c)?, Compiled::new(&spec)?);
     let spec_root = spec.outputs()[0].net();
-    let ctx = RewireNetContext::build(
-        &impl_sim,
-        &spec,
-        &spec_sim,
-        &corr,
-        spec_root,
-        domain.samples(),
-    )?;
+    let ctx = RewireNetContext::build(&impl_sim, &spec, &spec_sim, &corr, spec_root, &samples)?;
 
     // §4.2 — H(t)'s prime cubes are its minimal feasible point-sets.
     let root = impl_c.outputs()[0].net();

@@ -15,8 +15,7 @@
 //! * Boolean connectives and `∃`/`∀` quantification over variable cubes,
 //!   memoized through sized generational operation caches
 //!   (direct-mapped, epoch-invalidated),
-//! * assignment counting ([`BddManager::sat_count`]) and satisfying-cube
-//!   enumeration ([`BddManager::sat_cubes`]),
+//! * satisfying-cube enumeration ([`BddManager::sat_cubes`]),
 //! * a configurable node limit so a build stays resource-bounded
 //!   ([`BddError::NodeLimit`]).
 //!
@@ -36,7 +35,7 @@
 //! let f = m.and(x, y)?;
 //! let g = m.or(x, y)?;
 //! assert_eq!(m.implies(f, g)?, m.one());
-//! assert_eq!(m.sat_count(f, 2), 1.0);
+//! assert!(m.eval(f, &[true, true]) && !m.eval(f, &[true, false]));
 //! # Ok(())
 //! # }
 //! ```

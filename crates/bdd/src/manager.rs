@@ -22,8 +22,6 @@
 //!   Every recursion step reads the top variable straight off its
 //!   operands' nodes.
 
-use std::collections::HashMap;
-
 use crate::arena::{Arena, TERMINAL_VAR};
 use crate::opcache::DirectCache;
 use crate::unique::UniqueTable;
@@ -470,34 +468,6 @@ impl BddManager {
         }
     }
 
-    /// Number of satisfying assignments of `f` over variables `0..num_vars`.
-    ///
-    /// Returned as `f64` to stay robust for wide variable scopes. The
-    /// computation is a density recursion (`p(node) = (p(lo)+p(hi))/2`),
-    /// which is independent of the variable order.
-    pub fn sat_count(&self, f: Bdd, num_vars: u32) -> f64 {
-        fn density(m: &BddManager, idx: u32, memo: &mut HashMap<u32, f64>) -> f64 {
-            if idx == 0 {
-                return 1.0;
-            }
-            if let Some(&p) = memo.get(&idx) {
-                return p;
-            }
-            let n = m.arena.node(idx);
-            let lo = density(m, n.lo >> 1, memo);
-            let lo = if n.lo & 1 == 1 { 1.0 - lo } else { lo };
-            let hi = density(m, n.hi >> 1, memo);
-            let hi = if n.hi & 1 == 1 { 1.0 - hi } else { hi };
-            let p = 0.5 * (lo + hi);
-            memo.insert(idx, p);
-            p
-        }
-        let mut memo = HashMap::new();
-        let p = density(self, f.0 >> 1, &mut memo);
-        let p = if f.0 & 1 == 1 { 1.0 - p } else { p };
-        p * 2f64.powi(num_vars as i32)
-    }
-
     /// Clears operation caches (unique table and nodes are kept) in O(1).
     pub fn clear_caches(&mut self) {
         self.apply_cache.clear();
@@ -682,20 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn sat_count_basic() {
-        let mut m = mgr();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.xor(a, b).unwrap();
-        assert_eq!(m.sat_count(f, 2), 2.0);
-        assert_eq!(m.sat_count(f, 3), 4.0); // free third variable doubles
-        assert_eq!(m.sat_count(m.one(), 4), 16.0);
-        assert_eq!(m.sat_count(m.zero(), 4), 0.0);
-        assert_eq!(m.sat_count(a, 2), 2.0);
-        assert_eq!(m.sat_count(b, 2), 2.0); // root below var 0 scales up
-    }
-
-    #[test]
     fn node_limit_enforced() {
         let mut m = BddManager::with_node_limit(16);
         // Build functions needing many distinct nodes against a tiny budget.
@@ -756,6 +712,5 @@ mod tests {
         // The terminal, 64 variables, and a parity node on each level but
         // the last, where parity is the variable itself.
         assert_eq!(m.peak_num_nodes(), 1 + 64 + 63);
-        assert_eq!(m.sat_count(f, 64), 2f64.powi(63));
     }
 }

@@ -51,13 +51,5 @@ fn bench_quantify(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sat_count(c: &mut Criterion) {
-    c.bench_function("bdd_sat_count_carry32", |b| {
-        let mut m = BddManager::new();
-        let f = carry_chain(&mut m, 32);
-        b.iter(|| std::hint::black_box(m.sat_count(f, 64)));
-    });
-}
-
-criterion_group!(benches, bench_build, bench_quantify, bench_sat_count);
+criterion_group!(benches, bench_build, bench_quantify);
 criterion_main!(benches);

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eco_netlist::Circuit;
-use eco_sat::{tseitin, SolveResult, Solver};
+use eco_sat::tseitin::{Equivalence, Miter};
+use eco_sat::Solver;
 use eco_synth::lower::synthesize;
 use eco_synth::opt::{optimize, OptOptions};
 use eco_synth::rtl::{RtlModule, WordExpr as E};
@@ -37,9 +38,9 @@ fn bench_equivalence_unsat(c: &mut Criterion) {
                 .map(|(l, r)| (l.net(), r.net()))
                 .collect();
             b.iter(|| {
-                let mut s = Solver::new();
-                tseitin::encode_miter(&mut s, &left, &right, &pairs).unwrap();
-                assert_eq!(s.solve(&[]), SolveResult::Unsat);
+                let mut miter = Miter::new(Solver::new(), &left, &right, &pairs).unwrap();
+                miter.require_difference();
+                assert_eq!(miter.next_difference(&left), Equivalence::Equivalent);
             });
         });
     }
@@ -68,21 +69,14 @@ fn bench_model_enumeration(c: &mut Criterion) {
             .map(|(l, r)| (l.net(), r.net()))
             .collect();
         b.iter(|| {
-            let mut s = Solver::new();
-            let miter = tseitin::encode_miter(&mut s, &left, &right, &pairs).unwrap();
+            let mut miter = Miter::new(Solver::new(), &left, &right, &pairs).unwrap();
+            miter.require_difference();
             let mut found = 0;
-            while found < 16 && s.solve(&[]) == SolveResult::Sat {
-                let inputs = tseitin::model_inputs(&s, &miter, &left);
-                let block: Vec<_> = left
-                    .inputs()
-                    .iter()
-                    .zip(&inputs)
-                    .map(|(&id, &v)| {
-                        let label = left.node(id).name().unwrap().to_string();
-                        eco_sat::Lit::with_phase(miter.inputs[&label], !v)
-                    })
-                    .collect();
-                s.add_clause(&block);
+            while found < 16 {
+                let Equivalence::Counterexample(inputs) = miter.next_difference(&left) else {
+                    break;
+                };
+                miter.block(&inputs, &left);
                 found += 1;
             }
             std::hint::black_box(found)

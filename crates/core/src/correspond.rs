@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use eco_netlist::Circuit;
+use eco_netlist::{Circuit, NetId};
 
 use crate::EcoError;
 
@@ -21,6 +21,17 @@ pub struct OutputPair {
     pub spec_index: u32,
     /// The shared label.
     pub name: String,
+}
+
+impl OutputPair {
+    /// The pair's output nets: the implementation's, then the
+    /// specification's.
+    pub fn nets(&self, implementation: &Circuit, spec: &Circuit) -> (NetId, NetId) {
+        (
+            implementation.outputs()[self.impl_index as usize].net(),
+            spec.outputs()[self.spec_index as usize].net(),
+        )
+    }
 }
 
 /// Port correspondence between an implementation and a specification.

@@ -5,13 +5,19 @@
 //! from the error domain"). Collection is two-staged: fast 64-way random
 //! simulation first, then SAT enumeration on a single-output miter to top up
 //! (and to prove an output pair equivalent when no error exists).
+//!
+//! The module also builds the engine's one equivalence query, an assisted
+//! [`Miter`] of an implementation against the specification: detection and
+//! the verification pass classify outputs with it, and the SAT top-up,
+//! candidate validation and the merge rechecks ask it too.
 
 use std::collections::HashSet;
 
 use eco_netlist::sim::Compiled;
-use eco_netlist::{Circuit, NetlistError};
-use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
-use eco_sat::{tseitin, Lit, SolveResult, Solver, SolverStats};
+use eco_netlist::{Circuit, NetId, NetlistError};
+use eco_sat::cec::{CecOptions, ProofCache};
+use eco_sat::tseitin::Miter;
+use eco_sat::{Solver, SolverStats};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -19,66 +25,34 @@ use crate::budget::Budget;
 use crate::correspond::{Correspondence, OutputPair};
 use crate::options::SamplePolicy;
 
-/// Verdict of an equivalence query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Equivalence {
-    /// The output pair computes the same function.
-    Equivalent,
-    /// A distinguishing input assignment (implementation input order).
-    Counterexample(Vec<bool>),
-    /// The SAT budget was exhausted.
-    Unknown,
-}
+pub use eco_sat::tseitin::Equivalence;
 
-/// A fresh solver, armed with the governor's deadline and cancel flag before
-/// any query runs — the internal-equivalence pass included.
-pub(crate) fn armed_solver(governor: Option<&Budget>) -> Solver {
+/// The engine's equivalence query: a miter of `implementation` against
+/// `spec` on `pairs`, after the internal-equivalence pass with default
+/// options, which reads and extends `proofs`. The solver is armed with the
+/// governor's deadline and cancel flag before the pass, so no query of
+/// either stage runs past them.
+///
+/// # Errors
+///
+/// Propagates [`NetlistError`] from encoding and simulation.
+pub(crate) fn miter<'s>(
+    implementation: &Circuit,
+    spec: &'s Circuit,
+    pairs: &[(NetId, NetId)],
+    governor: Option<&Budget>,
+    proofs: &mut ProofCache<'s>,
+) -> Result<Miter, NetlistError> {
     let mut solver = Solver::new();
     if let Some(g) = governor {
         g.arm_solver(&mut solver);
     }
-    solver
-}
-
-/// Checks one output pair for equivalence with a conflict budget, and
-/// returns the SAT effort the query consumed. The internal-equivalence pass
-/// reads and extends `proofs`; pass a fresh [`ProofCache`] for a cold
-/// query.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from encoding.
-pub fn check_output_pair<'s>(
-    implementation: &Circuit,
-    spec: &'s Circuit,
-    pair: &OutputPair,
-    budget: Option<u64>,
-    governor: Option<&Budget>,
-    proofs: &mut ProofCache<'s>,
-) -> Result<(Equivalence, SolverStats), NetlistError> {
-    let mut solver = armed_solver(governor);
-    let lnet = implementation.outputs()[pair.impl_index as usize].net();
-    let rnet = spec.outputs()[pair.spec_index as usize].net();
-    let miter = tseitin::encode_pairs(&mut solver, implementation, spec, &[(lnet, rnet)])?;
-    assist_equivalences(
-        &mut solver,
-        implementation,
-        spec,
-        &miter.left,
-        &miter.right,
-        &CecOptions::default(),
-        proofs,
-    )?;
-    solver.add_clause(&miter.diff_lits);
-    solver.set_conflict_budget(budget);
-    let verdict = match solver.solve(&[]) {
-        SolveResult::Unsat => Equivalence::Equivalent,
-        SolveResult::Sat => {
-            Equivalence::Counterexample(tseitin::model_inputs(&solver, &miter, implementation))
-        }
-        SolveResult::Unknown => Equivalence::Unknown,
-    };
-    Ok((verdict, solver.stats()))
+    let mut miter = Miter::new(solver, implementation, spec, pairs)?;
+    // Internal-equivalence assistance: the implementation is structurally
+    // dissimilar from the specification by construction, so monolithic
+    // queries are hard; proven internal ties make them local.
+    miter.assist(implementation, spec, &CecOptions::default(), proofs)?;
+    Ok(miter)
 }
 
 /// Classifies every matched output pair with **one** miter encoding.
@@ -125,40 +99,14 @@ pub fn classify_outputs_with_stats<'s>(
     let pairs: Vec<_> = corr
         .outputs
         .iter()
-        .map(|p| {
-            (
-                implementation.outputs()[p.impl_index as usize].net(),
-                spec.outputs()[p.spec_index as usize].net(),
-            )
-        })
+        .map(|p| p.nets(implementation, spec))
         .collect();
-    let mut solver = armed_solver(governor);
-    let miter = tseitin::encode_pairs(&mut solver, implementation, spec, &pairs)?;
-    // Internal-equivalence assistance: the implementation is structurally
-    // dissimilar from the specification by construction, so monolithic
-    // queries are hard; proven internal ties make them local.
-    assist_equivalences(
-        &mut solver,
-        implementation,
-        spec,
-        &miter.left,
-        &miter.right,
-        &CecOptions::default(),
-        proofs,
-    )?;
-    solver.set_conflict_budget(budget);
-    let mut out = Vec::with_capacity(pairs.len());
-    for &d in &miter.diff_lits {
-        out.push(match solver.solve(&[d]) {
-            SolveResult::Unsat => Equivalence::Equivalent,
-            SolveResult::Sat => {
-                Equivalence::Counterexample(tseitin::model_inputs(&solver, &miter, implementation))
-            }
-            SolveResult::Unknown => Equivalence::Unknown,
-        });
-    }
-    let stats = solver.stats();
-    Ok((out, stats))
+    let mut miter = miter(implementation, spec, &pairs, governor, proofs)?;
+    miter.set_conflict_budget(budget);
+    let verdicts = (0..pairs.len())
+        .map(|i| miter.check(i, implementation))
+        .collect();
+    Ok((verdicts, miter.stats()))
 }
 
 /// Collects up to `want` samples for the sampling domain of one output
@@ -172,6 +120,7 @@ pub fn classify_outputs_with_stats<'s>(
 /// except that one known error sample, when provided via `seed_sample`, is
 /// always included so the domain distinguishes `f` from `f'` at all.
 ///
+/// `impl_sim` and `spec_sim` are the two circuits compiled for simulation.
 /// Returned samples are in implementation input order and deduplicated.
 /// The returned [`SolverStats`] is zero when random simulation alone filled
 /// the request (stage 2 never built a solver).
@@ -183,6 +132,8 @@ pub fn classify_outputs_with_stats<'s>(
 pub fn collect_samples<'s>(
     implementation: &Circuit,
     spec: &'s Circuit,
+    impl_sim: &Compiled,
+    spec_sim: &Compiled,
     corr: &Correspondence,
     pair: &OutputPair,
     want: usize,
@@ -239,10 +190,8 @@ pub fn collect_samples<'s>(
     };
 
     // Stage 1: random simulation, a few 64-pattern blocks.
-    let impl_out = implementation.outputs()[pair.impl_index as usize].net();
-    let spec_out = spec.outputs()[pair.spec_index as usize].net();
+    let (impl_out, spec_out) = pair.nets(implementation, spec);
     let blocks = (want / 16).clamp(4, 32);
-    let (impl_sim, spec_sim) = (Compiled::new(implementation)?, Compiled::new(spec)?);
     for _ in 0..blocks {
         if samples.len() >= want {
             break;
@@ -280,55 +229,28 @@ pub fn collect_samples<'s>(
 
     // Stage 2: SAT enumeration to top up (also proves exhaustion).
     if samples.len() < want {
-        let mut solver = armed_solver(governor);
-        let miter =
-            tseitin::encode_pairs(&mut solver, implementation, spec, &[(impl_out, spec_out)])?;
-        assist_equivalences(
-            &mut solver,
+        let mut miter = miter(
             implementation,
             spec,
-            &miter.left,
-            &miter.right,
-            &CecOptions::default(),
+            &[(impl_out, spec_out)],
+            governor,
             proofs,
         )?;
-        solver.add_clause(&miter.diff_lits);
-        // Block already-found samples.
-        let input_lit = |solver: &Solver, miter: &tseitin::Miter, pos: usize, v: bool| {
-            let label = implementation
-                .node(implementation.inputs()[pos])
-                .name()
-                .unwrap_or("")
-                .to_string();
-            let var = miter.inputs[&label];
-            let _ = solver;
-            Lit::with_phase(var, v)
-        };
+        miter.require_difference();
+        // Block the samples already found.
         for s in &samples {
-            let block: Vec<Lit> = s
-                .iter()
-                .enumerate()
-                .map(|(pos, &v)| input_lit(&solver, &miter, pos, !v))
-                .collect();
-            solver.add_clause(&block);
+            miter.block(s, implementation);
         }
-        solver.set_conflict_budget(Some(200_000));
+        miter.set_conflict_budget(Some(200_000));
         while samples.len() < want {
-            match solver.solve(&[]) {
-                SolveResult::Sat => {
-                    let s = tseitin::model_inputs(&solver, &miter, implementation);
-                    let block: Vec<Lit> = s
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &v)| input_lit(&solver, &miter, pos, !v))
-                        .collect();
-                    push(s, &mut samples);
-                    solver.add_clause(&block);
-                }
-                _ => break, // exhausted or budget hit
-            }
+            // Anything but a new error sample: exhausted or budget hit.
+            let Equivalence::Counterexample(s) = miter.next_difference(implementation) else {
+                break;
+            };
+            miter.block(&s, implementation);
+            push(s, &mut samples);
         }
-        sat_stats = solver.stats();
+        sat_stats = miter.stats();
     }
     if policy == SamplePolicy::Mixed {
         // Preservation samples: random assignments constrain the search to
@@ -359,33 +281,52 @@ mod tests {
         (c, s)
     }
 
-    fn pair0(c: &Circuit, s: &Circuit) -> (Correspondence, OutputPair) {
+    /// The first output pair's verdict from a cold classification.
+    fn verdict(c: &Circuit, s: &Circuit) -> Equivalence {
         let corr = Correspondence::build(c, s).unwrap();
-        let p = corr.outputs[0].clone();
-        (corr, p)
+        classify_outputs(c, s, &corr, None, None).unwrap().remove(0)
+    }
+
+    /// Samples for the first output pair, with a cold proof cache.
+    fn collect(
+        c: &Circuit,
+        s: &Circuit,
+        want: usize,
+        policy: SamplePolicy,
+        seed: Option<&[bool]>,
+        rng_seed: u64,
+    ) -> Vec<Vec<bool>> {
+        let corr = Correspondence::build(c, s).unwrap();
+        let (impl_sim, spec_sim) = (Compiled::new(c).unwrap(), Compiled::new(s).unwrap());
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        collect_samples(
+            c,
+            s,
+            &impl_sim,
+            &spec_sim,
+            &corr,
+            &corr.outputs[0],
+            want,
+            policy,
+            seed,
+            &mut rng,
+            None,
+            &mut ProofCache::new(),
+        )
+        .unwrap()
+        .0
     }
 
     #[test]
     fn equivalent_pair_reports_equivalent() {
         let (c, _) = and_vs_or();
-        let s = c.clone();
-        let (_, p) = pair0(&c, &s);
-        assert_eq!(
-            check_output_pair(&c, &s, &p, None, None, &mut ProofCache::new())
-                .unwrap()
-                .0,
-            Equivalence::Equivalent
-        );
+        assert_eq!(verdict(&c, &c.clone()), Equivalence::Equivalent);
     }
 
     #[test]
     fn different_pair_yields_counterexample() {
         let (c, s) = and_vs_or();
-        let (_, p) = pair0(&c, &s);
-        match check_output_pair(&c, &s, &p, None, None, &mut ProofCache::new())
-            .unwrap()
-            .0
-        {
+        match verdict(&c, &s) {
             Equivalence::Counterexample(x) => {
                 assert_ne!(c.eval(&x).unwrap()[0], s.eval(&x).unwrap()[0]);
             }
@@ -432,22 +373,7 @@ mod tests {
     #[test]
     fn error_samples_are_all_errors_and_exhaustive() {
         let (c, s) = and_vs_or();
-        let (corr, p) = pair0(&c, &s);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let samples = collect_samples(
-            &c,
-            &s,
-            &corr,
-            &p,
-            16,
-            SamplePolicy::ErrorDomain,
-            None,
-            &mut rng,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
+        let samples = collect(&c, &s, 16, SamplePolicy::ErrorDomain, None, 7);
         // The error domain has exactly two elements: 01 and 10.
         assert_eq!(samples.len(), 2);
         for x in &samples {
@@ -458,23 +384,8 @@ mod tests {
     #[test]
     fn random_mode_includes_seed_sample() {
         let (c, s) = and_vs_or();
-        let (corr, p) = pair0(&c, &s);
-        let mut rng = SmallRng::seed_from_u64(7);
         let seed = vec![true, false];
-        let samples = collect_samples(
-            &c,
-            &s,
-            &corr,
-            &p,
-            8,
-            SamplePolicy::Random,
-            Some(&seed),
-            &mut rng,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
+        let samples = collect(&c, &s, 8, SamplePolicy::Random, Some(&seed), 7);
         assert!(samples.contains(&seed));
         // The 2-input space has only 4 distinct assignments.
         assert_eq!(samples.len(), 4);
@@ -483,22 +394,7 @@ mod tests {
     #[test]
     fn samples_are_unique() {
         let (c, s) = and_vs_or();
-        let (corr, p) = pair0(&c, &s);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let samples = collect_samples(
-            &c,
-            &s,
-            &corr,
-            &p,
-            64,
-            SamplePolicy::Random,
-            None,
-            &mut rng,
-            None,
-            &mut ProofCache::new(),
-        )
-        .unwrap()
-        .0;
+        let samples = collect(&c, &s, 64, SamplePolicy::Random, None, 9);
         let set: HashSet<_> = samples.iter().cloned().collect();
         assert_eq!(set.len(), samples.len());
     }

@@ -247,23 +247,10 @@ pub fn render_report(patch: &Patch, patched: &Circuit) -> String {
 /// are confirmed by two budgeted SAT queries. Returns the number of cloned
 /// nodes eliminated.
 ///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from analysis passes.
-pub fn refine_patch_inputs(
-    circuit: &mut Circuit,
-    patch: &Patch,
-    budget: u64,
-    seed: u64,
-) -> Result<usize, NetlistError> {
-    refine_patch_inputs_timed(circuit, patch, budget, seed, None)
-}
-
-/// [`refine_patch_inputs`] with optional timing awareness: when a delay
-/// model is given, a merge is skipped if the replacement net arrives later
-/// than the cloned logic it replaces — the level-driven mode of §6 extends
-/// into post-processing so size refinement never degrades the critical
-/// path.
+/// When a delay model is given, a merge is skipped if the replacement net
+/// arrives later than the cloned logic it replaces — the level-driven mode
+/// of §6 extends into post-processing so size refinement never degrades the
+/// critical path.
 ///
 /// # Errors
 ///
@@ -310,6 +297,8 @@ pub fn refine_patch_inputs_timed(
     let map = tseitin::encode_circuit(&mut solver, circuit, None)?;
     solver.set_conflict_budget(Some(budget));
 
+    // A net's sinks move only on its own turn, onto an earlier net: one table serves the walk.
+    let fanouts = circuit.fanouts();
     let mut removed = 0;
     for &id in &order {
         let net: NetId = id.into();
@@ -349,7 +338,6 @@ pub fn refine_patch_inputs_timed(
                 continue;
             }
             // Equivalent existing net found: take over all sinks.
-            let fanouts = circuit.fanouts();
             let mut ok = true;
             for pin in &fanouts[net.index()] {
                 if circuit.rewire(*pin, cand).is_err() {
@@ -459,7 +447,7 @@ mod tests {
         });
         let before = patch.stats(&c);
         assert_eq!(before.gates, 2);
-        let removed = refine_patch_inputs(&mut c, &patch, 10_000, 1).unwrap();
+        let removed = refine_patch_inputs_timed(&mut c, &patch, 10_000, 1, None).unwrap();
         assert!(removed >= 1, "the duplicate AND should be eliminated");
         let after = patch.stats(&c);
         assert!(after.gates < before.gates);

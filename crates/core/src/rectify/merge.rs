@@ -17,7 +17,7 @@ use eco_telemetry::{ArgValue, MetricsShard, TraceBuffer};
 use super::{note_proofs, note_sat, OutputTiming, RectifyStats, SearchVerdict, VALIDATION_BUDGET};
 use crate::budget::{Budget, Degradation, DegradeAction, DegradeReason};
 use crate::correspond::{Correspondence, OutputPair};
-use crate::error_domain::{check_output_pair, classify_outputs_with_stats, Equivalence};
+use crate::error_domain::{classify_outputs_with_stats, miter, Equivalence};
 use crate::fault::SpanPoint;
 use crate::patch::Patch;
 use crate::progress::{emit, OutputAction, ProgressCallback, ProgressEvent};
@@ -297,16 +297,19 @@ impl<'a> Merge<'a> {
 
     /// Re-checks `pair` against the merged circuit: whether it is equivalent.
     fn recheck(&mut self, pair: &OutputPair) -> Result<bool, EcoError> {
-        let (verdict, s) = check_output_pair(
+        let nets = pair.nets(self.circuit, self.spec);
+        let mut miter = miter(
             self.circuit,
             self.spec,
-            pair,
-            RECHECK_BUDGET,
+            &[nets],
             Some(self.budget),
             &mut self.proofs,
         )?;
-        note_sat(&mut self.stats, self.shard, s);
-        Ok(matches!(verdict, Equivalence::Equivalent))
+        miter.require_difference();
+        miter.set_conflict_budget(RECHECK_BUDGET);
+        let verdict = miter.next_difference(self.circuit);
+        note_sat(&mut self.stats, self.shard, miter.stats());
+        Ok(verdict == Equivalence::Equivalent)
     }
 
     /// Applies the §3.3 output-rewire fallback for `pair` — the output pin

@@ -738,7 +738,7 @@ pub(crate) fn rewire_rectify_with(
 mod tests {
     use super::*;
     use crate::budget::DegradeAction;
-    use crate::error_domain::check_output_pair;
+    use crate::error_domain::classify_outputs;
     use crate::options::EcoOptions;
     use eco_netlist::GateKind;
     use eco_telemetry::Telemetry;
@@ -782,11 +782,10 @@ mod tests {
 
     fn check_equiv(c: &Circuit, s: &Circuit) {
         let corr = Correspondence::build(c, s).unwrap();
-        for pair in &corr.outputs {
+        let verdicts = classify_outputs(c, s, &corr, None, None).unwrap();
+        for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
             assert_eq!(
-                check_output_pair(c, s, pair, None, None, &mut ProofCache::new())
-                    .unwrap()
-                    .0,
+                verdict,
                 Equivalence::Equivalent,
                 "output {} must be rectified",
                 pair.name

@@ -151,6 +151,8 @@ impl OutputSearch<'_> {
         let (mut samples, sample_sat) = collect_samples(
             self.base,
             self.spec,
+            self.base_sim,
+            self.spec_sim,
             self.corr,
             self.pair,
             self.options.num_samples,

@@ -13,12 +13,12 @@ use std::collections::{HashMap, HashSet};
 
 use eco_netlist::sim::{Compiled, Simulated};
 use eco_netlist::{topo, Circuit, NetId, NetlistError, Pin};
-use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
-use eco_sat::{tseitin, SolveResult, SolverStats};
+use eco_sat::cec::ProofCache;
+use eco_sat::SolverStats;
 
 use crate::budget::Budget;
 use crate::correspond::{Correspondence, OutputPair};
-use crate::error_domain::armed_solver;
+use crate::error_domain::{miter, Equivalence};
 use crate::fault::SpanPoint;
 use crate::patch::RewireOp;
 use crate::rewire_nets::RewireCandidate;
@@ -228,8 +228,7 @@ pub fn validate_rewires<'s>(
     let words = Compiled::new(&scratch)?.simulate_all(&bank.assignments)?;
     // Read output nets *after* apply: an output-pin rewire changes them.
     let mismatch = |pair: &OutputPair| {
-        let net = scratch.outputs()[pair.impl_index as usize].net();
-        let spec_net = spec.outputs()[pair.spec_index as usize].net();
+        let (net, spec_net) = pair.nets(&scratch, spec);
         bank.first_mismatch(&words, net, spec_net)
     };
     if let Some(x) = mismatch(representative) {
@@ -254,46 +253,26 @@ pub fn validate_rewires<'s>(
     // per affected output, queried under assumptions.
     let pairs: Vec<(NetId, NetId)> = affected
         .iter()
-        .map(|&oi| {
-            let pair = &corr.outputs[oi as usize];
-            (
-                scratch.outputs()[pair.impl_index as usize].net(),
-                spec.outputs()[pair.spec_index as usize].net(),
-            )
-        })
+        .map(|&oi| corr.outputs[oi as usize].nets(&scratch, spec))
         .collect();
-    let mut solver = armed_solver(governor);
-    let miter =
-        tseitin::encode_pairs(&mut solver, &scratch, spec, &pairs).map_err(EcoError::from)?;
-    assist_equivalences(
-        &mut solver,
-        &scratch,
-        spec,
-        &miter.left,
-        &miter.right,
-        &CecOptions::default(),
-        proofs,
-    )
-    .map_err(EcoError::from)?;
-    solver.set_conflict_budget(Some(budget));
+    let mut miter = miter(&scratch, spec, &pairs, governor, proofs)?;
+    miter.set_conflict_budget(Some(budget));
 
     // Representative output first.
-    if let Some(rep_pos) = affected
+    let Some(rep_pos) = affected
         .iter()
         .position(|&oi| oi == representative.impl_index)
-    {
-        match solver.solve(&[miter.diff_lits[rep_pos]]) {
-            SolveResult::Unsat => {}
-            SolveResult::Sat => {
-                let model = tseitin::model_inputs(&solver, &miter, &scratch);
-                return Ok((Validation::CounterExample(model), solver.stats()));
-            }
-            SolveResult::Unknown => return Ok((Validation::Unknown, solver.stats())),
-        }
-    } else {
+    else {
         // The rewire does not even reach the representative output: it
         // cannot rectify it.
-        return Ok((Validation::Unknown, solver.stats()));
+        return Ok((Validation::Unknown, miter.stats()));
+    };
+    match miter.check(rep_pos, &scratch) {
+        Equivalence::Equivalent => {}
+        Equivalence::Counterexample(model) => {
+            return Ok((Validation::CounterExample(model), miter.stats()))
+        }
+        Equivalence::Unknown => return Ok((Validation::Unknown, miter.stats())),
     }
 
     // Previously correct affected outputs must stay correct; still-failing
@@ -307,20 +286,19 @@ pub fn validate_rewires<'s>(
         if failing.contains(&oi) {
             if checked < 16 {
                 checked += 1;
-                if solver.solve(&[miter.diff_lits[pos]]) == SolveResult::Unsat {
+                if miter.check(pos, &scratch) == Equivalence::Equivalent {
                     fixed.push(oi);
                 }
             }
         } else {
-            match solver.solve(&[miter.diff_lits[pos]]) {
-                SolveResult::Unsat => {}
-                SolveResult::Sat => return Ok((Validation::Damaged, solver.stats())),
-                SolveResult::Unknown => return Ok((Validation::Unknown, solver.stats())),
+            match miter.check(pos, &scratch) {
+                Equivalence::Equivalent => {}
+                Equivalence::Counterexample(_) => return Ok((Validation::Damaged, miter.stats())),
+                Equivalence::Unknown => return Ok((Validation::Unknown, miter.stats())),
             }
         }
     }
-    let stats = solver.stats();
-    Ok((Validation::Valid { fixed }, stats))
+    Ok((Validation::Valid { fixed }, miter.stats()))
 }
 
 #[cfg(test)]

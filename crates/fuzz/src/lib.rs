@@ -33,7 +33,7 @@ pub use error::FuzzError;
 pub use mutate::{apply_random_mutation, mutate_n, MutationKind, MutationRecord};
 pub use oracle::{
     check_conformance, cross_check_oracles, port_map, BddOracle, Disagreement, Oracle,
-    OutputPairMap, PortMap, SatOracle, SimOracle, Verdict,
+    OutputPairMap, PortMap, SatOracle, SimOracle,
 };
 pub use repro::{parse_repro, write_repro, Repro, REPRO_HEADER};
 pub use scenario::{generate, generate_chain, Scenario, ScenarioConfig};

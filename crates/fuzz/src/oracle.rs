@@ -2,45 +2,32 @@
 //!
 //! Each oracle answers, independently of the others, "are these two
 //! circuits equal on this output pair?" with a three-valued
-//! [`Verdict`]. Differential fuzzing runs all oracles on the same pair and
-//! flags every disagreement: a definite verdict contradicting another
-//! definite verdict, or a [`Verdict::Different`] whose witness does not
-//! actually distinguish the circuits. `Unknown` (resource-bounded) agrees
-//! with everything.
+//! [`Equivalence`], the verdict type of the engine's own miter. Differential
+//! fuzzing runs all oracles on the same pair and flags every disagreement:
+//! a definite verdict contradicting another definite verdict, or an
+//! [`Equivalence::Counterexample`] whose witness does not actually
+//! distinguish the circuits. `Unknown` (resource-bounded) agrees with
+//! everything.
 
 use std::collections::HashMap;
 
 use eco_bdd::{Bdd, BddError, BddManager};
 use eco_netlist::sim::Compiled;
 use eco_netlist::{topo, Circuit, GateKind, NetId};
-use eco_sat::cec::{assist_equivalences, CecOptions, ProofCache};
-use eco_sat::tseitin::{encode_pairs, model_inputs};
-use eco_sat::{SolveResult, Solver};
+use eco_sat::cec::{CecOptions, ProofCache};
+use eco_sat::tseitin::{Equivalence, Miter};
+use eco_sat::Solver;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::FuzzError;
 
-/// Result of one oracle on one output pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// The outputs are proven equal.
-    Equivalent,
-    /// The outputs differ on the contained witness (an input assignment in
-    /// the implementation's primary-input order).
-    Different(Vec<bool>),
-    /// The oracle exhausted its resource budget without an answer.
-    Unknown,
-}
-
-impl Verdict {
-    /// Short label used in disagreement reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Verdict::Equivalent => "equivalent",
-            Verdict::Different(_) => "different",
-            Verdict::Unknown => "unknown",
-        }
+/// Short label of a verdict, used in disagreement reports.
+fn label(verdict: &Equivalence) -> &'static str {
+    match verdict {
+        Equivalence::Equivalent => "equivalent",
+        Equivalence::Counterexample(_) => "different",
+        Equivalence::Unknown => "unknown",
     }
 }
 
@@ -134,13 +121,13 @@ pub trait Oracle {
     /// # Errors
     ///
     /// Infrastructure failures only (ill-formed circuits); resource
-    /// exhaustion is reported as [`Verdict::Unknown`], not as an error.
+    /// exhaustion is reported as [`Equivalence::Unknown`], not as an error.
     fn check_all(
         &mut self,
         implementation: &Circuit,
         spec: &Circuit,
         map: &PortMap,
-    ) -> Result<Vec<Verdict>, FuzzError>;
+    ) -> Result<Vec<Equivalence>, FuzzError>;
 }
 
 // ---------------------------------------------------------------------
@@ -151,7 +138,7 @@ pub trait Oracle {
 ///
 /// Exhaustive (and therefore definitive) up to
 /// [`exhaustive_limit`](SimOracle::exhaustive_limit) primary inputs; beyond
-/// that it samples random blocks and can only answer `Different` or
+/// that it samples random blocks and can only answer `Counterexample` or
 /// `Unknown`.
 #[derive(Debug, Clone)]
 pub struct SimOracle {
@@ -183,9 +170,9 @@ impl Oracle for SimOracle {
         implementation: &Circuit,
         spec: &Circuit,
         map: &PortMap,
-    ) -> Result<Vec<Verdict>, FuzzError> {
+    ) -> Result<Vec<Equivalence>, FuzzError> {
         let n = implementation.num_inputs();
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; map.pairs.len()];
+        let mut verdicts: Vec<Option<Equivalence>> = vec![None; map.pairs.len()];
         let (impl_sim, spec_sim) = (Compiled::new(implementation)?, Compiled::new(spec)?);
         // Simulates one block whose low `valid` patterns count; returns
         // whether every pair has a verdict.
@@ -213,7 +200,7 @@ impl Oracle for SimOracle {
                     let bit = diff.trailing_zeros() as usize;
                     let witness: Vec<bool> =
                         impl_patterns.iter().map(|&w| (w >> bit) & 1 == 1).collect();
-                    verdicts[k] = Some(Verdict::Different(witness));
+                    verdicts[k] = Some(Equivalence::Counterexample(witness));
                 }
             }
             Ok(verdicts.iter().all(Option::is_some))
@@ -250,9 +237,9 @@ impl Oracle for SimOracle {
             }
         }
         let fallback = if exhaustive {
-            Verdict::Equivalent
+            Equivalence::Equivalent
         } else {
-            Verdict::Unknown
+            Equivalence::Unknown
         };
         Ok(verdicts
             .into_iter()
@@ -301,8 +288,7 @@ impl Oracle for SatOracle {
         implementation: &Circuit,
         spec: &Circuit,
         map: &PortMap,
-    ) -> Result<Vec<Verdict>, FuzzError> {
-        let mut solver = Solver::new();
+    ) -> Result<Vec<Equivalence>, FuzzError> {
         let pairs: Vec<(NetId, NetId)> = map
             .pairs
             .iter()
@@ -313,7 +299,7 @@ impl Oracle for SatOracle {
                 )
             })
             .collect();
-        let miter = encode_pairs(&mut solver, implementation, spec, &pairs)?;
+        let mut miter = Miter::new(Solver::new(), implementation, spec, &pairs)?;
         if self.assist {
             let options = CecOptions {
                 sim_blocks: 2,
@@ -321,29 +307,12 @@ impl Oracle for SatOracle {
                 max_pairs: 256,
                 seed: self.seed,
             };
-            assist_equivalences(
-                &mut solver,
-                implementation,
-                spec,
-                &miter.left,
-                &miter.right,
-                &options,
-                &mut ProofCache::new(),
-            )?;
+            miter.assist(implementation, spec, &options, &mut ProofCache::new())?;
         }
-        solver.set_conflict_budget(self.conflict_budget);
-        let mut verdicts = Vec::with_capacity(map.pairs.len());
-        for &d in &miter.diff_lits {
-            let verdict = match solver.solve(&[d]) {
-                SolveResult::Sat => {
-                    Verdict::Different(model_inputs(&solver, &miter, implementation))
-                }
-                SolveResult::Unsat => Verdict::Equivalent,
-                _ => Verdict::Unknown,
-            };
-            verdicts.push(verdict);
-        }
-        Ok(verdicts)
+        miter.set_conflict_budget(self.conflict_budget);
+        Ok((0..pairs.len())
+            .map(|i| miter.check(i, implementation))
+            .collect())
     }
 }
 
@@ -355,7 +324,7 @@ impl Oracle for SatOracle {
 /// over shared input variables, where equivalence is handle equality.
 #[derive(Debug, Clone)]
 pub struct BddOracle {
-    /// Unique-table node limit; exceeding it yields [`Verdict::Unknown`].
+    /// Unique-table node limit; exceeding it yields [`Equivalence::Unknown`].
     pub node_limit: usize,
 }
 
@@ -440,9 +409,9 @@ impl Oracle for BddOracle {
         implementation: &Circuit,
         spec: &Circuit,
         map: &PortMap,
-    ) -> Result<Vec<Verdict>, FuzzError> {
+    ) -> Result<Vec<Equivalence>, FuzzError> {
         let n = implementation.num_inputs();
-        let unknowns = vec![Verdict::Unknown; map.pairs.len()];
+        let unknowns = vec![Equivalence::Unknown; map.pairs.len()];
         let mut m = BddManager::with_node_limit(self.node_limit);
         let impl_vars: Vec<Bdd> = (0..n).map(|i| m.var(i as u32)).collect();
         let spec_vars: Vec<Bdd> = map.impl_pos_of_spec.iter().map(|&p| impl_vars[p]).collect();
@@ -459,9 +428,9 @@ impl Oracle for BddOracle {
             let a = impl_fns[implementation.outputs()[pair.impl_index].net().index()];
             let b = spec_fns[spec.outputs()[pair.spec_index].net().index()];
             let verdict = match m.xor(a, b) {
-                Ok(d) if d == m.zero() => Verdict::Equivalent,
-                Ok(d) => Verdict::Different(bdd_witness(&m, d, n)),
-                Err(_) => Verdict::Unknown,
+                Ok(d) if d == m.zero() => Equivalence::Equivalent,
+                Ok(d) => Equivalence::Counterexample(bdd_witness(&m, d, n)),
+                Err(_) => Equivalence::Unknown,
             };
             verdicts.push(verdict);
         }
@@ -501,25 +470,25 @@ fn render_witness(witness: &[bool]) -> String {
 ///
 /// Two properties are enforced per output pair:
 ///
-/// 1. every `Different` witness actually distinguishes the circuits under
-///    concrete [`Circuit::eval`] (otherwise the oracle fabricated a
-///    counterexample), and
-/// 2. no oracle answers `Equivalent` while another answers `Different`
+/// 1. every `Counterexample` witness actually distinguishes the circuits
+///    under concrete [`Circuit::eval`] (otherwise the oracle fabricated
+///    it), and
+/// 2. no oracle answers `Equivalent` while another answers `Counterexample`
 ///    with a *validated* witness. `Unknown` is compatible with everything.
 pub fn cross_check_oracles(
     implementation: &Circuit,
     spec: &Circuit,
     map: &PortMap,
-    named: &[(String, Vec<Verdict>)],
+    named: &[(String, Vec<Equivalence>)],
 ) -> Vec<Disagreement> {
     let mut out = Vec::new();
     for (k, pair) in map.pairs.iter().enumerate() {
         // Validate witnesses first; invalid ones are excluded from the
         // pairwise comparison (they are already reported on their own).
-        let mut validated: Vec<(&str, &Verdict)> = Vec::new();
+        let mut validated: Vec<(&str, &Equivalence)> = Vec::new();
         for (name, verdicts) in named {
             let v = &verdicts[k];
-            if let Verdict::Different(witness) = v {
+            if let Equivalence::Counterexample(witness) = v {
                 let iv = implementation
                     .eval(witness)
                     .map(|o| o[pair.impl_index])
@@ -547,14 +516,14 @@ pub fn cross_check_oracles(
             for (nb, vb) in &validated[i + 1..] {
                 let conflict = matches!(
                     (va, vb),
-                    (Verdict::Equivalent, Verdict::Different(_))
-                        | (Verdict::Different(_), Verdict::Equivalent)
+                    (Equivalence::Equivalent, Equivalence::Counterexample(_))
+                        | (Equivalence::Counterexample(_), Equivalence::Equivalent)
                 );
                 if conflict {
                     out.push(Disagreement {
                         check: format!("oracle:{na}-vs-{nb}"),
                         output: Some(pair.name.clone()),
-                        detail: format!("{na}={} but {nb}={}", va.label(), vb.label()),
+                        detail: format!("{na}={} but {nb}={}", label(va), label(vb)),
                     });
                 }
             }
@@ -657,7 +626,7 @@ mod tests {
             let verdicts = oracle.check_all(&a, &b, &map).unwrap();
             assert_eq!(
                 verdicts,
-                vec![Verdict::Equivalent; 2],
+                vec![Equivalence::Equivalent; 2],
                 "oracle {}",
                 oracle.name()
             );
@@ -670,8 +639,13 @@ mod tests {
         let map = port_map(&a, &b).unwrap();
         for mut oracle in oracles(2) {
             let verdicts = oracle.check_all(&a, &b, &map).unwrap();
-            assert_eq!(verdicts[0], Verdict::Equivalent, "oracle {}", oracle.name());
-            let Verdict::Different(witness) = &verdicts[1] else {
+            assert_eq!(
+                verdicts[0],
+                Equivalence::Equivalent,
+                "oracle {}",
+                oracle.name()
+            );
+            let Equivalence::Counterexample(witness) = &verdicts[1] else {
                 panic!("oracle {} missed the flipped output", oracle.name());
             };
             let iv = a.eval(witness).unwrap()[1];
@@ -695,7 +669,7 @@ mod tests {
         let map = port_map(&a, &b).unwrap();
         let honest = SimOracle::default().check_all(&a, &b, &map).unwrap();
         // A lying oracle claims the flipped output is equivalent.
-        let lying = vec![Verdict::Equivalent, Verdict::Equivalent];
+        let lying = vec![Equivalence::Equivalent, Equivalence::Equivalent];
         let named = vec![("sim".to_string(), honest), ("liar".to_string(), lying)];
         let out = cross_check_oracles(&a, &b, &map, &named);
         assert_eq!(out.len(), 1);
@@ -708,8 +682,8 @@ mod tests {
         let (a, b) = pair(false); // actually equivalent
         let map = port_map(&a, &b).unwrap();
         let bogus = vec![
-            Verdict::Different(vec![true, true, false]),
-            Verdict::Equivalent,
+            Equivalence::Counterexample(vec![true, true, false]),
+            Equivalence::Equivalent,
         ];
         let named = vec![("liar".to_string(), bogus)];
         let out = cross_check_oracles(&a, &b, &map, &named);
@@ -740,7 +714,7 @@ mod tests {
             seed: 9,
         };
         let verdicts = oracle.check_all(&a, &b, &map).unwrap();
-        assert_eq!(verdicts, vec![Verdict::Unknown; 2]);
+        assert_eq!(verdicts, vec![Equivalence::Unknown; 2]);
     }
 
     #[test]
@@ -751,9 +725,9 @@ mod tests {
         // connective of the build exceeds the limit.
         let mut oracle = BddOracle { node_limit: 2 };
         let verdicts = oracle.check_all(&a, &b, &map).unwrap();
-        assert_eq!(verdicts, vec![Verdict::Unknown; 2]);
+        assert_eq!(verdicts, vec![Equivalence::Unknown; 2]);
         let sat = SatOracle::default().check_all(&a, &b, &map).unwrap();
-        assert!(matches!(sat[1], Verdict::Different(_)));
+        assert!(matches!(sat[1], Equivalence::Counterexample(_)));
         let named = vec![("bdd".to_string(), verdicts), ("sat".to_string(), sat)];
         assert!(cross_check_oracles(&a, &b, &map, &named).is_empty());
     }

@@ -218,7 +218,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{port_map, Oracle, SimOracle, Verdict};
+    use crate::oracle::{port_map, Oracle, SimOracle};
+    use eco_sat::tseitin::Equivalence;
 
     /// A deliberately noisy pair: `o_bad` differs (And vs Or), the other
     /// outputs are equivalent padding that shrinking should strip.
@@ -253,7 +254,9 @@ mod tests {
         let Ok(verdicts) = SimOracle::default().check_all(i, s, &map) else {
             return false;
         };
-        verdicts.iter().any(|v| matches!(v, Verdict::Different(_)))
+        verdicts
+            .iter()
+            .any(|v| matches!(v, Equivalence::Counterexample(_)))
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl Oracle for BrokenSimOracle {
         implementation: &Circuit,
         spec: &Circuit,
         map: &eco_fuzz::PortMap,
-    ) -> Result<Vec<eco_fuzz::Verdict>, eco_fuzz::FuzzError> {
+    ) -> Result<Vec<eco_sat::tseitin::Equivalence>, eco_fuzz::FuzzError> {
         SimOracle::default().check_all(
             &drop_inversions(implementation),
             &drop_inversions(spec),

@@ -2,8 +2,9 @@
 //!
 //! Heavy logic sharing is one of the optimization effects that destroys the
 //! structural correspondence between an implementation and its specification
-//! (paper §1); this pass is used by `eco-synth` to produce such shared
-//! netlists, and by the patch sweep to avoid duplicating cloned logic.
+//! (paper §1); `eco-synth`'s optimization pipeline, its only caller, uses
+//! this pass to produce such shared netlists. (The engine's patch-input
+//! sweep finds duplicated logic by simulation and SAT instead.)
 
 use std::collections::HashMap;
 

@@ -9,10 +9,10 @@
 //! budgeted SAT, and added as equality constraints so downstream proofs
 //! become local.
 //!
-//! [`assist_equivalences`] does exactly that on an already-encoded pair of
-//! circuits. It is sound: an equality clause is only added after both
-//! implications are proven UNSAT under the current formula, so the model
-//! set over circuit variables never changes.
+//! [`Miter::assist`] does exactly that on the two circuits of a miter. It
+//! is sound: an equality clause is only added after both implications are
+//! proven UNSAT under the current formula, so the model set over circuit
+//! variables never changes.
 //!
 //! # Proof reuse
 //!
@@ -41,8 +41,8 @@ use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::tseitin::VarMap;
-use crate::{SolveResult, Solver};
+use crate::tseitin::Miter;
+use crate::SolveResult;
 
 /// Options for the internal-equivalence discovery pass.
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ impl Default for CecOptions {
     }
 }
 
-/// Statistics of an [`assist_equivalences`] run.
+/// Statistics of a [`Miter::assist`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CecStats {
     /// Candidate pairs examined.
@@ -105,7 +105,7 @@ impl Layer<'_> {
     }
 }
 
-/// The right-hand half of an [`assist_equivalences`] pass, which depends
+/// The right-hand half of a [`Miter::assist`] pass, which depends
 /// only on the right circuit, the options, and the left's input labels.
 #[derive(Debug)]
 struct SpecSide<'s> {
@@ -136,8 +136,8 @@ impl SpecSide<'_> {
     }
 }
 
-/// Proven internal equivalences carried across [`assist_equivalences`]
-/// calls (see the module docs).
+/// Proven internal equivalences carried across [`Miter::assist`] passes
+/// (see the module docs).
 ///
 /// `'s` is the lifetime of the right-hand circuit whose spec-side work the
 /// cache keeps. A fresh cache makes a pass behave as if it had none.
@@ -320,112 +320,113 @@ impl<'s> ProofCache<'s> {
     }
 }
 
-/// Discovers and asserts internal equivalences between two encoded
-/// circuits.
-///
-/// `left_map`/`right_map` are the net→variable maps from
-/// [`crate::tseitin::encode_pairs`]. Inputs are matched by label for the
-/// shared simulation. For every simulation-supported candidate pair, both
-/// implications are checked with a conflict budget; proven pairs (equal or
-/// complementary) are asserted as binary clauses, making subsequent
-/// output-level queries on the same solver cheap.
-///
-/// Pairs `cache` has recorded are asserted without solving, and newly
-/// proven pairs are recorded into it; pass a fresh [`ProofCache`] for a
-/// stand-alone pass. The candidates walked, and the `max_pairs` count, are
-/// the same either way. When the solver is armed with a deadline or an
-/// interrupt flag and stops on it, the pass ends there.
-///
-/// The formula must not yet constrain the circuits beyond their encodings
-/// (and earlier proven equalities), so that a refuted implication is a fact
-/// about the two cones alone.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from simulation.
-pub fn assist_equivalences<'s>(
-    solver: &mut Solver,
-    left: &Circuit,
-    right: &'s Circuit,
-    left_map: &VarMap,
-    right_map: &VarMap,
-    options: &CecOptions,
-    cache: &mut ProofCache<'s>,
-) -> Result<CecStats, NetlistError> {
-    let mut stats = CecStats::default();
-    let spec = cache.spec_side(left, right, options)?;
-    let blocks = spec.sim_blocks;
-    let left_ids = cache.intern(left)?;
+impl Miter {
+    /// Discovers and asserts internal equivalences between the miter's two
+    /// circuits, `left` and `right` as encoded by [`Miter::new`].
+    ///
+    /// Inputs are matched by label for the shared simulation. For every
+    /// simulation-supported candidate pair, both implications are checked
+    /// with a conflict budget; proven pairs (equal or complementary) are
+    /// asserted as binary clauses, making the output-level queries that
+    /// follow cheap.
+    ///
+    /// Pairs `cache` has recorded are asserted without solving, and newly
+    /// proven pairs are recorded into it; pass a fresh [`ProofCache`] for a
+    /// stand-alone pass. The candidates walked, and the `max_pairs` count,
+    /// are the same either way. When the solver is armed with a deadline or
+    /// an interrupt flag and stops on it, the pass ends there.
+    ///
+    /// The formula must not yet constrain the circuits beyond their
+    /// encodings (and earlier proven equalities), so that a refuted
+    /// implication is a fact about the two cones alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NetlistError`] from simulation.
+    pub fn assist<'s>(
+        &mut self,
+        left: &Circuit,
+        right: &'s Circuit,
+        options: &CecOptions,
+        cache: &mut ProofCache<'s>,
+    ) -> Result<CecStats, NetlistError> {
+        let (solver, left_map, right_map) = (&mut self.solver, &self.left, &self.right);
+        let mut stats = CecStats::default();
+        let spec = cache.spec_side(left, right, options)?;
+        let blocks = spec.sim_blocks;
+        let left_ids = cache.intern(left)?;
 
-    // Index left nets by signature, each bucket shallowest first.
-    let left_sim = Compiled::new(left)?;
-    let left_words = spec
-        .left_patterns
-        .iter()
-        .map(|p| left_sim.simulate(p))
-        .collect::<Result<Vec<_>, _>>()?;
-    let left_levels = topo::levels(left)?;
-    let mut by_sig: HashMap<Vec<u64>, Vec<NetId>> = HashMap::new();
-    for id in left.iter_live() {
-        if left.node(id).kind() == GateKind::Input {
-            continue; // inputs are already shared variables
+        // Index left nets by signature, each bucket shallowest first.
+        let left_sim = Compiled::new(left)?;
+        let left_words = spec
+            .left_patterns
+            .iter()
+            .map(|p| left_sim.simulate(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        let left_levels = topo::levels(left)?;
+        let mut by_sig: HashMap<Vec<u64>, Vec<NetId>> = HashMap::new();
+        for id in left.iter_live() {
+            if left.node(id).kind() == GateKind::Input {
+                continue; // inputs are already shared variables
+            }
+            let sig: Vec<u64> = left_words.iter().map(|w| w[id.index()]).collect();
+            by_sig.entry(sig).or_default().push(id.into());
         }
-        let sig: Vec<u64> = left_words.iter().map(|w| w[id.index()]).collect();
-        by_sig.entry(sig).or_default().push(id.into());
-    }
-    for bucket in by_sig.values_mut() {
-        bucket.sort_by_key(|w| left_levels[w.index()]);
-    }
+        for bucket in by_sig.values_mut() {
+            bucket.sort_by_key(|w| left_levels[w.index()]);
+        }
 
-    solver.set_conflict_budget(Some(options.pair_budget));
-    'outer: for (k, &(rnet, rid)) in spec.nets.iter().enumerate() {
-        let sigs = &spec.sigs[2 * k * blocks..2 * (k + 1) * blocks];
-        let (sig, complement) = sigs.split_at(blocks);
-        for (cands, comp) in [(by_sig.get(sig), false), (by_sig.get(complement), true)] {
-            let Some(cands) = cands else { continue };
-            for &lnet in cands.iter().take(2) {
-                if stats.candidates >= options.max_pairs {
-                    break 'outer;
-                }
-                stats.candidates += 1;
-                let a = left_map.lit(lnet).expect("left net encoded");
-                let b = right_map.lit(rnet).expect("right net encoded");
-                let b = if comp { !b } else { b };
-                let fact = (left_ids[lnet.index()], rid, comp);
-                if cache.knows(&fact) {
-                    cache.reused += 1;
-                } else {
-                    // Prove a ≡ b: both (a ∧ ¬b) and (¬a ∧ b) unsatisfiable.
-                    let refuted = solver.solve(&[a, !b]) == SolveResult::Unsat
-                        && solver.solve(&[!a, b]) == SolveResult::Unsat;
-                    if !refuted {
-                        if solver.interrupted() {
-                            break 'outer;
-                        }
-                        continue;
+        solver.set_conflict_budget(Some(options.pair_budget));
+        'outer: for (k, &(rnet, rid)) in spec.nets.iter().enumerate() {
+            let sigs = &spec.sigs[2 * k * blocks..2 * (k + 1) * blocks];
+            let (sig, complement) = sigs.split_at(blocks);
+            for (cands, comp) in [(by_sig.get(sig), false), (by_sig.get(complement), true)] {
+                let Some(cands) = cands else { continue };
+                for &lnet in cands.iter().take(2) {
+                    if stats.candidates >= options.max_pairs {
+                        break 'outer;
                     }
-                    cache.top.facts.insert(fact);
-                    cache.proofs += 1;
+                    stats.candidates += 1;
+                    let a = left_map.lit(lnet).expect("left net encoded");
+                    let b = right_map.lit(rnet).expect("right net encoded");
+                    let b = if comp { !b } else { b };
+                    let fact = (left_ids[lnet.index()], rid, comp);
+                    if cache.knows(&fact) {
+                        cache.reused += 1;
+                    } else {
+                        // Prove a ≡ b: both (a ∧ ¬b) and (¬a ∧ b) unsatisfiable.
+                        let refuted = solver.solve(&[a, !b]) == SolveResult::Unsat
+                            && solver.solve(&[!a, b]) == SolveResult::Unsat;
+                        if !refuted {
+                            if solver.interrupted() {
+                                break 'outer;
+                            }
+                            continue;
+                        }
+                        cache.top.facts.insert(fact);
+                        cache.proofs += 1;
+                    }
+                    solver.add_clause(&[!a, b]);
+                    solver.add_clause(&[a, !b]);
+                    if comp {
+                        stats.proven_complement += 1;
+                    } else {
+                        stats.proven += 1;
+                    }
+                    break; // one representative equality suffices
                 }
-                solver.add_clause(&[!a, b]);
-                solver.add_clause(&[a, !b]);
-                if comp {
-                    stats.proven_complement += 1;
-                } else {
-                    stats.proven += 1;
-                }
-                break; // one representative equality suffices
             }
         }
+        solver.set_conflict_budget(None);
+        Ok(stats)
     }
-    solver.set_conflict_budget(None);
-    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tseitin::encode_pairs;
+    use crate::tseitin::Equivalence;
+    use crate::Solver;
     use eco_netlist::Pin;
 
     /// Two structurally different implementations of the same functions.
@@ -471,39 +472,65 @@ mod tests {
     }
 
     /// One assisted miter query on the first output pair: the pass's
-    /// statistics and the verdict of "the outputs differ".
+    /// statistics and whether the outputs differ.
     fn query<'s>(
         a: &Circuit,
         b: &'s Circuit,
         opts: &CecOptions,
         cache: &mut ProofCache<'s>,
-    ) -> (CecStats, SolveResult) {
-        let mut solver = Solver::new();
+    ) -> (CecStats, bool) {
         let pairs = [(a.outputs()[0].net(), b.outputs()[0].net())];
-        let miter = encode_pairs(&mut solver, a, b, &pairs).unwrap();
-        let stats =
-            assist_equivalences(&mut solver, a, b, &miter.left, &miter.right, opts, cache).unwrap();
-        (stats, solver.solve(&[miter.diff_lits[0]]))
+        let mut miter = Miter::new(Solver::new(), a, b, &pairs).unwrap();
+        let stats = miter.assist(a, b, opts, cache).unwrap();
+        let differ = match miter.check(0, a) {
+            Equivalence::Equivalent => false,
+            Equivalence::Counterexample(_) => true,
+            Equivalence::Unknown => panic!("no budget was set"),
+        };
+        (stats, differ)
     }
 
     #[test]
     fn proves_internal_equivalences() {
         let (a, b) = dissimilar_pair();
-        let (stats, verdict) = query(&a, &b, &CecOptions::default(), &mut ProofCache::new());
+        let (stats, differ) = query(&a, &b, &CecOptions::default(), &mut ProofCache::new());
         assert!(
             stats.proven + stats.proven_complement >= 1,
             "the AND point or its complement should be proven: {stats:?}"
         );
         // The output query must now be UNSAT (equivalent).
-        assert_eq!(verdict, SolveResult::Unsat);
+        assert!(!differ);
     }
 
     #[test]
     fn soundness_on_differing_circuits() {
         // Equivalence assistance must never make a differing pair UNSAT.
         let (a, b) = differing_pair();
-        let (_, verdict) = query(&a, &b, &CecOptions::default(), &mut ProofCache::new());
-        assert_eq!(verdict, SolveResult::Sat);
+        let (_, differ) = query(&a, &b, &CecOptions::default(), &mut ProofCache::new());
+        assert!(differ);
+    }
+
+    #[test]
+    fn a_one_sided_implication_is_not_asserted() {
+        // `x0 ∧ … ∧ x16` implies `x0 ∧ … ∧ x15` but differs from it on one
+        // input in 2^17, which no simulation block samples: the two share a
+        // signature, and only one of the two implication proofs, on either
+        // side of the miter, separates them.
+        let wide_and = |fanins: usize| {
+            let mut c = Circuit::new("and");
+            let xs: Vec<NetId> = (0..17).map(|i| c.add_input(format!("x{i}"))).collect();
+            let g = c.add_gate(GateKind::And, &xs[..fanins]).unwrap();
+            c.add_output("o", g);
+            c
+        };
+        let (a, b) = (wide_and(17), wide_and(16));
+        for (left, right) in [(&a, &b), (&b, &a)] {
+            let (stats, differ) =
+                query(left, right, &CecOptions::default(), &mut ProofCache::new());
+            assert_eq!(stats.candidates, 1, "the pair must share a signature");
+            assert_eq!(stats.proven, 0);
+            assert!(differ);
+        }
     }
 
     #[test]
@@ -515,22 +542,22 @@ mod tests {
         };
         // With no conflict budget, only propagation-trivial pairs can be
         // proven — whatever was added must keep the formula sound.
-        let (_, verdict) = query(&a, &b, &opts, &mut ProofCache::new());
-        assert_eq!(verdict, SolveResult::Unsat);
+        let (_, differ) = query(&a, &b, &opts, &mut ProofCache::new());
+        assert!(!differ);
     }
 
     #[test]
     fn warm_cache_reuses_proofs_and_keeps_verdicts() {
         let opts = CecOptions::default();
         for (a, b) in [dissimilar_pair(), differing_pair()] {
-            let (cold, cold_verdict) = query(&a, &b, &opts, &mut ProofCache::new());
+            let (cold, cold_differ) = query(&a, &b, &opts, &mut ProofCache::new());
             let mut warm = ProofCache::new();
             query(&a, &b, &opts, &mut warm);
             let proofs = warm.proofs();
             let base = warm.freeze();
             let mut overlay = base.overlay();
-            let (stats, verdict) = query(&a, &b, &opts, &mut overlay);
-            assert_eq!(verdict, cold_verdict);
+            let (stats, differ) = query(&a, &b, &opts, &mut overlay);
+            assert_eq!(differ, cold_differ);
             // Same walk, same assertions; every one of them from the record.
             assert_eq!(stats, cold);
             assert_eq!(overlay.reused(), proofs);
@@ -548,8 +575,8 @@ mod tests {
         let mut cache = ProofCache::new();
         query(&a, &a_copy, &opts, &mut cache);
         query(&a, &b, &opts, &mut cache);
-        let (_, verdict) = query(&a, &b, &opts, &mut cache.freeze().overlay());
-        assert_eq!(verdict, SolveResult::Sat);
+        let (_, differ) = query(&a, &b, &opts, &mut cache.freeze().overlay());
+        assert!(differ);
     }
 
     #[test]
@@ -569,12 +596,8 @@ mod tests {
         a2.rewire(Pin::gate(g2.source(), 1), x).unwrap();
         let base = cache.freeze();
         let mut overlay = base.overlay();
-        let (stats, verdict) = query(&a2, &b, &opts, &mut overlay);
-        assert_eq!(
-            verdict,
-            SolveResult::Sat,
-            "a stale OR fact would hide the change"
-        );
+        let (stats, differ) = query(&a2, &b, &opts, &mut overlay);
+        assert!(differ, "a stale OR fact would hide the change");
         // The three AND facts (against o1, nand and n2) are reused; the new
         // OR cone (now equal to x, the complement of b's NOT x) is proven.
         assert_eq!(overlay.reused(), 3, "{stats:?}");

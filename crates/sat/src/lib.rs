@@ -14,8 +14,9 @@
 //! The [`Solver`] is a self-contained CDCL engine in the MiniSAT lineage
 //! (two-literal watching, first-UIP learning, VSIDS-style activities, phase
 //! saving, Luby restarts, incremental assumptions, conflict budgets). The
-//! [`tseitin`] module encodes [`eco_netlist::Circuit`]s into CNF and builds
-//! miters.
+//! [`tseitin`] module encodes [`eco_netlist::Circuit`]s into CNF; its
+//! [`tseitin::Miter`] is the one equivalence query both roles ask, and
+//! [`cec`] strengthens it with proven internal equivalences.
 //!
 //! # Example
 //!

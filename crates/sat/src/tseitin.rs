@@ -1,15 +1,16 @@
-//! Tseitin encoding of circuits and miter construction.
+//! Tseitin encoding of circuits and the miter.
 //!
 //! The encoder assigns one SAT variable per circuit net and emits the
-//! standard gate consistency clauses. [`encode_miter`] builds the
-//! non-equivalence check used both for error-domain enumeration and for
-//! validating candidate rewire operations on the exact input domain.
+//! standard gate consistency clauses. A [`Miter`] owns a solver holding two
+//! circuits over shared inputs and answers every equivalence query of the
+//! flow: failing-output detection, error-domain enumeration, and the
+//! validation of candidate rewire operations on the exact input domain.
 
 use std::collections::HashMap;
 
 use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError};
 
-use crate::{Lit, Solver, Var};
+use crate::{Lit, SolveResult, Solver, SolverStats, Var};
 
 /// Mapping from the nets of an encoded circuit to solver variables.
 #[derive(Debug, Clone, Default)]
@@ -82,7 +83,7 @@ pub fn encode_circuit(
 ///
 /// Panics when `fanins.len()` is illegal for `kind` (the netlist guarantees
 /// legal arities for well-formed circuits).
-pub fn emit_gate_clauses(solver: &mut Solver, kind: GateKind, out: Lit, fanins: &[Lit]) {
+fn emit_gate_clauses(solver: &mut Solver, kind: GateKind, out: Lit, fanins: &[Lit]) {
     match kind {
         GateKind::Input => {}
         GateKind::Const0 => {
@@ -148,110 +149,161 @@ pub fn emit_gate_clauses(solver: &mut Solver, kind: GateKind, out: Lit, fanins: 
     }
 }
 
-/// Result of encoding a miter between two circuits.
+/// Verdict of an equivalence query on one output pair.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Equivalence {
+    /// The output pair computes the same function.
+    Equivalent,
+    /// A distinguishing input assignment, in the reference circuit's input
+    /// order.
+    Counterexample(Vec<bool>),
+    /// The solver stopped on its conflict budget, deadline or interrupt
+    /// flag before a verdict.
+    Unknown,
+}
+
+/// Two circuits encoded into one solver over shared inputs, with one
+/// difference literal per compared output pair.
+///
+/// This is the one equivalence query of the ECO flow: does an output pair
+/// differ, and on which input? [`check`](Miter::check) asks it of one pair;
+/// [`require_difference`](Miter::require_difference),
+/// [`next_difference`](Miter::next_difference) and [`block`](Miter::block)
+/// enumerate the error domain `𝔼` of all pairs. A counterexample is read
+/// back in the input order of a `reference` circuit, matched by label.
 #[derive(Debug)]
 pub struct Miter {
+    pub(crate) solver: Solver,
     /// Variables of the shared primary inputs, by label.
-    pub inputs: HashMap<String, Var>,
-    /// Net→variable map of the first circuit.
-    pub left: VarMap,
-    /// Net→variable map of the second circuit.
-    pub right: VarMap,
-    /// One selector literal per compared output pair: the literal is forced
-    /// true exactly when the pair differs.
-    pub diff_lits: Vec<Lit>,
+    inputs: HashMap<String, Var>,
+    /// Net→variable map of the left circuit.
+    pub(crate) left: VarMap,
+    /// Net→variable map of the right circuit.
+    pub(crate) right: VarMap,
+    /// One literal per compared pair, true exactly when the pair differs.
+    diff_lits: Vec<Lit>,
 }
 
-/// Encodes a miter asserting that **some** compared output pair differs.
-///
-/// `pairs` lists `(left_net, right_net)` output pairs to compare. Inputs are
-/// shared by label: every label appearing in either circuit maps to one
-/// variable. A model of the solver is an input assignment on which the
-/// circuits disagree on at least one listed pair — an element of the error
-/// domain `𝔼`.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError::Cyclic`] from either circuit.
-pub fn encode_miter(
-    solver: &mut Solver,
-    left: &Circuit,
-    right: &Circuit,
-    pairs: &[(NetId, NetId)],
-) -> Result<Miter, NetlistError> {
-    let miter = encode_pairs(solver, left, right, pairs)?;
-    solver.add_clause(&miter.diff_lits);
-    Ok(miter)
-}
+impl Miter {
+    /// Encodes `left` and `right` into `solver` with one difference literal
+    /// per `(left_net, right_net)` pair, asserting no difference yet.
+    ///
+    /// Inputs are shared by label: every label appearing in either circuit
+    /// maps to one variable. `solver` keeps whatever it was configured
+    /// with (a deadline, an interrupt flag).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NetlistError::Cyclic`] from either circuit.
+    pub fn new(
+        mut solver: Solver,
+        left: &Circuit,
+        right: &Circuit,
+        pairs: &[(NetId, NetId)],
+    ) -> Result<Self, NetlistError> {
+        let mut inputs: HashMap<String, Var> = HashMap::new();
+        for circuit in [left, right] {
+            for &id in circuit.inputs() {
+                let label = circuit.node(id).name().unwrap_or("").to_string();
+                inputs.entry(label).or_insert_with(|| solver.new_var());
+            }
+        }
+        let lmap = encode_circuit(&mut solver, left, Some(&inputs))?;
+        let rmap = encode_circuit(&mut solver, right, Some(&inputs))?;
+        let mut diff_lits = Vec::with_capacity(pairs.len());
+        for &(lw, rw) in pairs {
+            let a = lmap.lit(lw).expect("left net encoded");
+            let b = rmap.lit(rw).expect("right net encoded");
+            let d = Lit::pos(solver.new_var());
+            // d ≡ a xor b
+            solver.add_clause(&[!d, a, b]);
+            solver.add_clause(&[!d, !a, !b]);
+            solver.add_clause(&[d, !a, b]);
+            solver.add_clause(&[d, a, !b]);
+            diff_lits.push(d);
+        }
+        Ok(Miter {
+            solver,
+            inputs,
+            left: lmap,
+            right: rmap,
+            diff_lits,
+        })
+    }
 
-/// Encodes both circuits and per-pair difference literals **without**
-/// asserting any difference.
-///
-/// Solving under the assumption `diff_lits[i]` asks whether pair `i`
-/// differs; this turns one encoding into many per-output equivalence
-/// queries (used for bulk failing-output classification).
-///
-/// # Errors
-///
-/// Propagates [`NetlistError::Cyclic`] from either circuit.
-pub fn encode_pairs(
-    solver: &mut Solver,
-    left: &Circuit,
-    right: &Circuit,
-    pairs: &[(NetId, NetId)],
-) -> Result<Miter, NetlistError> {
-    let mut inputs: HashMap<String, Var> = HashMap::new();
-    for circuit in [left, right] {
-        for &id in circuit.inputs() {
-            let label = circuit.node(id).name().unwrap_or("").to_string();
-            inputs.entry(label).or_insert_with(|| solver.new_var());
+    /// Caps the conflicts of each later query; `None` lifts the cap.
+    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
+        self.solver.set_conflict_budget(budget);
+    }
+
+    /// The solver effort spent so far, encoding and assistance included.
+    pub fn stats(&self) -> SolverStats {
+        self.solver.stats()
+    }
+
+    /// Whether compared pair `pair` differs: solves under its difference
+    /// literal, leaving the formula unchanged.
+    pub fn check(&mut self, pair: usize, reference: &Circuit) -> Equivalence {
+        self.query(&[self.diff_lits[pair]], reference)
+    }
+
+    /// Asserts that some compared pair differs, so that
+    /// [`next_difference`](Miter::next_difference) walks the error domain.
+    pub fn require_difference(&mut self) {
+        self.solver.add_clause(&self.diff_lits);
+    }
+
+    /// Solves the formula as it stands. After
+    /// [`require_difference`](Miter::require_difference), a counterexample
+    /// is an input on which some pair differs that no [`block`](Miter::block)
+    /// has excluded, and [`Equivalence::Equivalent`] means none is left.
+    pub fn next_difference(&mut self, reference: &Circuit) -> Equivalence {
+        self.query(&[], reference)
+    }
+
+    /// Excludes `assignment`, in `reference`'s input order, from every later
+    /// model.
+    pub fn block(&mut self, assignment: &[bool], reference: &Circuit) {
+        let clause: Vec<Lit> = reference
+            .inputs()
+            .iter()
+            .zip(assignment)
+            .map(|(&id, &v)| {
+                let label = reference.node(id).name().unwrap_or("");
+                Lit::with_phase(self.inputs[label], !v)
+            })
+            .collect();
+        self.solver.add_clause(&clause);
+    }
+
+    fn query(&mut self, assumptions: &[Lit], reference: &Circuit) -> Equivalence {
+        match self.solver.solve(assumptions) {
+            SolveResult::Unsat => Equivalence::Equivalent,
+            SolveResult::Sat => Equivalence::Counterexample(self.model_inputs(reference)),
+            SolveResult::Unknown => Equivalence::Unknown,
         }
     }
-    let lmap = encode_circuit(solver, left, Some(&inputs))?;
-    let rmap = encode_circuit(solver, right, Some(&inputs))?;
-    let mut diff_lits = Vec::with_capacity(pairs.len());
-    for &(lw, rw) in pairs {
-        let a = lmap.lit(lw).expect("left net encoded");
-        let b = rmap.lit(rw).expect("right net encoded");
-        let d = Lit::pos(solver.new_var());
-        // d ≡ a xor b
-        solver.add_clause(&[!d, a, b]);
-        solver.add_clause(&[!d, !a, !b]);
-        solver.add_clause(&[d, !a, b]);
-        solver.add_clause(&[d, a, !b]);
-        diff_lits.push(d);
-    }
-    Ok(Miter {
-        inputs,
-        left: lmap,
-        right: rmap,
-        diff_lits,
-    })
-}
 
-/// Extracts the shared-input assignment from a satisfied miter, ordered by
-/// the labels of `reference`'s primary inputs.
-///
-/// Unconstrained inputs default to `false`.
-pub fn model_inputs(solver: &Solver, miter: &Miter, reference: &Circuit) -> Vec<bool> {
-    reference
-        .inputs()
-        .iter()
-        .map(|&id| {
-            let label = reference.node(id).name().unwrap_or("");
-            miter
-                .inputs
-                .get(label)
-                .and_then(|&v| solver.value(v))
-                .unwrap_or(false)
-        })
-        .collect()
+    /// The shared-input assignment of the last model, ordered by the labels
+    /// of `reference`'s primary inputs; unconstrained inputs read `false`.
+    fn model_inputs(&self, reference: &Circuit) -> Vec<bool> {
+        reference
+            .inputs()
+            .iter()
+            .map(|&id| {
+                let label = reference.node(id).name().unwrap_or("");
+                self.inputs
+                    .get(label)
+                    .and_then(|&v| self.solver.value(v))
+                    .unwrap_or(false)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolveResult;
     use eco_netlist::{Circuit, GateKind};
 
     fn adder_bit(flip: bool) -> Circuit {
@@ -286,21 +338,21 @@ mod tests {
     fn equivalent_circuits_make_unsat_miter() {
         let c1 = adder_bit(false);
         let c2 = adder_bit(false);
-        let mut s = Solver::new();
         let pairs = [(c1.outputs()[0].net(), c2.outputs()[0].net())];
-        encode_miter(&mut s, &c1, &c2, &pairs).unwrap();
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        let mut miter = Miter::new(Solver::new(), &c1, &c2, &pairs).unwrap();
+        miter.require_difference();
+        assert_eq!(miter.next_difference(&c1), Equivalence::Equivalent);
     }
 
     #[test]
     fn different_circuits_make_sat_miter_with_witness() {
         let c1 = adder_bit(false);
         let c2 = adder_bit(true);
-        let mut s = Solver::new();
         let pairs = [(c1.outputs()[0].net(), c2.outputs()[0].net())];
-        let miter = encode_miter(&mut s, &c1, &c2, &pairs).unwrap();
-        assert_eq!(s.solve(&[]), SolveResult::Sat);
-        let inputs = model_inputs(&s, &miter, &c1);
+        let mut miter = Miter::new(Solver::new(), &c1, &c2, &pairs).unwrap();
+        let Equivalence::Counterexample(inputs) = miter.check(0, &c1) else {
+            panic!("xor and xnor differ everywhere");
+        };
         // Witness must actually distinguish the circuits.
         assert_ne!(c1.eval(&inputs).unwrap(), c2.eval(&inputs).unwrap());
     }
@@ -379,24 +431,13 @@ mod tests {
         // Enumerate the full error domain of xor-vs-xnor (all 4 inputs).
         let c1 = adder_bit(false);
         let c2 = adder_bit(true);
-        let mut s = Solver::new();
         let pairs = [(c1.outputs()[0].net(), c2.outputs()[0].net())];
-        let miter = encode_miter(&mut s, &c1, &c2, &pairs).unwrap();
+        let mut miter = Miter::new(Solver::new(), &c1, &c2, &pairs).unwrap();
+        miter.require_difference();
         let mut found = Vec::new();
-        while s.solve(&[]) == SolveResult::Sat {
-            let inputs = model_inputs(&s, &miter, &c1);
-            found.push(inputs.clone());
-            // Block this input assignment.
-            let block: Vec<Lit> = c1
-                .inputs()
-                .iter()
-                .zip(inputs.iter())
-                .map(|(&id, &v)| {
-                    let label = c1.node(id).name().unwrap().to_string();
-                    Lit::with_phase(miter.inputs[&label], !v)
-                })
-                .collect();
-            s.add_clause(&block);
+        while let Equivalence::Counterexample(inputs) = miter.next_difference(&c1) {
+            miter.block(&inputs, &c1);
+            found.push(inputs);
         }
         // xor != xnor everywhere: all 4 assignments are errors.
         assert_eq!(found.len(), 4);

@@ -58,12 +58,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corr = Correspondence::build(&impl_c, &spec)?;
     let pair = corr.outputs[0].clone();
 
-    // §5.1 — collect error-domain samples.
+    // §5.1 — collect error-domain samples. Every step below simulates the
+    // two circuits compiled here.
+    let (impl_sim, spec_sim) = (Compiled::new(&impl_c)?, Compiled::new(&spec)?);
     use rand::SeedableRng;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
     let samples = collect_samples(
         &impl_c,
         &spec,
+        &impl_sim,
+        &spec_sim,
         &corr,
         &pair,
         16,
@@ -83,7 +87,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // once; the minimal point-sets, the candidate utilities and Ξ(c) read
     // these values.
     println!("\nsampling domain: N = {} samples", samples.len());
-    let (impl_sim, spec_sim) = (Compiled::new(&impl_c)?, Compiled::new(&spec)?);
     let spec_root = spec.outputs()[0].net();
     let ctx = RewireNetContext::build(&impl_sim, &spec, &spec_sim, &corr, spec_root, &samples)?;
 

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the BDD package: building an adder
-//! carry chain (AND/XOR/OR), quantifying it (with the op caches cleared
-//! each iteration), and counting its models.
+//! carry chain (AND/XOR/OR) and quantifying it (with the op caches cleared
+//! each iteration).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eco_bdd::BddManager;

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use syseco::choices::find_choices;
 use syseco::correspond::Correspondence;
 use syseco::points::{candidate_pins, MinimalSets};
-use syseco::rectify::{MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_REWIRE_CANDIDATES};
+use syseco::rectify::{MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS, MAX_REWIRE_CANDIDATES};
 use syseco::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
 
 /// `y = en ? (a + b) ∘ a : b`, where `∘` is AND, or OR in the revision.
@@ -100,9 +100,11 @@ fn bench_choices(c: &mut Criterion) {
     group.finish();
 }
 
+/// The minimal point-sets of every size the search escalates through,
+/// over as many candidate pins as it takes.
 fn bench_point_set_enumeration(c: &mut Criterion) {
     let circuit = bench_circuit(false);
-    c.bench_function("sampling_h_of_t_m2", |b| {
+    c.bench_function("sampling_h_of_t", |b| {
         let samples = random_samples(32, circuit.num_inputs(), 9);
         let root = circuit.outputs()[0].net();
         let sim = Compiled::new(&circuit).unwrap();
@@ -111,10 +113,12 @@ fn bench_point_set_enumeration(c: &mut Criterion) {
         // non-trivial.
         let fprime: Vec<u64> = words.blocks().iter().map(|w| !w[root.index()]).collect();
         b.iter(|| {
-            let pins = candidate_pins(&circuit, root, 0, 24);
+            let pins = candidate_pins(&circuit, root, 0, MAX_CANDIDATE_PINS);
             let mut minimal = MinimalSets::new(&circuit, &sim, &words, &fprime, 0, &pins);
-            let singles = minimal.of_size(1, usize::MAX);
-            std::hint::black_box((singles, minimal.of_size(2, usize::MAX)))
+            let sets: Vec<_> = (1..=MAX_POINTS)
+                .map(|size| minimal.of_size(size, usize::MAX))
+                .collect();
+            std::hint::black_box(sets)
         });
     });
 }

@@ -14,8 +14,10 @@
 //! monotone in that set, so its primes are exactly the *minimal* feasible
 //! pin sets. [`MinimalSets`] enumerates those directly, smallest first, by
 //! bit-parallel simulation over the sampling domain; no `H(t)` diagram is
-//! built. The Figure 2 construction stays in the test module as the
-//! differential oracle.
+//! built. Pin dominance answers most multi-pin checks without simulation:
+//! a pin whose consumer reaches the root only through another candidate
+//! pin frees nothing that pin does not. The Figure 2 construction stays in
+//! the test module as the differential oracle.
 
 use eco_netlist::sim::{Compiled, Simulated};
 use eco_netlist::{topo, Circuit, GateKind, NetId, NodeId, Pin};
@@ -137,11 +139,26 @@ impl Cursor {
 /// output pins of *other* outputs free nothing in this cone and never
 /// appear.
 ///
-/// The fanout slices are built once. The enumeration state — the
-/// pool, the multi-pin minimal masks and the next subset to examine —
-/// persists across [`of_size`](Self::of_size) queries, so each subset is
-/// checked at most once. The engine's caps (`m ≤ 3`, at most 47 gate pins)
-/// bound the enumeration at `C(47,1) + C(47,2) + C(47,3) = 17,343` subsets.
+/// **Pin dominance.** Let gate pin `p` sit on gate `g`, and let `g`'s only
+/// in-cone sink be candidate pin `q`. Whatever values of the freed pins
+/// `{p} ∪ R` make the cone match `f'` on a sample, `{q} ∪ R` matches too,
+/// with `q` driven by the value `g` computes; and when `q ∈ R`, `{p} ∪ R`
+/// is feasible exactly when `R` is. So a multi-pin subset `S ∋ p` is
+/// infeasible, and is not simulated, when `q` is in the pool and
+/// `(S − p) ∪ {q}` is infeasible. That set was examined before `S`, so it
+/// is infeasible exactly when no multi-pin minimal set covers it. A
+/// skipped subset gets the answer the simulation would have given, so the
+/// sets found and their order do not depend on the rule. Debug builds
+/// simulate every skipped subset and assert that it is infeasible.
+///
+/// The fanout slices and the dominator table are built once. The
+/// enumeration state — the pool, the multi-pin minimal masks and the next
+/// subset to examine — persists across [`of_size`](Self::of_size)
+/// queries, so each subset is examined at most once. The engine's caps
+/// (`m ≤ 3`, at most 47 gate pins) bound the enumeration at
+/// `C(47,1) + C(47,2) + C(47,3) = 17,343` subsets, and pin dominance
+/// leaves about 3% of the examined ones to simulate on the benchmark
+/// workloads.
 pub struct MinimalSets<'c> {
     circuit: &'c Circuit,
     sim: &'c Compiled,
@@ -159,12 +176,18 @@ pub struct MinimalSets<'c> {
     /// the nodes freeing the pin can change: its consumer and everything
     /// downstream of it — ascending (= topological order).
     pin_tfo: Vec<Vec<u32>>,
+    /// Per gate pin's mask bit `b`, the bit `d < b` of the candidate gate
+    /// pin that is its consumer's only in-cone sink: every path from pin
+    /// `b` to the root passes through pin `d`.
+    dominator: Vec<Option<usize>>,
     /// The revised output `f'` per 64-sample block.
     fprime: &'c [u64],
     /// The unmodified cone already matches `f'` on every sample.
     matches: bool,
     /// Gate pins whose singleton is infeasible, as (pin code, mask bit).
     pool: Vec<(usize, usize)>,
+    /// The mask bits of `pool`.
+    pool_mask: u128,
     /// Minimal sets found so far as pin codes, in enumeration order, each
     /// with whether it passes the topological constraint.
     found: Vec<(Vec<usize>, bool)>,
@@ -177,6 +200,9 @@ pub struct MinimalSets<'c> {
     /// The freed pins of the subset being checked, as (consumer node, pin
     /// position).
     forced: Vec<(usize, usize)>,
+    /// Multi-pin subsets checked by simulation.
+    #[cfg(test)]
+    simulated: usize,
 }
 
 impl<'c> MinimalSets<'c> {
@@ -231,6 +257,8 @@ impl<'c> MinimalSets<'c> {
             }
         }
         let mut pin_tfo: Vec<Vec<u32>> = vec![Vec::new(); gate_pins.len()];
+        // In-cone sink pins per net.
+        let mut sinks = vec![0u32; circuit.num_nodes()];
         for g in 0..sim.num_gates() {
             let id = sim.node(g).index();
             if !in_cone[id] {
@@ -239,6 +267,7 @@ impl<'c> MinimalSets<'c> {
             let mut mask = tfo_mask[id];
             for &f in sim.fanins(g) {
                 mask |= tfo_mask[f as usize];
+                sinks[f as usize] += 1;
             }
             tfo_mask[id] = mask;
             while mask != 0 {
@@ -246,6 +275,25 @@ impl<'c> MinimalSets<'c> {
                 mask &= mask - 1;
             }
         }
+        // A consumer with one in-cone sink reaches the root only through
+        // it; the root has none, so its pins have no dominator.
+        let dominator = gate_pins
+            .iter()
+            .enumerate()
+            .map(|(b, &j)| {
+                let consumer = pins[j].node()?.index();
+                if sinks[consumer] != 1 {
+                    return None;
+                }
+                gate_pins[..b].iter().position(|&k| match pins[k] {
+                    Pin::Gate { node, pos } => {
+                        in_cone[node.index()]
+                            && circuit.node(node).fanins()[pos as usize].index() == consumer
+                    }
+                    Pin::Output { .. } => false,
+                })
+            })
+            .collect();
 
         let matches = baseline
             .blocks()
@@ -263,14 +311,18 @@ impl<'c> MinimalSets<'c> {
             gate_pins,
             out_code,
             pin_tfo,
+            dominator,
             fprime,
             matches,
             pool: Vec::new(),
+            pool_mask: 0,
             found: Vec::new(),
             multi_masks: Vec::new(),
             cursor: Cursor::Single(0),
             words: baseline.blocks().to_vec(),
             forced: Vec::new(),
+            #[cfg(test)]
+            simulated: 0,
         }
     }
 
@@ -339,6 +391,7 @@ impl<'c> MinimalSets<'c> {
                     return true;
                 }
                 self.pool.push((j, b));
+                self.pool_mask |= 1u128 << b;
                 false
             }
             Cursor::Single(_) => {
@@ -353,17 +406,30 @@ impl<'c> MinimalSets<'c> {
                 let sel_mask = idx
                     .iter()
                     .fold(0u128, |acc, &i| acc | (1u128 << self.pool[i].1));
-                // Covered iff some recorded minimal set is a subset of this one.
-                let covered = self.multi_masks.iter().any(|&mm| mm & !sel_mask == 0);
                 let mut kept = false;
-                if !covered {
-                    let set: Vec<usize> = idx.iter().map(|&i| self.pool[i].0).collect();
-                    let bits: Vec<usize> = idx.iter().map(|&i| self.pool[i].1).collect();
-                    if self.feasible(&set, &bits) {
-                        let points: PointSet = set.iter().map(|&j| self.pins[j]).collect();
-                        kept = topological_constraint_ok(self.circuit, &points);
-                        self.found.push((set, kept));
-                        self.multi_masks.push(sel_mask);
+                if !self.covered(sel_mask) {
+                    if self.dominated(sel_mask, &idx) {
+                        if cfg!(debug_assertions) {
+                            let (set, bits): (Vec<usize>, Vec<usize>) =
+                                idx.iter().map(|&i| self.pool[i]).unzip();
+                            assert!(
+                                !self.feasible(&set, &bits),
+                                "pin dominance skipped the feasible subset {bits:?}"
+                            );
+                        }
+                    } else {
+                        #[cfg(test)]
+                        {
+                            self.simulated += 1;
+                        }
+                        let (set, bits): (Vec<usize>, Vec<usize>) =
+                            idx.iter().map(|&i| self.pool[i]).unzip();
+                        if self.feasible(&set, &bits) {
+                            let points: PointSet = set.iter().map(|&j| self.pins[j]).collect();
+                            kept = topological_constraint_ok(self.circuit, &points);
+                            self.found.push((set, kept));
+                            self.multi_masks.push(sel_mask);
+                        }
                     }
                 }
                 self.cursor = if next_combination(&mut idx, self.pool.len()) {
@@ -375,6 +441,28 @@ impl<'c> MinimalSets<'c> {
             }
             Cursor::Done => false,
         }
+    }
+
+    /// Whether some recorded multi-pin minimal set is a subset of the pins
+    /// with mask `sel`.
+    fn covered(&self, sel: u128) -> bool {
+        self.multi_masks.iter().any(|&mm| mm & !sel == 0)
+    }
+
+    /// Whether pin dominance proves the uncovered pool subset `S` (pool
+    /// indices `idx`, mask `sel`) infeasible: some pin `b ∈ S` has a
+    /// dominator `d` in the pool, and `S′ = (S − b) ∪ {d}` is infeasible.
+    /// `S′` comes before `S` — lexicographically at the same size, or
+    /// smaller when `d ∈ S` — so it has been examined, and it is feasible
+    /// exactly when a recorded multi-pin minimal set covers it (a pool
+    /// singleton is infeasible by definition).
+    fn dominated(&self, sel: u128, idx: &[usize]) -> bool {
+        idx.iter().any(|&i| {
+            let b = self.pool[i].1;
+            self.dominator[b].is_some_and(|d| {
+                self.pool_mask >> d & 1 == 1 && !self.covered(sel & !(1u128 << b) | 1u128 << d)
+            })
+        })
     }
 
     /// The cursor at the first `size`-combination of the pool.
@@ -823,20 +911,8 @@ mod tests {
             let samples: Vec<Vec<bool>> = (0..num_samples)
                 .map(|_| (0..num_inputs).map(|_| rng.gen()).collect())
                 .collect();
-            let pins = candidate_pins(&c, root, 0, 10);
-            let sim = Compiled::new(&c).unwrap();
-            let words = sim.simulate_all(&samples).unwrap();
-            let mut inst = Instance {
-                circuit: c,
-                root,
-                samples,
-                fprime_bits: Vec::new(),
-                pins,
-                sim,
-                words,
-                fprime: Vec::new(),
-            };
-            inst.fprime_bits = if wide {
+            let mut inst = Instance::new(c, samples, 10);
+            let fprime_bits = if wide {
                 let gate_pins = &inst.pins[..inst.pins.len() - 1];
                 let driven: Vec<Pin> = (0..rng.gen_range(1..=3))
                     .map(|_| gate_pins[rng.gen_range(0..gate_pins.len())])
@@ -853,8 +929,33 @@ mod tests {
             } else {
                 (0..num_samples).map(|_| rng.gen()).collect()
             };
-            inst.fprime = pack(&inst.fprime_bits);
+            inst.revise(fprime_bits);
             inst
+        }
+
+        /// The cone of `circuit`'s only output over `samples`, with at most
+        /// `max_pins` candidate pins and no revised bits yet.
+        fn new(circuit: Circuit, samples: Vec<Vec<bool>>, max_pins: usize) -> Self {
+            let root = circuit.outputs()[0].net();
+            let pins = candidate_pins(&circuit, root, 0, max_pins);
+            let sim = Compiled::new(&circuit).unwrap();
+            let words = sim.simulate_all(&samples).unwrap();
+            Instance {
+                circuit,
+                root,
+                samples,
+                fprime_bits: Vec::new(),
+                pins,
+                sim,
+                words,
+                fprime: Vec::new(),
+            }
+        }
+
+        /// Sets the revised output bits, one per sample.
+        fn revise(&mut self, fprime_bits: Vec<bool>) {
+            self.fprime = pack(&fprime_bits);
+            self.fprime_bits = fprime_bits;
         }
 
         fn sets(&self) -> MinimalSets<'_> {
@@ -1143,6 +1244,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// On a single-fanout AND chain every pin below the last gate has a
+    /// dominator: its consumer's only sink. `f′` drops three of the chain's
+    /// side inputs, so no gate pin fixes it alone, and only pairs and
+    /// triples do. The enumeration finds exactly the brute-force minimal
+    /// sets, and simulates fewer subsets than it examines uncovered.
+    #[test]
+    fn pin_dominance_skips_infeasible_subsets() {
+        let mut c = Circuit::new("chain");
+        let x: Vec<NetId> = (0..7).map(|i| c.add_input(format!("x{i}"))).collect();
+        let mut gates = Vec::new();
+        let mut w = x[0];
+        for &side in &x[1..] {
+            w = c.add_gate(GateKind::And, &[w, side]).unwrap();
+            gates.push(w.source());
+        }
+        c.add_output("y", w);
+        let samples: Vec<Vec<bool>> = (0..128u32)
+            .map(|v| (0..7).map(|i| (v >> i) & 1 == 1).collect())
+            .collect();
+        let mut inst = Instance::new(c, samples, 16);
+        let dropped: Vec<(Pin, bool)> = [0, 2, 5]
+            .iter()
+            .map(|&g| (Pin::gate(gates[g], 1), true))
+            .collect();
+        let fprime_bits = inst
+            .samples
+            .iter()
+            .map(|x| inst.eval_forced(x, &dropped))
+            .collect();
+        inst.revise(fprime_bits);
+
+        // Brute force over the gate pins' subsets, by size and then in pin
+        // order: a subset is minimal when it is feasible and holds no
+        // minimal set found before it.
+        let gate_pins = inst.pins.len() - 1;
+        let mut minimal: Vec<Vec<usize>> = Vec::new();
+        let mut uncovered = 0;
+        for size in 1..=3 {
+            let mut idx: Vec<usize> = (0..size).collect();
+            loop {
+                if !minimal.iter().any(|m| m.iter().all(|j| idx.contains(j))) {
+                    uncovered += usize::from(size > 1);
+                    let points: Vec<Pin> = idx.iter().map(|&j| inst.pins[j]).collect();
+                    if inst.feasible(&points) {
+                        minimal.push(idx.clone());
+                    }
+                }
+                if !next_combination(&mut idx, gate_pins) {
+                    break;
+                }
+            }
+        }
+        assert!(minimal.iter().all(|m| m.len() > 1), "{minimal:?}");
+        assert!(minimal.iter().any(|m| m.len() == 3), "{minimal:?}");
+
+        let mut sets = inst.sets();
+        let mut expected = vec![vec![gate_pins]]; // the output pin alone
+        expected.extend(minimal);
+        assert_eq!(sets.all_minimal(3), expected);
+        assert!(
+            sets.simulated < uncovered,
+            "{} of {uncovered} uncovered subsets simulated",
+            sets.simulated
+        );
     }
 
     #[test]

@@ -75,8 +75,8 @@ fn two_pin_point_set(n: usize) -> (RewireNetContext, Vec<Vec<u64>>, Vec<Vec<Rewi
             let lists: Vec<Vec<RewireCandidate>> = set
                 .iter()
                 .map(|&p| {
-                    candidates_for_pin(&implementation, &ctx, p, MAX_REWIRE_CANDIDATES, None)
-                        .unwrap()
+                    let max = MAX_REWIRE_CANDIDATES;
+                    candidates_for_pin(&implementation, &sim, &ctx, p, max, None).unwrap()
                 })
                 .collect();
             let matches = minimal.match_words(&set);

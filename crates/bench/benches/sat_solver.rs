@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for the CDCL solver: miter-style equivalence
-//! queries, the workhorse of candidate validation.
+//! queries, the workhorse of candidate validation, alone and on the
+//! engine's per-query path (encode, internal-equivalence assist, check).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eco_netlist::Circuit;
+use eco_netlist::{Circuit, NetId};
+use eco_sat::cec::{CecOptions, ProofCache};
 use eco_sat::tseitin::{Equivalence, Miter};
 use eco_sat::Solver;
 use eco_synth::lower::synthesize;
@@ -24,19 +26,25 @@ fn adder_tree(width: u32) -> Circuit {
     synthesize(&m).expect("elaborates")
 }
 
+/// An adder tree against its optimized self, with their output pairs.
+fn optimized_pair(width: u32) -> (Circuit, Circuit, Vec<(NetId, NetId)>) {
+    let left = adder_tree(width);
+    let mut right = adder_tree(width);
+    optimize(&mut right, &OptOptions::heavy(3)).unwrap();
+    let pairs = left
+        .outputs()
+        .iter()
+        .zip(right.outputs())
+        .map(|(l, r)| (l.net(), r.net()))
+        .collect();
+    (left, right, pairs)
+}
+
 fn bench_equivalence_unsat(c: &mut Criterion) {
     let mut group = c.benchmark_group("sat_miter_equivalent");
     for width in [8u32, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, &w| {
-            let left = adder_tree(w);
-            let mut right = adder_tree(w);
-            optimize(&mut right, &OptOptions::heavy(3)).unwrap();
-            let pairs: Vec<_> = left
-                .outputs()
-                .iter()
-                .zip(right.outputs())
-                .map(|(l, r)| (l.net(), r.net()))
-                .collect();
+            let (left, right, pairs) = optimized_pair(w);
             b.iter(|| {
                 let mut miter = Miter::new(Solver::new(), &left, &right, &pairs).unwrap();
                 miter.require_difference();
@@ -84,5 +92,37 @@ fn bench_model_enumeration(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_equivalence_unsat, bench_model_enumeration);
+/// The engine's per-query path, as validation runs it: encode the miter,
+/// run the internal-equivalence assist on an overlay of a proof cache that
+/// an earlier pass warmed, then check every output pair.
+fn bench_assisted_query(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sat_miter_assisted");
+    let (left, right, pairs) = optimized_pair(16);
+    let options = CecOptions::default();
+    let mut warm = ProofCache::new();
+    Miter::new(Solver::new(), &left, &right, &pairs)
+        .unwrap()
+        .assist(&left, &right, &options, &mut warm)
+        .unwrap();
+    let base = warm.freeze();
+    group.bench_function("16", |b| {
+        b.iter(|| {
+            let mut miter = Miter::new(Solver::new(), &left, &right, &pairs).unwrap();
+            miter
+                .assist(&left, &right, &options, &mut base.overlay())
+                .unwrap();
+            for pair in 0..pairs.len() {
+                assert_eq!(miter.check(pair, &left), Equivalence::Equivalent);
+            }
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_equivalence_unsat,
+    bench_model_enumeration,
+    bench_assisted_query
+);
 criterion_main!(benches);

@@ -537,7 +537,10 @@ mod tests {
         fn candidates(&self, points: &[Pin]) -> Vec<Vec<RewireCandidate>> {
             points
                 .iter()
-                .map(|&p| candidates_for_pin(&self.implementation, &self.ctx, p, 8, None).unwrap())
+                .map(|&p| {
+                    candidates_for_pin(&self.implementation, &self.sim, &self.ctx, p, 8, None)
+                        .unwrap()
+                })
                 .collect()
         }
     }

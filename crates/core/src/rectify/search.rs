@@ -458,6 +458,7 @@ impl OutputSearch<'_> {
                 for &p in &point_set {
                     cand_lists.push(candidates_for_pin(
                         base,
+                        base_sim,
                         &ctx,
                         p,
                         MAX_REWIRE_CANDIDATES,

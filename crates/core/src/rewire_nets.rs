@@ -187,6 +187,7 @@ fn diff_fraction(a_words: &Simulated, a: NetId, b_words: &Simulated, b: NetId) -
 }
 
 /// Selects candidate rewiring nets for `pin`, ranked by utility.
+/// `sim` is `implementation` compiled.
 ///
 /// The first entry is always the trivial candidate (the current driver).
 /// Implementation candidates exclude nets in the transitive fanout of the
@@ -200,6 +201,7 @@ fn diff_fraction(a_words: &Simulated, a: NetId, b_words: &Simulated, b: NetId) -
 /// Propagates [`NetlistError`] for invalid pins.
 pub fn candidates_for_pin(
     implementation: &Circuit,
+    sim: &Compiled,
     ctx: &RewireNetContext,
     pin: Pin,
     max_candidates: usize,
@@ -211,7 +213,7 @@ pub fn candidates_for_pin(
 
     // Nets that would create a cycle: the consumer's transitive fanout.
     let forbidden: Vec<bool> = match pin.node() {
-        Some(consumer) => topo::tfo(implementation, &[consumer]),
+        Some(consumer) => sim.tfo(&[consumer]),
         None => vec![false; implementation.num_nodes()],
     };
 
@@ -317,6 +319,23 @@ mod tests {
         RewireNetContext::build(&base, s, &spec, corr, spec_root, samples).unwrap()
     }
 
+    fn candidates(
+        c: &Circuit,
+        ctx: &RewireNetContext,
+        pin: Pin,
+        max_candidates: usize,
+    ) -> Vec<RewireCandidate> {
+        candidates_for_pin(
+            c,
+            &Compiled::new(c).unwrap(),
+            ctx,
+            pin,
+            max_candidates,
+            None,
+        )
+        .unwrap()
+    }
+
     /// impl: y = a & b; spec: y = a | b. Error domain: a != b.
     fn setup() -> (Circuit, Circuit, Correspondence, RewireNetContext, NetId) {
         let mut c = Circuit::new("impl");
@@ -339,7 +358,7 @@ mod tests {
     fn trivial_candidate_is_first() {
         let (c, _s, _corr, ctx, g) = setup();
         let pin = Pin::gate(g.source(), 0);
-        let cands = candidates_for_pin(&c, &ctx, pin, 8, None).unwrap();
+        let cands = candidates(&c, &ctx, pin, 8);
         let driver = c.pin_net(pin).unwrap();
         assert_eq!(cands[0].net, driver);
         assert!(!cands[0].from_spec);
@@ -352,7 +371,7 @@ mod tests {
         // net must appear as a high-utility candidate for the output pin.
         let (c, s, _corr, ctx, _g) = setup();
         let pin = Pin::output(0);
-        let cands = candidates_for_pin(&c, &ctx, pin, 8, None).unwrap();
+        let cands = candidates(&c, &ctx, pin, 8);
         let spec_or = s.outputs()[0].net();
         let found = cands
             .iter()
@@ -381,7 +400,7 @@ mod tests {
         let samples = vec![vec![true, true], vec![true, false]];
         let ctx = context(&c, &s, &corr, sg, &samples);
         let pin = Pin::gate(g.source(), 0);
-        let cands = candidates_for_pin(&c, &ctx, pin, 16, None).unwrap();
+        let cands = candidates(&c, &ctx, pin, 16);
         for cand in &cands {
             if !cand.from_spec {
                 assert_ne!(cand.net, g, "own output is a cycle");
@@ -417,7 +436,7 @@ mod tests {
             vec![false, false, true],
         ];
         let ctx = context(&c, &s, &corr, sg, &samples);
-        let cands = candidates_for_pin(&c, &ctx, Pin::output(0), 16, None).unwrap();
+        let cands = candidates(&c, &ctx, Pin::output(0), 16);
         for cand in &cands {
             if !cand.from_spec {
                 assert_ne!(cand.net, stray, "stray depends on `extra`, outside f'");
@@ -444,7 +463,7 @@ mod tests {
     #[test]
     fn candidate_cap_respected() {
         let (c, _s, _corr, ctx, _g) = setup();
-        let cands = candidates_for_pin(&c, &ctx, Pin::output(0), 3, None).unwrap();
+        let cands = candidates(&c, &ctx, Pin::output(0), 3);
         assert!(cands.len() <= 3);
     }
 }

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 
 use eco_netlist::sim::{Compiled, Simulated};
-use eco_netlist::{topo, Circuit, NetId, NetlistError, Pin};
+use eco_netlist::{Circuit, NetId, NetlistError, Pin};
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
 
@@ -155,8 +155,13 @@ pub fn apply_rewires(
     Ok((ops, cloned))
 }
 
-/// Output indices affected by rewiring `rewires` in `circuit`.
-pub fn affected_outputs(circuit: &Circuit, rewires: &[CandidateRewire]) -> Vec<u32> {
+/// Output indices affected by rewiring `rewires` in `circuit`, compiled as
+/// `sim`.
+pub fn affected_outputs(
+    circuit: &Circuit,
+    sim: &Compiled,
+    rewires: &[CandidateRewire],
+) -> Vec<u32> {
     let mut direct: HashSet<u32> = HashSet::new();
     let mut nodes = Vec::new();
     for r in rewires {
@@ -167,7 +172,12 @@ pub fn affected_outputs(circuit: &Circuit, rewires: &[CandidateRewire]) -> Vec<u
             }
         }
     }
-    let mut out: Vec<u32> = topo::outputs_depending_on(circuit, &nodes);
+    let reach = sim.tfo(&nodes);
+    let mut out: Vec<u32> = (0u32..)
+        .zip(circuit.outputs())
+        .filter(|(_, p)| reach[p.net().index()])
+        .map(|(i, _)| i)
+        .collect();
     out.extend(direct);
     out.sort_unstable();
     out.dedup();
@@ -225,7 +235,8 @@ pub fn validate_rewires<'s>(
         Err(e) => return Err(e.into()),
     }
 
-    let words = Compiled::new(&scratch)?.simulate_all(&bank.assignments)?;
+    let scratch_sim = Compiled::new(&scratch)?;
+    let words = scratch_sim.simulate_all(&bank.assignments)?;
     // Read output nets *after* apply: an output-pin rewire changes them.
     let mismatch = |pair: &OutputPair| {
         let (net, spec_net) = pair.nets(&scratch, spec);
@@ -240,7 +251,7 @@ pub fn validate_rewires<'s>(
             return Ok((Validation::Unknown, SolverStats::default()));
         }
     }
-    let affected = affected_outputs(&scratch, rewires);
+    let affected = affected_outputs(&scratch, &scratch_sim, rewires);
     // A still-failing output may keep mismatching; it is simply not "fixed".
     if affected
         .iter()
@@ -506,7 +517,8 @@ mod tests {
                 arrival: 0.0,
             },
         }];
-        assert_eq!(affected_outputs(&c, &rewires), vec![0]);
+        let sim = Compiled::new(&c).unwrap();
+        assert_eq!(affected_outputs(&c, &sim, &rewires), vec![0]);
         let out_rewire = vec![CandidateRewire {
             pin: Pin::output(1),
             candidate: RewireCandidate {
@@ -516,6 +528,6 @@ mod tests {
                 arrival: 0.0,
             },
         }];
-        assert_eq!(affected_outputs(&c, &out_rewire), vec![1]);
+        assert_eq!(affected_outputs(&c, &sim, &out_rewire), vec![1]);
     }
 }

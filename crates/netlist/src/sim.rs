@@ -96,6 +96,22 @@ impl Compiled {
         &self.fanins[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
 
+    /// The transitive fanout of `roots` (inclusive), as a membership
+    /// bitmap indexed by node: one forward pass over the tape, where a gate
+    /// joins when one of its fanins has joined.
+    pub fn tfo(&self, roots: &[NodeId]) -> Vec<bool> {
+        let mut seen = vec![false; self.num_nodes];
+        for r in roots {
+            seen[r.index()] = true;
+        }
+        for g in 0..self.nodes.len() {
+            if self.fanins(g).iter().any(|&f| seen[f as usize]) {
+                seen[self.nodes[g] as usize] = true;
+            }
+        }
+        seen
+    }
+
     /// Evaluates tape gate `g` over 64 patterns, reading the word of its
     /// fanin at pin position `pos` on net index `net` as `word(pos, net)`.
     #[inline]
@@ -294,6 +310,33 @@ mod tests {
             let got = word_bit(&sim.blocks()[j / 64], ynet.index(), j % 64);
             assert_eq!(got, scalar, "pattern {j}");
         }
+    }
+
+    #[test]
+    fn tfo_reaches_outputs() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let g1 = c.add_gate(GateKind::And, &[a, b]).unwrap();
+        let g2 = c.add_gate(GateKind::Not, &[g1]).unwrap();
+        let g3 = c.add_gate(GateKind::Or, &[b, b]).unwrap();
+        c.add_output("y1", g2);
+        c.add_output("y2", g3);
+        let compiled = Compiled::new(&c).unwrap();
+        let members = |roots: &[NodeId]| {
+            let tfo = compiled.tfo(roots);
+            (0..c.num_nodes()).filter(|&i| tfo[i]).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            members(&[a.source()]),
+            [a, g1, g2].map(|n| n.index()).to_vec()
+        );
+        assert_eq!(
+            members(&[b.source()]),
+            [b, g1, g2, g3].map(|n| n.index()).to_vec()
+        );
+        assert_eq!(members(&[g3.source()]), vec![g3.index()]);
+        assert_eq!(members(&[]), Vec::<usize>::new());
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Graph analyses: topological order, logic levels, transitive fanin/fanout,
-//! cones, and structural support.
+//! Graph analyses: topological order, logic levels, transitive fanin, cones,
+//! and structural support. The transitive fanout is
+//! [`Compiled::tfo`](crate::sim::Compiled::tfo), a pass over the compiled
+//! tape.
 
 use std::collections::HashSet;
 
@@ -117,28 +119,6 @@ pub fn tfi_contains(circuit: &Circuit, root: NodeId, node: NodeId) -> bool {
     false
 }
 
-/// Returns the set of nodes in the transitive fanout of `roots` (inclusive),
-/// as a membership bitmap indexed by node.
-pub fn tfo(circuit: &Circuit, roots: &[NodeId]) -> Vec<bool> {
-    let fanouts = circuit.fanouts();
-    let mut seen = vec![false; circuit.num_nodes()];
-    let mut stack: Vec<NodeId> = roots.to_vec();
-    while let Some(id) = stack.pop() {
-        if seen[id.index()] {
-            continue;
-        }
-        seen[id.index()] = true;
-        for pin in &fanouts[id.index()] {
-            if let Some(consumer) = pin.node() {
-                if !seen[consumer.index()] {
-                    stack.push(consumer);
-                }
-            }
-        }
-    }
-    seen
-}
-
 /// The structural input support of `net`: indices (in primary-input order)
 /// of the inputs its cone depends on.
 pub fn support(circuit: &Circuit, net: NetId) -> HashSet<usize> {
@@ -149,18 +129,6 @@ pub fn support(circuit: &Circuit, net: NetId) -> HashSet<usize> {
         .enumerate()
         .filter(|(_, id)| seen[id.index()])
         .map(|(pos, _)| pos)
-        .collect()
-}
-
-/// Primary-output port indices whose cones contain any of `nodes`.
-pub fn outputs_depending_on(circuit: &Circuit, nodes: &[NodeId]) -> Vec<u32> {
-    let reach = tfo(circuit, nodes);
-    circuit
-        .outputs()
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| reach[p.net().index()])
-        .map(|(i, _)| i as u32)
         .collect()
 }
 
@@ -280,22 +248,6 @@ mod tests {
         assert_eq!(s2, [2usize].into_iter().collect());
         assert!(tfi_contains(&c, g1.source(), a.source()));
         assert!(!tfi_contains(&c, g2.source(), a.source()));
-    }
-
-    #[test]
-    fn tfo_reaches_outputs() {
-        let mut c = Circuit::new("t");
-        let a = c.add_input("a");
-        let b = c.add_input("b");
-        let g1 = c.add_gate(GateKind::And, &[a, b]).unwrap();
-        let g2 = c.add_gate(GateKind::Not, &[g1]).unwrap();
-        let g3 = c.add_gate(GateKind::Or, &[b, b]).unwrap();
-        c.add_output("y1", g2);
-        c.add_output("y2", g3);
-        let deps = outputs_depending_on(&c, &[a.source()]);
-        assert_eq!(deps, vec![0]);
-        let deps = outputs_depending_on(&c, &[b.source()]);
-        assert_eq!(deps, vec![0, 1]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use eco_netlist::{sim, strash, topo, Circuit, GateKind, NetId, Pin};
+use eco_netlist::{sim, strash, topo, Circuit, GateKind, NetId, NodeId, Pin};
 use proptest::prelude::*;
 
 /// Recipe for one random gate: kind selector and fanin selectors.
@@ -73,6 +73,26 @@ fn circuit_strategy(max_gates: usize) -> impl Strategy<Value = CircuitRecipe> {
     })
 }
 
+/// Rewires a gate pin to a later-created net per `(gate_sel, net_sel)`, so
+/// fanins end up above their consumers in node-index order.
+fn rewire_to_later_nets(c: &mut Circuit, rewires: &[(u32, u32)]) {
+    for &(gate_sel, net_sel) in rewires {
+        let gates: Vec<_> = c
+            .iter_live()
+            .filter(|&id| !c.node(id).fanins().is_empty())
+            .collect();
+        let g = gates[gate_sel as usize % gates.len()];
+        let later = c.num_nodes() - g.index() - 1;
+        if later == 0 {
+            continue;
+        }
+        let pos = (gate_sel >> 16) as usize % c.node(g).fanins().len();
+        let net = NetId::from_index(g.index() + 1 + net_sel as usize % later);
+        // A rewire that would close a cycle is refused and changes nothing.
+        let _ = c.rewire(Pin::gate(g, pos as u8), net);
+    }
+}
+
 fn all_assignments(n: usize) -> Vec<Vec<bool>> {
     (0..(1usize << n.min(6)))
         .map(|j| (0..n).map(|i| (j >> i) & 1 == 1).collect())
@@ -133,21 +153,7 @@ proptest! {
         for (i, root) in roots.iter().enumerate() {
             c.add_output(format!("d{i}"), map[root]);
         }
-        for (gate_sel, net_sel) in rewires {
-            let gates: Vec<_> = c
-                .iter_live()
-                .filter(|&id| !c.node(id).fanins().is_empty())
-                .collect();
-            let g = gates[gate_sel as usize % gates.len()];
-            let later = c.num_nodes() - g.index() - 1;
-            if later == 0 {
-                continue;
-            }
-            let pos = (gate_sel >> 16) as usize % c.node(g).fanins().len();
-            let net = NetId::from_index(g.index() + 1 + net_sel as usize % later);
-            // A rewire that would close a cycle is refused and changes nothing.
-            let _ = c.rewire(Pin::gate(g, pos as u8), net);
-        }
+        rewire_to_later_nets(&mut c, &rewires);
         c.sweep();
         prop_assert!(c.check_well_formed().is_ok());
 
@@ -167,6 +173,29 @@ proptest! {
             for (net, &value) in scalar.iter().enumerate() {
                 prop_assert_eq!(sim::word_bit(&words.blocks()[k / 64], net, k % 64), value);
             }
+        }
+    }
+
+    /// `Compiled::tfo` is the converse of `topo::tfi`: a live node is in
+    /// the fanout of the roots exactly when some root is in its fanin.
+    /// Rewires to later-created nets and a sweep leave fanins above their
+    /// consumers and dead nodes between them, so node-index order is not a
+    /// topological order.
+    #[test]
+    fn compiled_tfo_is_the_converse_of_tfi(
+        recipe in circuit_strategy(30),
+        rewires in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8),
+        picks in proptest::collection::vec(any::<u32>(), 0..4),
+    ) {
+        let mut c = build(&recipe);
+        rewire_to_later_nets(&mut c, &rewires);
+        c.sweep();
+        let live: Vec<NodeId> = c.iter_live().collect();
+        let roots: Vec<NodeId> = picks.iter().map(|&p| live[p as usize % live.len()]).collect();
+        let tfo = sim::Compiled::new(&c).unwrap().tfo(&roots);
+        for &n in &live {
+            let tfi = topo::tfi(&c, &[n]);
+            prop_assert_eq!(tfo[n.index()], roots.iter().any(|r| tfi[r.index()]), "node {}", n.index());
         }
     }
 

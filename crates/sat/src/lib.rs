@@ -13,8 +13,11 @@
 //!
 //! The [`Solver`] is a self-contained CDCL engine in the MiniSAT lineage
 //! (two-literal watching, first-UIP learning, VSIDS-style activities, phase
-//! saving, Luby restarts, incremental assumptions, conflict budgets). The
-//! [`tseitin`] module encodes [`eco_netlist::Circuit`]s into CNF; its
+//! saving, Luby restarts, incremental assumptions, conflict budgets), with
+//! MiniSAT's flat storage: one clause arena and a per-literal value array,
+//! so neither a clause nor a resolution step allocates. The
+//! [`tseitin`] module encodes [`eco_netlist::Circuit`]s into CNF through a
+//! dense net→variable map; its
 //! [`tseitin::Miter`] is the one equivalence query both roles ask, and
 //! [`cec`] strengthens it with proven internal equivalences.
 //!

@@ -1,4 +1,14 @@
 //! A CDCL SAT solver in the MiniSAT lineage.
+//!
+//! Storage is flat, as in MiniSAT: every clause's literals sit back to back
+//! in one arena, a clause reference indexes a start-offset array, and the
+//! value of every literal is one load from an array indexed by literal
+//! code. Clauses are only appended (there is no clause-database
+//! reduction), so propagation's watch swaps and conflict analysis's reason
+//! reordering edit the arena in place, and normalizing an added clause or
+//! building a learnt one reuses a scratch buffer. Variables, clauses,
+//! literals and watches keep the order they are created in, so the
+//! solver's moves depend only on the clauses and assumptions it is given.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,12 +125,9 @@ enum LBool {
     Undef,
 }
 
+/// Index of a clause: its literals are
+/// `arena[starts[cref]..starts[cref + 1]]`.
 type ClauseRef = u32;
-
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-}
 
 /// A snapshot of a [`Solver`]'s cumulative search counters.
 ///
@@ -160,9 +167,15 @@ impl std::ops::AddAssign for SolverStats {
 /// ECO flow and a usage example.
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back; there is no clause-database
+    /// reduction, so clauses are only ever appended.
+    arena: Vec<Lit>,
+    /// Clause `c` spans `arena[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
     watches: Vec<Vec<ClauseRef>>, // indexed by literal code
-    assigns: Vec<LBool>,
+    /// The value of every literal, indexed by literal code: both
+    /// polarities of a variable are set and cleared together.
+    vals: Vec<LBool>,
     levels: Vec<u32>,
     reasons: Vec<Option<ClauseRef>>,
     trail: Vec<Lit>,
@@ -186,6 +199,9 @@ pub struct Solver {
     learnt_clauses: u64,
     learnt_literals: u64,
     seen: Vec<bool>,
+    /// The clause being built: `add_clause`'s normalized copy, or the
+    /// learnt clause of a conflict.
+    clause_buf: Vec<Lit>,
     pending_reset: bool,
 }
 
@@ -202,9 +218,10 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            starts: vec![0],
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
             trail: Vec::new(),
@@ -228,14 +245,16 @@ impl Solver {
             learnt_clauses: 0,
             learnt_literals: 0,
             seen: Vec::new(),
+            clause_buf: Vec::new(),
             pending_reset: false,
         }
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(u32::try_from(self.levels.len()).expect("at most u32::MAX variables"));
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.levels.push(0);
         self.reasons.push(None);
         self.activity.push(0.0);
@@ -250,7 +269,7 @@ impl Solver {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.levels.len()
     }
 
     /// All cumulative search counters in one copyable snapshot.
@@ -329,76 +348,89 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalize: sort, dedup, drop false lits, detect tautology/satisfied.
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(ls.len());
-        let mut i = 0;
-        while i < ls.len() {
-            let l = ls[i];
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return true; // tautology: x ∨ !x
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        let ok = self.normalize(lits, &mut clause) || self.add_normalized(&clause);
+        self.clause_buf = clause;
+        ok
+    }
+
+    /// Writes `lits` sorted and deduplicated, without the literals false at
+    /// level 0, into `out`. Returns `true` when the clause needs no adding:
+    /// a tautology (`x ∨ !x`) or already satisfied at level 0.
+    fn normalize(&self, lits: &[Lit], out: &mut Vec<Lit>) -> bool {
+        out.clear();
+        out.extend_from_slice(lits);
+        out.sort_unstable();
+        out.dedup();
+        // Compact in place: the write position never passes the reads.
+        let mut kept = 0;
+        for i in 0..out.len() {
+            let l = out[i];
+            if out.get(i + 1) == Some(&!l) {
+                return true;
             }
             match self.lit_value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
+                LBool::True => return true,
+                LBool::False => {}
+                LBool::Undef => {
+                    out[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
-        match out.len() {
+        out.truncate(kept);
+        false
+    }
+
+    /// Adds a normalized clause: an empty one makes the formula
+    /// unsatisfiable, a unit is propagated at level 0, a longer one is
+    /// attached. Returns `false` when the formula became unsatisfiable.
+    fn add_normalized(&mut self, clause: &[Lit]) -> bool {
+        match clause.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(out[0], None);
+                self.enqueue(clause[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(out);
+                self.attach_clause(clause);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
-        let cref = self.clauses.len() as ClauseRef;
+    /// Appends `lits` to the arena and watches its first two literals.
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
+        let cref = ClauseRef::try_from(self.starts.len() - 1).expect("at most u32::MAX clauses");
         self.watches[lits[0].code()].push(cref);
         self.watches[lits[1].code()].push(cref);
-        self.clauses.push(Clause { lits });
+        self.arena.extend_from_slice(lits);
+        self.starts
+            .push(u32::try_from(self.arena.len()).expect("at most u32::MAX clause literals"));
         cref
+    }
+
+    /// The arena positions of clause `cref`'s literals.
+    #[inline]
+    fn clause_range(&self, cref: ClauseRef) -> std::ops::Range<usize> {
+        self.starts[cref as usize] as usize..self.starts[cref as usize + 1] as usize
     }
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_neg() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-            LBool::False => {
-                if l.is_neg() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-        }
+        self.vals[l.code()]
     }
 
     /// The model value of `v` after a [`SolveResult::Sat`] outcome; `None`
     /// when the variable was irrelevant (never assigned).
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assigns[v.index()] {
+        match self.lit_value(Lit::pos(v)) {
             LBool::True => Some(true),
             LBool::False => Some(false),
             LBool::Undef => None,
@@ -412,18 +444,18 @@ impl Solver {
 
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
+        self.vals[l.code()] = LBool::True;
+        self.vals[(!l).code()] = LBool::False;
         let v = l.var();
-        self.assigns[v.index()] = if l.is_neg() {
-            LBool::False
-        } else {
-            LBool::True
-        };
         self.levels[v.index()] = self.decision_level();
         self.reasons[v.index()] = reason;
         self.trail.push(l);
     }
 
     /// Unit propagation; returns the conflicting clause on conflict.
+    ///
+    /// Reads `self.vals` directly rather than through `lit_value`, so the
+    /// borrow of the clause's arena slice stays open across the scan.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -434,23 +466,24 @@ impl Solver {
             let mut i = 0;
             while i < ws.len() {
                 let cref = ws[i];
+                let range = self.clause_range(cref);
+                let lits = &mut self.arena[range];
                 // Make sure false_lit is at position 1.
-                let lits = &mut self.clauses[cref as usize].lits;
                 if lits[0] == false_lit {
                     lits.swap(0, 1);
                 }
                 debug_assert_eq!(lits[1], false_lit);
                 let first = lits[0];
-                if self.lit_value(first) == LBool::True {
+                if self.vals[first.code()] == LBool::True {
                     i += 1;
                     continue; // clause satisfied
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[cref as usize].lits.len() {
-                    let lk = self.clauses[cref as usize].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[cref as usize].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.vals[lk.code()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[lk.code()].push(cref);
                         ws.swap_remove(i);
                         moved = true;
@@ -461,7 +494,7 @@ impl Solver {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                if self.lit_value(first) == LBool::False {
+                if self.vals[first.code()] == LBool::False {
                     // Conflict: restore remaining watches and report.
                     self.watches[false_lit.code()] = ws;
                     return Some(cref);
@@ -566,7 +599,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap_pop() {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.lit_value(Lit::pos(v)) == LBool::Undef {
                 return Some(v);
             }
         }
@@ -575,10 +608,11 @@ impl Solver {
 
     // ---------------- conflict analysis ----------------
 
-    /// First-UIP learning. Returns the learnt clause (asserting literal
-    /// first) and the backtrack level.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the UIP
+    /// First-UIP learning. Writes the learnt clause (asserting literal
+    /// first) into `learnt` and returns the backtrack level.
+    fn analyze(&mut self, confl: ClauseRef, learnt: &mut Vec<Lit>) -> u32 {
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -586,10 +620,14 @@ impl Solver {
 
         loop {
             let cref = confl.expect("analysis requires a reason");
-            let start = if p.is_some() { 1 } else { 0 };
-            // Cheap copy to appease the borrow checker; clauses are short.
-            let lits = self.clauses[cref as usize].lits.clone();
-            for &q in &lits[start..] {
+            let range = self.clause_range(cref);
+            let start = if p.is_some() {
+                range.start + 1
+            } else {
+                range.start
+            };
+            for k in start..range.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.levels[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -619,7 +657,8 @@ impl Solver {
             // Reorder clause so the propagated literal is first (reason
             // invariant: lits[0] is the enqueued literal).
             if let Some(cr) = confl {
-                let ls = &mut self.clauses[cr as usize].lits;
+                let range = self.clause_range(cr);
+                let ls = &mut self.arena[range];
                 if ls[0] != pl {
                     let pos = ls.iter().position(|&l| l == pl).expect("reason lit");
                     ls.swap(0, pos);
@@ -630,31 +669,33 @@ impl Solver {
 
         // Basic learnt-clause minimization: a non-asserting literal is
         // redundant when its reason resolves entirely within the clause
-        // (every antecedent is marked seen or fixed at level 0).
-        let mut kept = vec![learnt[0]];
-        #[allow(clippy::needless_range_loop)]
+        // (every antecedent is marked seen or fixed at level 0). Kept
+        // literals move to the front in order and redundant ones to the
+        // back, so every `seen` flag stays set until all are judged.
+        let mut kept = 1;
         for idx in 1..learnt.len() {
             let l = learnt[idx];
             let redundant = match self.reasons[l.var().index()] {
                 None => false,
-                Some(cref) => self.clauses[cref as usize].lits.iter().all(|&q| {
+                Some(cref) => self.arena[self.clause_range(cref)].iter().all(|&q| {
                     q.var() == l.var()
                         || self.seen[q.var().index()]
                         || self.levels[q.var().index()] == 0
                 }),
             };
             if !redundant {
-                kept.push(l);
+                learnt.swap(kept, idx);
+                kept += 1;
             }
         }
         // Clear seen flags for all originally learnt literals.
-        for &l in &learnt {
+        for &l in learnt.iter() {
             self.seen[l.var().index()] = false;
         }
-        let mut learnt = kept;
+        learnt.truncate(kept);
 
         // Backtrack level: second-highest level in the clause.
-        let bt = if learnt.len() == 1 {
+        if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -665,8 +706,7 @@ impl Solver {
             }
             learnt.swap(1, max_i);
             self.levels[learnt[1].var().index()]
-        };
-        (learnt, bt)
+        }
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -676,7 +716,8 @@ impl Solver {
                 let l = self.trail.pop().expect("trail nonempty");
                 let v = l.var();
                 self.saved_phase[v.index()] = !l.is_neg();
-                self.assigns[v.index()] = LBool::Undef;
+                self.vals[l.code()] = LBool::Undef;
+                self.vals[(!l).code()] = LBool::Undef;
                 self.reasons[v.index()] = None;
                 self.heap_insert(v);
             }
@@ -702,6 +743,7 @@ impl Solver {
         let mut luby_index = 0u32;
         let mut restart_limit = 64u64 * luby(luby_index);
         let mut conflicts_in_run = 0u64;
+        let mut learnt = std::mem::take(&mut self.clause_buf);
 
         let result = 'outer: loop {
             if (self.deadline.is_some() || self.interrupt.is_some()) && self.should_stop() {
@@ -719,7 +761,7 @@ impl Solver {
                     }
                     break 'outer SolveResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl, &mut learnt);
                 self.learnt_clauses += 1;
                 self.learnt_literals += learnt.len() as u64;
                 // Backtracking below the assumption prefix is fine: the
@@ -736,9 +778,8 @@ impl Solver {
                         self.enqueue(assert_lit, None);
                     }
                 } else {
-                    let cref = self.attach_clause(learnt);
-                    let first = self.clauses[cref as usize].lits[0];
-                    self.enqueue(first, Some(cref));
+                    let cref = self.attach_clause(&learnt);
+                    self.enqueue(assert_lit, Some(cref));
                 }
                 self.var_decay();
                 if let Some(b) = self.conflict_budget {
@@ -785,6 +826,7 @@ impl Solver {
                 }
             }
         };
+        self.clause_buf = learnt;
 
         // On SAT the trail is kept so `value` can read the model; cleanup is
         // deferred to the next solve/add_clause call.

@@ -13,15 +13,28 @@ use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError};
 use crate::{Lit, SolveResult, Solver, SolverStats, Var};
 
 /// Mapping from the nets of an encoded circuit to solver variables.
+///
+/// Dense over the circuit's nets: one slot per net index, so a lookup is
+/// one load.
 #[derive(Debug, Clone, Default)]
 pub struct VarMap {
-    map: HashMap<NetId, Var>,
+    /// The variable index of each net, [`UNMAPPED`] for a net that was not
+    /// encoded.
+    vars: Vec<u32>,
+    /// Number of encoded nets.
+    len: usize,
 }
+
+/// The [`VarMap`] slot of a net that was not encoded.
+const UNMAPPED: u32 = u32::MAX;
 
 impl VarMap {
     /// The solver variable of `net`, if the net was encoded.
     pub fn var(&self, net: NetId) -> Option<Var> {
-        self.map.get(&net).copied()
+        match self.vars.get(net.index()) {
+            Some(&v) if v != UNMAPPED => Some(Var::from_index(v as usize)),
+            _ => None,
+        }
     }
 
     /// The positive literal of `net`, if encoded.
@@ -31,12 +44,12 @@ impl VarMap {
 
     /// Number of encoded nets.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether no nets are mapped.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 }
 
@@ -55,7 +68,12 @@ pub fn encode_circuit(
     shared_inputs: Option<&HashMap<String, Var>>,
 ) -> Result<VarMap, NetlistError> {
     let order = topo::topo_order(circuit)?;
-    let mut map = VarMap::default();
+    let mut map = VarMap {
+        vars: vec![UNMAPPED; circuit.num_nodes()],
+        len: order.len(),
+    };
+    // Scratch for one gate's fanin literals and for its wide clause.
+    let (mut fanins, mut clause) = (Vec::new(), Vec::new());
     for id in order {
         let node = circuit.node(id);
         let net: NetId = id.into();
@@ -69,21 +87,32 @@ pub fn encode_circuit(
             }
             _ => solver.new_var(),
         };
-        map.map.insert(net, v);
-        let out = Lit::pos(v);
-        let fanins: Vec<Lit> = node.fanins().iter().map(|f| Lit::pos(map.map[f])).collect();
-        emit_gate_clauses(solver, node.kind(), out, &fanins);
+        map.vars[net.index()] = u32::try_from(v.index()).expect("at most u32::MAX variables");
+        fanins.clear();
+        fanins.extend(
+            node.fanins()
+                .iter()
+                .map(|&f| map.lit(f).expect("fanins are encoded before their gate")),
+        );
+        emit_gate_clauses(solver, node.kind(), Lit::pos(v), &fanins, &mut clause);
     }
     Ok(map)
 }
 
-/// Emits the consistency clauses `out ≡ kind(fanins)`.
+/// Emits the consistency clauses `out ≡ kind(fanins)`, building the wide
+/// clause of an AND or OR family gate in `clause`.
 ///
 /// # Panics
 ///
 /// Panics when `fanins.len()` is illegal for `kind` (the netlist guarantees
 /// legal arities for well-formed circuits).
-fn emit_gate_clauses(solver: &mut Solver, kind: GateKind, out: Lit, fanins: &[Lit]) {
+fn emit_gate_clauses(
+    solver: &mut Solver,
+    kind: GateKind,
+    out: Lit,
+    fanins: &[Lit],
+    clause: &mut Vec<Lit>,
+) {
     match kind {
         GateKind::Input => {}
         GateKind::Const0 => {
@@ -103,22 +132,24 @@ fn emit_gate_clauses(solver: &mut Solver, kind: GateKind, out: Lit, fanins: &[Li
         GateKind::And | GateKind::Nand => {
             let o = if kind == GateKind::And { out } else { !out };
             // o -> fi for each i; (⋀ fi) -> o.
-            let mut big: Vec<Lit> = fanins.iter().map(|&f| !f).collect();
-            big.push(o);
             for &f in fanins {
                 solver.add_clause(&[!o, f]);
             }
-            solver.add_clause(&big);
+            clause.clear();
+            clause.extend(fanins.iter().map(|&f| !f));
+            clause.push(o);
+            solver.add_clause(clause);
         }
         GateKind::Or | GateKind::Nor => {
             let o = if kind == GateKind::Or { out } else { !out };
             // fi -> o for each i; o -> (⋁ fi).
-            let mut big: Vec<Lit> = fanins.to_vec();
-            big.push(!o);
             for &f in fanins {
                 solver.add_clause(&[!f, o]);
             }
-            solver.add_clause(&big);
+            clause.clear();
+            clause.extend_from_slice(fanins);
+            clause.push(!o);
+            solver.add_clause(clause);
         }
         GateKind::Xor | GateKind::Xnor => {
             // Chain through auxiliary variables for arity > 2.

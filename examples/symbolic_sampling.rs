@@ -116,7 +116,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .find(|p| matches!(p, Pin::Gate { .. }))
         .expect("gate pins exist");
-    let cands = candidates_for_pin(&impl_c, &ctx, gating_pin, MAX_REWIRE_CANDIDATES, None)?;
+    let max = MAX_REWIRE_CANDIDATES;
+    let cands = candidates_for_pin(&impl_c, &impl_sim, &ctx, gating_pin, max, None)?;
     println!("\nrewiring candidates for pin {gating_pin} (utility = |differs on E|/|E|):");
     for c in &cands {
         println!(
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for set in minimal.of_size(2, 8) {
         let lists = set
             .iter()
-            .map(|&p| candidates_for_pin(&impl_c, &ctx, p, MAX_REWIRE_CANDIDATES, None))
+            .map(|&p| candidates_for_pin(&impl_c, &impl_sim, &ctx, p, max, None))
             .collect::<Result<Vec<_>, _>>()?;
         let choices = find_choices(&minimal.match_words(&set), &ctx, &lists, MAX_CHOICES);
         if choices.is_empty() {

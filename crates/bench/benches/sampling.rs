@@ -13,7 +13,7 @@ use syseco::choices::find_choices;
 use syseco::correspond::Correspondence;
 use syseco::points::{candidate_pins, MinimalSets};
 use syseco::rectify::{MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS, MAX_REWIRE_CANDIDATES};
-use syseco::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
+use syseco::rewire_nets::{candidates_for_pin, CandidatePool, RewireCandidate, RewireNetContext};
 
 /// `y = en ? (a + b) ∘ a : b`, where `∘` is AND, or OR in the revision.
 fn bench_circuit(revised: bool) -> Circuit {
@@ -60,8 +60,8 @@ fn two_pin_point_set(n: usize) -> (RewireNetContext, Vec<Vec<u64>>, Vec<Vec<Rewi
         if samples.is_empty() {
             continue;
         }
-        let ctx =
-            RewireNetContext::build(&sim, &spec, &spec_sim, &corr, spec_root, &samples).unwrap();
+        let pool = CandidatePool::new(&sim, &spec, &corr, spec_root);
+        let ctx = RewireNetContext::build(&sim, &spec_sim, &corr, spec_root, &samples).unwrap();
         let pins = candidate_pins(&implementation, root, pair.impl_index, MAX_CANDIDATE_PINS);
         let mut minimal = MinimalSets::new(
             &implementation,
@@ -76,7 +76,7 @@ fn two_pin_point_set(n: usize) -> (RewireNetContext, Vec<Vec<u64>>, Vec<Vec<Rewi
                 .iter()
                 .map(|&p| {
                     let max = MAX_REWIRE_CANDIDATES;
-                    candidates_for_pin(&implementation, &sim, &ctx, p, max, None).unwrap()
+                    candidates_for_pin(&implementation, &sim, &pool, &ctx, p, max, None).unwrap()
                 })
                 .collect();
             let matches = minimal.match_words(&set);

@@ -59,6 +59,7 @@ use std::process::ExitCode;
 
 use eco_netlist::{read_blif, write_blif, Circuit, CircuitStats};
 use syseco::baseline::{cone, deltasyn};
+use syseco::budget::span_from_secs;
 use syseco::correspond::Correspondence;
 use syseco::error_domain::{classify_outputs, Equivalence};
 use syseco::telemetry::export::{chrome_trace, metrics_json, openmetrics, spans_jsonl};
@@ -332,15 +333,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         i += 1;
                     }
                     "--timeout" => {
-                        let secs: f64 = args
-                            .get(i + 1)
-                            .ok_or("--timeout needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad timeout: {e}"))?;
-                        if !secs.is_finite() || secs <= 0.0 {
-                            return Err("timeout must be a positive number of seconds".into());
-                        }
-                        builder = builder.timeout(std::time::Duration::from_secs_f64(secs));
+                        let raw = args.get(i + 1).ok_or("--timeout needs a value")?;
+                        let secs: f64 = raw.parse().map_err(|e| format!("bad timeout: {e}"))?;
+                        let Some(timeout) = span_from_secs(secs).filter(|_| secs > 0.0) else {
+                            eprintln!(
+                                "error: --timeout {raw}: must be a positive number of seconds \
+                                 a deadline can hold"
+                            );
+                            return Ok(usage());
+                        };
+                        builder = builder.timeout(timeout);
                         i += 2;
                     }
                     other => return Err(format!("unknown flag {other:?}")),

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use eco_fuzz::{generate_chain, ScenarioConfig};
 use eco_netlist::write_blif;
+use syseco::budget::span_from_secs;
 use syseco::serve::{
     Client, JobRequest, JobStatus, Priority, RejectReason, SchedulerConfig, Server, ServerConfig,
 };
@@ -128,6 +129,10 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<LoadArgs>, String> {
     }
     if parsed.jobs == 0 {
         return Err("--jobs: must be at least 1".into());
+    }
+    // Job `i` is due `i / qps` seconds after the start.
+    if parsed.qps > 0.0 && span_from_secs((parsed.jobs - 1) as f64 / parsed.qps).is_none() {
+        return Err("--qps: too low for --jobs: the last job's due time overflows".into());
     }
     Ok(Some(parsed))
 }

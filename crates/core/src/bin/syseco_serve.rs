@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use syseco::budget::span_from_secs;
 use syseco::serve::{SchedulerConfig, Server, ServerConfig};
 use syseco::{EcoOptions, EngineRunner, Telemetry};
 
@@ -61,7 +62,7 @@ struct ServeArgs {
     workers: usize,
     jobs: usize,
     lane_capacity: Option<usize>,
-    default_deadline: Option<f64>,
+    default_deadline: Option<Duration>,
     shed_watermark: Option<usize>,
     cache_dir: Option<String>,
     checkpoint_dir: Option<String>,
@@ -97,10 +98,10 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<ServeArgs>, String> {
             "--lane-capacity" => parsed.lane_capacity = Some(parse_value(&arg, args.next())?),
             "--default-deadline" => {
                 let secs: f64 = parse_value(&arg, args.next())?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("{arg}: must be a positive number of seconds"));
-                }
-                parsed.default_deadline = Some(secs);
+                let span = span_from_secs(secs).filter(|_| secs > 0.0).ok_or_else(|| {
+                    format!("{arg}: must be a positive number of seconds a deadline can hold")
+                })?;
+                parsed.default_deadline = Some(span);
             }
             "--shed-watermark" => parsed.shed_watermark = Some(parse_value(&arg, args.next())?),
             "--cache-dir" => parsed.cache_dir = Some(parse_value(&arg, args.next())?),
@@ -175,8 +176,8 @@ fn main() -> ExitCode {
     if let Some(capacity) = args.lane_capacity {
         sched.lane_capacity = capacity.max(1);
     }
-    if let Some(secs) = args.default_deadline {
-        sched.default_deadline = Duration::from_secs_f64(secs);
+    if let Some(deadline) = args.default_deadline {
+        sched.default_deadline = deadline;
     }
     if let Some(watermark) = args.shed_watermark {
         sched.shed_watermark = watermark.max(1);

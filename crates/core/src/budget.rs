@@ -412,9 +412,28 @@ impl fmt::Display for Degradation {
     }
 }
 
+/// `secs` seconds as a [`Duration`] that `Instant::now()` can be advanced
+/// by: `None` when `secs` is negative or not a number, or too large for
+/// either type. The binaries' time flags parse through it, so an
+/// out-of-range value is a usage error instead of a panic at the first
+/// deadline computed from it.
+pub fn span_from_secs(secs: f64) -> Option<Duration> {
+    let span = Duration::try_from_secs_f64(secs).ok()?;
+    Instant::now().checked_add(span).map(|_| span)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn span_from_secs_rejects_what_a_deadline_cannot_hold() {
+        assert_eq!(span_from_secs(1.5), Some(Duration::from_millis(1500)));
+        assert_eq!(span_from_secs(0.0), Some(Duration::ZERO));
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e20, 1e300] {
+            assert_eq!(span_from_secs(bad), None, "{bad}");
+        }
+    }
 
     #[test]
     fn unlimited_budget_never_exhausts() {

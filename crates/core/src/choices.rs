@@ -142,7 +142,7 @@ mod tests {
 
     use crate::correspond::Correspondence;
     use crate::points::{candidate_pins, MinimalSets};
-    use crate::rewire_nets::candidates_for_pin;
+    use crate::rewire_nets::{candidates_for_pin, CandidatePool};
     use crate::sampling::{apply_gate_bdd, eval_all_bdd};
 
     /// BDD variable layout of the oracle: choice blocks, rectification
@@ -415,6 +415,7 @@ mod tests {
         corr: Correspondence,
         samples: Vec<Vec<bool>>,
         sim: Compiled,
+        pool: CandidatePool,
         ctx: RewireNetContext,
     }
 
@@ -424,14 +425,15 @@ mod tests {
             let sim = Compiled::new(&implementation).unwrap();
             let spec_sim = Compiled::new(&spec).unwrap();
             let spec_root = spec.outputs()[0].net();
-            let ctx = RewireNetContext::build(&sim, &spec, &spec_sim, &corr, spec_root, &samples)
-                .unwrap();
+            let pool = CandidatePool::new(&sim, &spec, &corr, spec_root);
+            let ctx = RewireNetContext::build(&sim, &spec_sim, &corr, spec_root, &samples).unwrap();
             Pair {
                 implementation,
                 spec,
                 corr,
                 samples,
                 sim,
+                pool,
                 ctx,
             }
         }
@@ -538,8 +540,16 @@ mod tests {
             points
                 .iter()
                 .map(|&p| {
-                    candidates_for_pin(&self.implementation, &self.sim, &self.ctx, p, 8, None)
-                        .unwrap()
+                    candidates_for_pin(
+                        &self.implementation,
+                        &self.sim,
+                        &self.pool,
+                        &self.ctx,
+                        p,
+                        8,
+                        None,
+                    )
+                    .unwrap()
                 })
                 .collect()
         }

@@ -29,7 +29,7 @@ use crate::fault::SpanPoint;
 use crate::memo::WarmStart;
 use crate::options::EcoOptions;
 use crate::points::{candidate_pins, MinimalSets};
-use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
+use crate::rewire_nets::{candidates_for_pin, CandidatePool, RewireCandidate, RewireNetContext};
 use crate::schedule::per_output_seed;
 use crate::validate::{validate_rewires, CandidateRewire, SampleBank, Validation};
 use crate::EcoError;
@@ -216,8 +216,9 @@ impl OutputSearch<'_> {
             }
         }
 
-        let root = self.base.outputs()[self.pair.impl_index as usize].net();
+        let (root, spec_root) = self.pair.nets(self.base, self.spec);
         let pins = candidate_pins(self.base, root, self.pair.impl_index, MAX_CANDIDATE_PINS);
+        let pool = CandidatePool::new(self.base_sim, self.spec, self.corr, spec_root);
         let mut refinements_left = MAX_REFINEMENTS;
         let mut ended: Option<DegradeReason> = None;
         loop {
@@ -225,7 +226,7 @@ impl OutputSearch<'_> {
                 ended = Some(reason);
                 break;
             }
-            match self.attempt(&samples, &pins, &sample_bank)? {
+            match self.attempt(&samples, &pins, &pool, &sample_bank)? {
                 Attempt::Found { rewires, cut } => {
                     return Ok(SearchVerdict::Proposal { rewires, cut });
                 }
@@ -356,12 +357,14 @@ impl OutputSearch<'_> {
     }
 
     /// One search attempt over a fixed sampling domain, with the output's
-    /// candidate `pins`. Read-only with respect to the circuit: a validated
-    /// choice is returned as [`Attempt::Found`], not applied.
+    /// candidate `pins` and candidate `pool`. Read-only with respect to the
+    /// circuit: a validated choice is returned as [`Attempt::Found`], not
+    /// applied.
     fn attempt(
         &mut self,
         samples: &[Vec<bool>],
         pins: &[Pin],
+        pool: &CandidatePool,
         sample_bank: &[Vec<bool>],
     ) -> Result<Attempt, EcoError> {
         let (base, spec, pair) = (self.base, self.spec, self.pair);
@@ -369,7 +372,7 @@ impl OutputSearch<'_> {
         let spec_root = spec.outputs()[pair.spec_index as usize].net();
         // The attempt's one simulation of its domain: candidate utilities,
         // the minimal-set enumeration and `Ξ(c)` all read these words.
-        let ctx = RewireNetContext::build(base_sim, spec, spec_sim, self.corr, spec_root, samples)?;
+        let ctx = RewireNetContext::build(base_sim, spec_sim, self.corr, spec_root, samples)?;
         // The candidate screen runs over the full sample bank (a strict
         // superset of this attempt's sampling domain): one spec simulation per
         // attempt, reused by every validation below.
@@ -393,12 +396,12 @@ impl OutputSearch<'_> {
         // Searches run against the pristine base circuit, so candidate cost is
         // estimated without cross-output clone sharing; the merge phase dedups
         // actual clones via its shared map. Every spec candidate comes from
-        // the spec cone, whose cone sizes the context holds.
+        // the spec cone, whose clone costs the pool holds.
         let clone_cost = |rewires: &[CandidateRewire]| -> usize {
             rewires
                 .iter()
                 .filter(|r| r.candidate.from_spec)
-                .map(|r| ctx.spec_cone_sizes[&r.candidate.net].max(1))
+                .map(|r| pool.clone_cost(r.candidate.net).max(1))
                 .sum()
         };
         let mut valid: Vec<ValidOption> = Vec::new();
@@ -459,6 +462,7 @@ impl OutputSearch<'_> {
                     cand_lists.push(candidates_for_pin(
                         base,
                         base_sim,
+                        pool,
                         &ctx,
                         p,
                         MAX_REWIRE_CANDIDATES,

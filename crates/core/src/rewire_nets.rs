@@ -11,11 +11,13 @@
 //!    which the candidate differs from the pin's current driver. The more
 //!    pronounced the difference, the likelier the candidate rectifies `𝔼`.
 //!
+//! The filter and the specification cone depend only on the output, so a
+//! [`CandidatePool`] holds them once per output; only the ranking reads
+//! the samples, which a [`RewireNetContext`] holds per search attempt.
+//!
 //! The pin's current driver is always included as the *trivial* candidate
 //! (§5.2): it lets `Ξ(c)` express "this point needs no change" when the
 //! point count over-approximates.
-
-use std::collections::HashSet;
 
 use eco_netlist::sim::{Compiled, Simulated};
 use eco_netlist::{topo, Circuit, GateKind, NetId, NetlistError, NodeId, Pin};
@@ -39,51 +41,63 @@ pub struct RewireCandidate {
     pub arrival: f64,
 }
 
-/// Per-input-position support sets, as bitmaps over implementation input
-/// positions.
-#[derive(Debug, Clone)]
-pub struct SupportTable {
-    words: usize,
-    /// The support bitmap of net `i` is `sets[i * words..(i + 1) * words]`.
-    sets: Vec<u64>,
+/// The structural half of candidate selection for one output: which
+/// implementation nets may drive its rectification points, and which
+/// specification nets of `f'`'s cone may be cloned, at what cost. None of
+/// it depends on the samples, so it is built once per output and shared
+/// by every search attempt.
+#[derive(Debug)]
+pub struct CandidatePool {
+    /// Live implementation nets whose input support lies within `f'`'s,
+    /// in net order.
+    admitted: Vec<NetId>,
+    /// Non-input nets of the specification cone of `f'`, in net order.
+    spec_cone: Vec<NetId>,
+    /// Clone cost (cone size) of each `spec_cone` net, indexed by net.
+    clone_costs: Vec<usize>,
 }
 
-impl SupportTable {
-    /// Computes the input support of every net of the compiled circuit
-    /// `sim`. For the specification, `input_translation` maps the
-    /// circuit's own input positions to implementation positions (identity
-    /// for the implementation itself).
-    pub fn build(sim: &Compiled, input_translation: &[usize], num_impl_inputs: usize) -> Self {
-        let words = num_impl_inputs.div_ceil(64).max(1);
-        let mut sets = vec![0u64; sim.num_nodes() * words];
-        for (&id, &impl_pos) in sim.inputs().iter().zip(input_translation) {
-            sets[id as usize * words + impl_pos / 64] |= 1u64 << (impl_pos % 64);
+impl CandidatePool {
+    /// Builds the pool for the output whose specification root is
+    /// `spec_root`. `base` is the implementation compiled.
+    pub fn new(base: &Compiled, spec: &Circuit, corr: &Correspondence, spec_root: NetId) -> Self {
+        let in_cone = topo::tfi(spec, &[spec_root.source()]);
+        // A net's support is the union of its fanins': an input is admitted
+        // when `f'` reads its counterpart, a gate when all its fanins are.
+        let mut admitted = vec![false; base.num_nodes()];
+        for (&id, pos) in base.inputs().iter().zip(&corr.spec_input_pos) {
+            admitted[id as usize] = pos.is_some_and(|p| in_cone[spec.inputs()[p].index()]);
         }
-        for g in 0..sim.num_gates() {
-            let dst = sim.node(g).index() * words;
-            for &f in sim.fanins(g) {
-                for w in 0..words {
-                    sets[dst + w] |= sets[f as usize * words + w];
-                }
-            }
+        for g in 0..base.num_gates() {
+            admitted[base.node(g).index()] = base.fanins(g).iter().all(|&f| admitted[f as usize]);
         }
-        SupportTable { words, sets }
+        let spec_cone: Vec<NetId> = (0..spec.num_nodes())
+            .filter(|&i| in_cone[i] && spec.node(NodeId::from_index(i)).kind() != GateKind::Input)
+            .map(NetId::from_index)
+            .collect();
+        let mut clone_costs = vec![0; spec.num_nodes()];
+        for &w in &spec_cone {
+            clone_costs[w.index()] = topo::cone_size(spec, w);
+        }
+        CandidatePool {
+            admitted: (0..admitted.len())
+                .filter(|&i| admitted[i])
+                .map(NetId::from_index)
+                .collect(),
+            spec_cone,
+            clone_costs,
+        }
     }
 
-    /// Whether the support of `a` is contained in the bitmap `within`.
-    pub fn contained(&self, a: NetId, within: &[u64]) -> bool {
-        self.support(a).iter().zip(within).all(|(x, y)| x & !y == 0)
-    }
-
-    /// The support bitmap of `net`.
-    pub fn support(&self, net: NetId) -> &[u64] {
-        &self.sets[net.index() * self.words..(net.index() + 1) * self.words]
+    /// The clone cost of spec-cone net `net`: the gates of its cone.
+    pub fn clone_cost(&self, net: NetId) -> usize {
+        self.clone_costs[net.index()]
     }
 }
 
-/// Precomputed per-attempt context for candidate selection, shared across
-/// the rectification points of one output: both circuits simulated once
-/// over the attempt's samples.
+/// One search attempt's samples, simulated once in both circuits and
+/// shared across the rectification points of one output: the candidate
+/// utilities, the minimal-set enumeration and `Ξ(c)` read these words.
 #[derive(Debug)]
 pub struct RewireNetContext {
     /// Implementation net values on the samples.
@@ -92,29 +106,18 @@ pub struct RewireNetContext {
     pub spec_words: Simulated,
     /// The revised output `f'` per 64-sample block.
     pub fprime: Vec<u64>,
-    /// Support table of the implementation.
-    pub impl_supports: SupportTable,
-    /// Support table of the specification (in implementation positions).
-    pub spec_supports: SupportTable,
-    /// Support bitmap of the revised output `f'`.
-    pub fprime_support: Vec<u64>,
-    /// Nets of the specification cone of `f'`, candidates for cloning.
-    pub spec_cone: Vec<NetId>,
-    /// Clone cost (cone size) of each spec-cone net.
-    pub spec_cone_sizes: std::collections::HashMap<NetId, usize>,
 }
 
 impl RewireNetContext {
-    /// Builds the context for the output whose specification root is
-    /// `spec_root`, over `samples` (implementation input order). `base` is
-    /// the implementation compiled, `spec_sim` the specification.
+    /// Simulates `samples` (implementation input order) on `base`, the
+    /// implementation compiled, and on `spec_sim`, the specification, and
+    /// reads `f'` off `spec_root`.
     ///
     /// # Errors
     ///
     /// Propagates [`NetlistError`] from simulation.
     pub fn build(
         base: &Compiled,
-        spec: &Circuit,
         spec_sim: &Compiled,
         corr: &Correspondence,
         spec_root: NetId,
@@ -129,45 +132,10 @@ impl RewireNetContext {
             .iter()
             .map(|words| words[spec_root.index()])
             .collect();
-
-        let num_inputs = base.inputs().len();
-        let impl_translation: Vec<usize> = (0..num_inputs).collect();
-        let impl_supports = SupportTable::build(base, &impl_translation, num_inputs);
-        // Spec input position -> implementation position.
-        let mut spec_translation = vec![0usize; spec.num_inputs()];
-        for (impl_pos, sp) in corr.spec_input_pos.iter().enumerate() {
-            if let Some(sp) = sp {
-                spec_translation[*sp] = impl_pos;
-            }
-        }
-        let spec_supports = SupportTable::build(spec_sim, &spec_translation, num_inputs);
-        let fprime_support = spec_supports.support(spec_root).to_vec();
-
-        let in_cone = topo::tfi(spec, &[spec_root.source()]);
-        let spec_cone: Vec<NetId> = in_cone
-            .iter()
-            .enumerate()
-            .filter(|&(i, &inside)| {
-                inside && {
-                    let k = spec.node(NodeId::from_index(i)).kind();
-                    k != GateKind::Input
-                }
-            })
-            .map(|(i, _)| NetId::from_index(i))
-            .collect();
-        let spec_cone_sizes = spec_cone
-            .iter()
-            .map(|&w| (w, topo::cone_size(spec, w)))
-            .collect();
         Ok(RewireNetContext {
             impl_words,
             spec_words,
             fprime,
-            impl_supports,
-            spec_supports,
-            fprime_support,
-            spec_cone,
-            spec_cone_sizes,
         })
     }
 }
@@ -187,14 +155,15 @@ fn diff_fraction(a_words: &Simulated, a: NetId, b_words: &Simulated, b: NetId) -
 }
 
 /// Selects candidate rewiring nets for `pin`, ranked by utility.
-/// `sim` is `implementation` compiled.
+/// `sim` is `implementation` compiled, `pool` the output's candidate pool
+/// and `ctx` the attempt's simulated samples.
 ///
 /// The first entry is always the trivial candidate (the current driver).
-/// Implementation candidates exclude nets in the transitive fanout of the
-/// pin's consumer (a rewire to those would create a cycle) and nets whose
-/// support escapes `f'`'s structural dependence; specification candidates
-/// come from the cone of `f'`. `timing` biases ties toward earlier-arriving
-/// nets (the level-driven mode behind Table 3).
+/// Implementation candidates are the pool's admitted nets outside the
+/// transitive fanout of the pin's consumer (a rewire to those would create
+/// a cycle); specification candidates come from the cone of `f'`. `timing`
+/// biases ties toward earlier-arriving nets (the level-driven mode behind
+/// Table 3).
 ///
 /// # Errors
 ///
@@ -202,6 +171,7 @@ fn diff_fraction(a_words: &Simulated, a: NetId, b_words: &Simulated, b: NetId) -
 pub fn candidates_for_pin(
     implementation: &Circuit,
     sim: &Compiled,
+    pool: &CandidatePool,
     ctx: &RewireNetContext,
     pin: Pin,
     max_candidates: usize,
@@ -217,32 +187,28 @@ pub fn candidates_for_pin(
         None => vec![false; implementation.num_nodes()],
     };
 
-    let mut pool: Vec<RewireCandidate> = Vec::new();
-    for id in implementation.iter_live() {
-        let net: NetId = id.into();
+    let mut ranked: Vec<RewireCandidate> = Vec::new();
+    for &net in &pool.admitted {
         if net == driver || forbidden[net.index()] {
-            continue;
-        }
-        if !ctx.impl_supports.contained(net, &ctx.fprime_support) {
             continue;
         }
         let utility = utility(&ctx.impl_words, net);
         if utility == 0.0 {
             continue; // identical on the whole error domain: no help
         }
-        pool.push(RewireCandidate {
+        ranked.push(RewireCandidate {
             net,
             from_spec: false,
             utility,
             arrival: timing.map_or(0.0, |t| t.arrival(net)),
         });
     }
-    for &net in &ctx.spec_cone {
+    for &net in &pool.spec_cone {
         let utility = utility(&ctx.spec_words, net);
         if utility == 0.0 {
             continue;
         }
-        pool.push(RewireCandidate {
+        ranked.push(RewireCandidate {
             net,
             from_spec: true,
             utility,
@@ -254,7 +220,7 @@ pub fn candidates_for_pin(
 
     // Rank: utility descending; ties prefer implementation nets (reuse over
     // cloning), then earlier arrival, then stable net order.
-    pool.sort_by(|a, b| {
+    ranked.sort_by(|a, b| {
         b.utility
             .partial_cmp(&a.utility)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -272,72 +238,63 @@ pub fn candidates_for_pin(
     // whole-cone clone, and the cost-based commit can only pick what the
     // candidate list offers.
     let mut cheap_spec: Vec<RewireCandidate> =
-        pool.iter().filter(|c| c.from_spec).cloned().collect();
-    cheap_spec.sort_by_key(|c| {
-        ctx.spec_cone_sizes
-            .get(&c.net)
-            .copied()
-            .unwrap_or(usize::MAX)
-    });
-    pool.truncate(max_candidates.saturating_sub(1));
+        ranked.iter().filter(|c| c.from_spec).cloned().collect();
+    cheap_spec.sort_by_key(|c| pool.clone_cost(c.net));
+    ranked.truncate(max_candidates.saturating_sub(1));
     for extra in cheap_spec.into_iter().take(2) {
-        if !pool
-            .iter()
-            .any(|c| c.net == extra.net && c.from_spec == extra.from_spec)
-        {
-            pool.push(extra);
+        if !ranked.iter().any(|c| c.from_spec && c.net == extra.net) {
+            ranked.push(extra);
         }
     }
 
-    let mut out = Vec::with_capacity(pool.len() + 1);
+    let mut out = Vec::with_capacity(ranked.len() + 1);
     out.push(RewireCandidate {
         net: driver,
         from_spec: false,
         utility: 0.0,
         arrival: timing.map_or(0.0, |t| t.arrival(driver)),
     });
-    out.extend(pool);
-    // Deduplicate by (net, origin), keeping the first (highest-ranked).
-    let mut seen: HashSet<(NetId, bool)> = HashSet::new();
-    out.retain(|c| seen.insert((c.net, c.from_spec)));
+    out.extend(ranked);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eco_netlist::GateKind;
+    use std::collections::HashSet;
 
+    use eco_netlist::GateKind;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The candidate pool of the output whose revision is `spec_root`, and
+    /// one attempt's context over `samples`.
     fn context(
         c: &Circuit,
         s: &Circuit,
-        corr: &Correspondence,
         spec_root: NetId,
         samples: &[Vec<bool>],
-    ) -> RewireNetContext {
+    ) -> (CandidatePool, RewireNetContext) {
+        let corr = Correspondence::build(c, s).unwrap();
         let (base, spec) = (Compiled::new(c).unwrap(), Compiled::new(s).unwrap());
-        RewireNetContext::build(&base, s, &spec, corr, spec_root, samples).unwrap()
+        (
+            CandidatePool::new(&base, s, &corr, spec_root),
+            RewireNetContext::build(&base, &spec, &corr, spec_root, samples).unwrap(),
+        )
     }
 
     fn candidates(
         c: &Circuit,
-        ctx: &RewireNetContext,
+        (pool, ctx): &(CandidatePool, RewireNetContext),
         pin: Pin,
         max_candidates: usize,
     ) -> Vec<RewireCandidate> {
-        candidates_for_pin(
-            c,
-            &Compiled::new(c).unwrap(),
-            ctx,
-            pin,
-            max_candidates,
-            None,
-        )
-        .unwrap()
+        let sim = Compiled::new(c).unwrap();
+        candidates_for_pin(c, &sim, pool, ctx, pin, max_candidates, None).unwrap()
     }
 
     /// impl: y = a & b; spec: y = a | b. Error domain: a != b.
-    fn setup() -> (Circuit, Circuit, Correspondence, RewireNetContext, NetId) {
+    fn setup() -> (Circuit, Circuit, (CandidatePool, RewireNetContext), NetId) {
         let mut c = Circuit::new("impl");
         let a = c.add_input("a");
         let b = c.add_input("b");
@@ -348,15 +305,14 @@ mod tests {
         let sb = s.add_input("b");
         let sg = s.add_gate(GateKind::Or, &[sa, sb]).unwrap();
         s.add_output("y", sg);
-        let corr = Correspondence::build(&c, &s).unwrap();
         let samples = vec![vec![true, false], vec![false, true]];
-        let ctx = context(&c, &s, &corr, sg, &samples);
-        (c, s, corr, ctx, g)
+        let ctx = context(&c, &s, sg, &samples);
+        (c, s, ctx, g)
     }
 
     #[test]
     fn trivial_candidate_is_first() {
-        let (c, _s, _corr, ctx, g) = setup();
+        let (c, _s, ctx, g) = setup();
         let pin = Pin::gate(g.source(), 0);
         let cands = candidates(&c, &ctx, pin, 8);
         let driver = c.pin_net(pin).unwrap();
@@ -369,7 +325,7 @@ mod tests {
     fn spec_or_net_ranks_high_for_and_pin() {
         // Rewiring one AND pin cannot alone fix and→or, but the spec's OR
         // net must appear as a high-utility candidate for the output pin.
-        let (c, s, _corr, ctx, _g) = setup();
+        let (c, s, ctx, _g) = setup();
         let pin = Pin::output(0);
         let cands = candidates(&c, &ctx, pin, 8);
         let spec_or = s.outputs()[0].net();
@@ -396,9 +352,8 @@ mod tests {
         let sb = s.add_input("b");
         let sg = s.add_gate(GateKind::Nand, &[sa, sb]).unwrap();
         s.add_output("y", sg);
-        let corr = Correspondence::build(&c, &s).unwrap();
         let samples = vec![vec![true, true], vec![true, false]];
-        let ctx = context(&c, &s, &corr, sg, &samples);
+        let ctx = context(&c, &s, sg, &samples);
         let pin = Pin::gate(g.source(), 0);
         let cands = candidates(&c, &ctx, pin, 16);
         for cand in &cands {
@@ -429,13 +384,12 @@ mod tests {
         let st = s.add_gate(GateKind::Or, &[sa, se]).unwrap();
         s.add_output("y", sg);
         s.add_output("stray", st);
-        let corr = Correspondence::build(&c, &s).unwrap();
         let samples = vec![
             vec![true, false, true],
             vec![false, true, true],
             vec![false, false, true],
         ];
-        let ctx = context(&c, &s, &corr, sg, &samples);
+        let ctx = context(&c, &s, sg, &samples);
         let cands = candidates(&c, &ctx, Pin::output(0), 16);
         for cand in &cands {
             if !cand.from_spec {
@@ -444,25 +398,96 @@ mod tests {
         }
     }
 
+    /// Adds `count` random gates over `nets` to `c`, appending each.
+    fn random_gates(c: &mut Circuit, nets: &mut Vec<NetId>, count: usize, rng: &mut SmallRng) {
+        let kinds = [
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Xor,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Not,
+        ];
+        for _ in 0..count {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            let arity = if kind == GateKind::Not { 1 } else { 2 };
+            let fanins: Vec<NetId> = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            nets.push(c.add_gate(kind, &fanins).unwrap());
+        }
+    }
+
+    /// A random implementation over inputs `x0…x{n-1}` and `only`, swept
+    /// so some of its gates are dead, and a random revision that declares
+    /// the `x` inputs in reverse order and ignores `only`. Both have
+    /// outputs `y` and `z`.
+    fn random_pair(seed: u64) -> (Circuit, Circuit) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(3..=6);
+        let mut c = Circuit::new("impl");
+        let mut nets: Vec<NetId> = (0..n).map(|i| c.add_input(format!("x{i}"))).collect();
+        nets.push(c.add_input("only"));
+        let gates = rng.gen_range(4..=14);
+        random_gates(&mut c, &mut nets, gates, &mut rng);
+        c.add_output("y", nets[nets.len() - 1]);
+        c.add_output("z", nets[rng.gen_range(n + 1..nets.len())]);
+        c.sweep();
+
+        let mut s = Circuit::new("spec");
+        let mut nets: Vec<NetId> = (0..n).rev().map(|i| s.add_input(format!("x{i}"))).collect();
+        let gates = rng.gen_range(2..=10);
+        random_gates(&mut s, &mut nets, gates, &mut rng);
+        s.add_output("y", nets[rng.gen_range(n..nets.len())]);
+        s.add_output("z", nets[nets.len() - 1]);
+        (c, s)
+    }
+
+    /// The pool admits exactly the live implementation nets whose input
+    /// support maps by label into `f'`'s, in net order.
     #[test]
-    fn support_table_containment() {
-        let mut c = Circuit::new("t");
-        let a = c.add_input("a");
-        let b = c.add_input("b");
-        let d = c.add_input("d");
-        let g1 = c.add_gate(GateKind::And, &[a, b]).unwrap();
-        let g2 = c.add_gate(GateKind::Or, &[g1, d]).unwrap();
-        c.add_output("y", g2);
-        let tr: Vec<usize> = (0..3).collect();
-        let t = SupportTable::build(&Compiled::new(&c).unwrap(), &tr, 3);
-        assert!(t.contained(g1, t.support(g2)));
-        assert!(!t.contained(g2, t.support(g1)));
-        assert!(t.contained(a, t.support(g1)));
+    fn pool_admits_exactly_the_nets_within_the_support_of_fprime() {
+        let (mut admitted, mut rejected) = (0, 0);
+        for seed in 0..200 {
+            let (c, s) = random_pair(seed);
+            let corr = Correspondence::build(&c, &s).unwrap();
+            let base = Compiled::new(&c).unwrap();
+            let label = |circuit: &Circuit, pos: usize| {
+                circuit
+                    .node(circuit.inputs()[pos])
+                    .name()
+                    .unwrap()
+                    .to_string()
+            };
+            for port in s.outputs() {
+                let within: HashSet<String> = topo::support(&s, port.net())
+                    .into_iter()
+                    .map(|pos| label(&s, pos))
+                    .collect();
+                let expected: Vec<NetId> = c
+                    .iter_live()
+                    .map(NetId::from)
+                    .filter(|&net| {
+                        topo::support(&c, net)
+                            .into_iter()
+                            .all(|pos| within.contains(&label(&c, pos)))
+                    })
+                    .collect();
+                let pool = CandidatePool::new(&base, &s, &corr, port.net());
+                assert_eq!(pool.admitted, expected, "seed {seed}, f' = {}", port.name());
+                admitted += expected.len();
+                rejected += c.iter_live().count() - expected.len();
+            }
+        }
+        assert!(
+            admitted > 0 && rejected > 0,
+            "{admitted} admitted, {rejected} rejected"
+        );
     }
 
     #[test]
     fn candidate_cap_respected() {
-        let (c, _s, _corr, ctx, _g) = setup();
+        let (c, _s, ctx, _g) = setup();
         let cands = candidates(&c, &ctx, Pin::output(0), 3);
         assert!(cands.len() <= 3);
     }

@@ -19,7 +19,7 @@ use syseco::correspond::Correspondence;
 use syseco::error_domain::collect_samples;
 use syseco::points::{candidate_pins, MinimalSets};
 use syseco::rectify::{MAX_CHOICES, MAX_REWIRE_CANDIDATES};
-use syseco::rewire_nets::{candidates_for_pin, RewireNetContext};
+use syseco::rewire_nets::{candidates_for_pin, CandidatePool, RewireNetContext};
 use syseco::SamplePolicy;
 
 fn implementation() -> Circuit {
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // these values.
     println!("\nsampling domain: N = {} samples", samples.len());
     let spec_root = spec.outputs()[0].net();
-    let ctx = RewireNetContext::build(&impl_sim, &spec, &spec_sim, &corr, spec_root, &samples)?;
+    let ctx = RewireNetContext::build(&impl_sim, &spec_sim, &corr, spec_root, &samples)?;
 
     // §4.2 — H(t)'s prime cubes are its minimal feasible point-sets.
     let root = impl_c.outputs()[0].net();
@@ -110,14 +110,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // §4.3 — candidate rewiring nets for the v0 gating pin.
+    // §4.3 — candidate rewiring nets for the v0 gating pin: the output's
+    // structurally admitted nets and spec cone, ranked on the samples.
     let gating_pin = pins
         .iter()
         .copied()
         .find(|p| matches!(p, Pin::Gate { .. }))
         .expect("gate pins exist");
+    let pool = CandidatePool::new(&impl_sim, &spec, &corr, spec_root);
     let max = MAX_REWIRE_CANDIDATES;
-    let cands = candidates_for_pin(&impl_c, &impl_sim, &ctx, gating_pin, max, None)?;
+    let cands = candidates_for_pin(&impl_c, &impl_sim, &pool, &ctx, gating_pin, max, None)?;
     println!("\nrewiring candidates for pin {gating_pin} (utility = |differs on E|/|E|):");
     for c in &cands {
         println!(
@@ -133,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for set in minimal.of_size(2, 8) {
         let lists = set
             .iter()
-            .map(|&p| candidates_for_pin(&impl_c, &impl_sim, &ctx, p, max, None))
+            .map(|&p| candidates_for_pin(&impl_c, &impl_sim, &pool, &ctx, p, max, None))
             .collect::<Result<Vec<_>, _>>()?;
         let choices = find_choices(&minimal.match_words(&set), &ctx, &lists, MAX_CHOICES);
         if choices.is_empty() {

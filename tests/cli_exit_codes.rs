@@ -71,9 +71,23 @@ fn syseco_exit_code_contract() {
         ),
         1
     );
-    // 2: usage errors — no arguments, and an unknown subcommand.
+    // 2: usage errors — no arguments, an unknown subcommand, and a
+    // timeout that is not positive or that no deadline can hold.
     assert_eq!(code(&mut Command::new(syseco)), 2);
     assert_eq!(code(Command::new(syseco).arg("bogus")), 2);
+    for timeout in ["0", "1e20"] {
+        assert_eq!(
+            code(
+                Command::new(syseco)
+                    .arg("rectify")
+                    .arg(&impl_path)
+                    .arg(&spec_path)
+                    .args(["--timeout", timeout])
+            ),
+            2,
+            "--timeout {timeout}"
+        );
+    }
     // 3: the run finishes degraded-but-honest under an expired budget.
     assert_eq!(
         code(
@@ -101,6 +115,16 @@ fn serve_and_load_usage_errors_are_code_2() {
         code(Command::new(load).args(["--addr", "127.0.0.1:1", "--bench"])),
         2,
         "--addr and --bench are mutually exclusive"
+    );
+    // Durations no deadline can hold: the daemon's default deadline, and
+    // the due time of the last job at a vanishing submit rate.
+    assert_eq!(
+        code(Command::new(serve).args(["--addr", "127.0.0.1:0", "--default-deadline", "1e20"])),
+        2
+    );
+    assert_eq!(
+        code(Command::new(load).args(["--addr", "127.0.0.1:1", "--qps", "1e-300", "--jobs", "2"])),
+        2
     );
     // --help is not an error.
     assert_eq!(code(Command::new(serve).arg("--help")), 0);

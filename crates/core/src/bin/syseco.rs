@@ -13,6 +13,7 @@
 //!                [--log-format human|json]
 //! syseco report  <trace.jsonl> [--metrics metrics.json] [--out FILE]
 //!                [--wall-clock] [--title STRING]
+//! syseco --help
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count for the per-output searches
@@ -34,7 +35,7 @@
 //! `--trace-out FILE` records structured spans and writes them on exit:
 //! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto) by
 //! default, span-per-line JSONL when `FILE` ends in `.jsonl`.
-//! `--metrics-out FILE` writes the folded metrics registry (SAT conflict
+//! `--metrics-out FILE` writes the metrics registry (SAT conflict
 //! counts, search counts, search/validate timing histograms) as JSON. `--report-out FILE` renders the deterministic markdown run
 //! report (DESIGN.md §14) directly from the run's spans and metrics.
 //! `--openmetrics-out FILE` writes the metrics registry in OpenMetrics
@@ -51,7 +52,8 @@
 //! Designs are read and written in the BLIF-style format of
 //! [`eco_netlist::io`].
 //!
-//! Exit codes: 0 success, 1 verification failure, 2 usage error, 3 the run
+//! Exit codes: 0 success (and `--help`), 1 verification failure or a fatal
+//! error (an unreadable design, an engine error), 2 usage error, 3 the run
 //! completed but degraded (budget ran out or a per-output search was cut
 //! short; the patch is still verified for every output it claims to fix).
 
@@ -72,19 +74,41 @@ fn load(path: &str) -> Result<Circuit, String> {
     read_blif(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  syseco stats   <design.blif>\n  syseco check   <impl.blif> <spec.blif>\n  \
-         syseco rectify <impl.blif> <spec.blif> [--engine syseco|deltasyn|cone]\n                 \
-         [--out patched.blif] [--seed N] [--samples N] [--level-driven]\n                 \
-         [--timeout SECS] [--jobs N] [--progress]\n                 \
-         [--cache-dir DIR] [--cache off|ro|rw] [--checkpoint-dir DIR]\n                 \
-         [--trace-out FILE] [--metrics-out FILE]\n                 \
-         [--report-out FILE] [--openmetrics-out FILE] [--log-format human|json]\n  \
-         syseco report  <trace.jsonl> [--metrics metrics.json] [--out FILE]\n                 \
-         [--wall-clock] [--title STRING]"
-    );
-    ExitCode::from(2)
+const USAGE: &str = "\
+usage:
+  syseco stats   <design.blif>
+  syseco check   <impl.blif> <spec.blif>
+  syseco rectify <impl.blif> <spec.blif> [--engine syseco|deltasyn|cone]
+                 [--out patched.blif] [--seed N] [--samples N] [--level-driven]
+                 [--timeout SECS] [--jobs N] [--progress]
+                 [--cache-dir DIR] [--cache off|ro|rw] [--checkpoint-dir DIR]
+                 [--trace-out FILE] [--metrics-out FILE]
+                 [--report-out FILE] [--openmetrics-out FILE] [--log-format human|json]
+  syseco report  <trace.jsonl> [--metrics metrics.json] [--out FILE]
+                 [--wall-clock] [--title STRING]
+  syseco --help";
+
+/// Why [`run`] produced no exit code of its own: a command line it cannot
+/// act on (exit 2, with the usage text) or a fatal error while acting on
+/// one (exit 1).
+enum Failure {
+    Usage(String),
+    Fatal(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Fatal(message)
+    }
+}
+
+/// Parses a flag's value; a value that does not parse is a usage error.
+fn parsed<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, Failure>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse()
+        .map_err(|e| Failure::Usage(format!("{flag} {raw:?}: {e}")))
 }
 
 /// Machine-readable progress: one JSON object per line on stderr
@@ -146,27 +170,38 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Fatal(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
+    let usage = |what: &str| Err(Failure::Usage(what.to_string()));
     let Some(command) = args.first() else {
-        return Ok(usage());
+        return usage("missing command");
     };
     match command.as_str() {
+        "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(ExitCode::SUCCESS)
+        }
         "stats" => {
-            let [_, path] = args else { return Ok(usage()) };
+            let [_, path] = args else {
+                return usage("stats takes one design");
+            };
             let c = load(path)?;
             println!("{}: {}", c.name(), CircuitStats::of(&c));
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
             let [_, impl_path, spec_path] = args else {
-                return Ok(usage());
+                return usage("check takes an implementation and a specification");
             };
             let implementation = load(impl_path)?;
             let spec = load(spec_path)?;
@@ -195,188 +230,107 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "rectify" => {
-            if args.len() < 3 {
-                return Ok(usage());
-            }
-            let implementation = load(&args[1])?;
-            let spec = load(&args[2])?;
-            let mut engine_name = "syseco".to_string();
-            let mut out_path: Option<String> = None;
-            let mut trace_out: Option<String> = None;
-            let mut metrics_out: Option<String> = None;
-            let mut report_out: Option<String> = None;
-            let mut openmetrics_out: Option<String> = None;
-            let mut cache_dir: Option<String> = None;
-            let mut checkpoint_dir: Option<String> = None;
+            let [_, impl_path, spec_path, flags @ ..] = args else {
+                return usage("rectify takes an implementation and a specification");
+            };
+            let mut engine = "syseco";
+            let mut out_path: Option<&String> = None;
+            let mut trace_out: Option<&String> = None;
+            let mut metrics_out: Option<&String> = None;
+            let mut report_out: Option<&String> = None;
+            let mut openmetrics_out: Option<&String> = None;
             let mut json_log = false;
             let mut progress = false;
             let mut builder = EcoOptions::builder();
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--engine" => {
-                        engine_name = args.get(i + 1).cloned().ok_or("--engine needs a value")?;
-                        i += 2;
-                    }
-                    "--out" => {
-                        out_path = Some(args.get(i + 1).cloned().ok_or("--out needs a value")?);
-                        i += 2;
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or("--trace-out needs a value")?,
-                        );
-                        i += 2;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or("--metrics-out needs a value")?,
-                        );
-                        i += 2;
-                    }
-                    "--report-out" => {
-                        report_out = Some(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or("--report-out needs a value")?,
-                        );
-                        i += 2;
-                    }
-                    "--openmetrics-out" => {
-                        openmetrics_out = Some(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or("--openmetrics-out needs a value")?,
-                        );
-                        i += 2;
-                    }
+            let mut flags = flags.iter();
+            while let Some(flag) = flags.next() {
+                let mut value = || {
+                    flags
+                        .next()
+                        .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
+                };
+                match flag.as_str() {
+                    "--engine" => engine = value()?.as_str(),
+                    "--out" => out_path = Some(value()?),
+                    "--trace-out" => trace_out = Some(value()?),
+                    "--metrics-out" => metrics_out = Some(value()?),
+                    "--report-out" => report_out = Some(value()?),
+                    "--openmetrics-out" => openmetrics_out = Some(value()?),
                     "--log-format" => {
-                        match args
-                            .get(i + 1)
-                            .ok_or("--log-format needs a value")?
-                            .as_str()
-                        {
-                            "human" => json_log = false,
-                            "json" => json_log = true,
+                        json_log = match value()?.as_str() {
+                            "human" => false,
+                            "json" => true,
                             other => {
-                                return Err(format!(
+                                return usage(&format!(
                                     "unknown log format {other:?} (expected human or json)"
                                 ))
                             }
                         }
-                        i += 2;
                     }
-                    "--seed" => {
-                        builder = builder.seed(
-                            args.get(i + 1)
-                                .ok_or("--seed needs a value")?
-                                .parse()
-                                .map_err(|e| format!("bad seed: {e}"))?,
-                        );
-                        i += 2;
-                    }
-                    "--samples" => {
-                        builder = builder.num_samples(
-                            args.get(i + 1)
-                                .ok_or("--samples needs a value")?
-                                .parse()
-                                .map_err(|e| format!("bad sample count: {e}"))?,
-                        );
-                        i += 2;
-                    }
-                    "--jobs" => {
-                        builder = builder.jobs(
-                            args.get(i + 1)
-                                .ok_or("--jobs needs a value")?
-                                .parse()
-                                .map_err(|e| format!("bad job count: {e}"))?,
-                        );
-                        i += 2;
-                    }
-                    "--cache-dir" => {
-                        cache_dir = Some(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or("--cache-dir needs a value")?,
-                        );
-                        builder = builder.cache_dir(cache_dir.clone().unwrap());
-                        i += 2;
-                    }
-                    "--checkpoint-dir" => {
-                        checkpoint_dir = Some(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or("--checkpoint-dir needs a value")?,
-                        );
-                        builder = builder.checkpoint_dir(checkpoint_dir.clone().unwrap());
-                        i += 2;
-                    }
-                    "--cache" => {
-                        let mode: syseco::CacheMode = args
-                            .get(i + 1)
-                            .ok_or("--cache needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad cache mode: {e}"))?;
-                        builder = builder.cache_mode(mode);
-                        i += 2;
-                    }
-                    "--level-driven" => {
-                        builder = builder.level_driven(true);
-                        i += 1;
-                    }
-                    "--progress" => {
-                        progress = true;
-                        i += 1;
-                    }
+                    "--seed" => builder = builder.seed(parsed(flag, value()?)?),
+                    "--samples" => builder = builder.num_samples(parsed(flag, value()?)?),
+                    "--jobs" => builder = builder.jobs(parsed(flag, value()?)?),
+                    "--cache-dir" => builder = builder.cache_dir(value()?),
+                    "--checkpoint-dir" => builder = builder.checkpoint_dir(value()?),
+                    "--cache" => builder = builder.cache_mode(parsed(flag, value()?)?),
+                    "--level-driven" => builder = builder.level_driven(true),
+                    "--progress" => progress = true,
                     "--timeout" => {
-                        let raw = args.get(i + 1).ok_or("--timeout needs a value")?;
-                        let secs: f64 = raw.parse().map_err(|e| format!("bad timeout: {e}"))?;
+                        let raw = value()?;
+                        let secs: f64 = parsed(flag, raw)?;
                         let Some(timeout) = span_from_secs(secs).filter(|_| secs > 0.0) else {
-                            eprintln!(
-                                "error: --timeout {raw}: must be a positive number of seconds \
-                                 a deadline can hold"
-                            );
-                            return Ok(usage());
+                            return usage(&format!(
+                                "--timeout {raw}: must be a positive number of seconds a \
+                                 deadline can hold"
+                            ));
                         };
                         builder = builder.timeout(timeout);
-                        i += 2;
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => return usage(&format!("unknown flag {other:?}")),
                 }
             }
+            if !["syseco", "deltasyn", "cone"].contains(&engine) {
+                return usage(&format!(
+                    "unknown engine {engine:?} (expected syseco, deltasyn or cone)"
+                ));
+            }
             let options = builder.build();
+            let (cache_dir, checkpoint_dir) = (
+                options.cache_dir.is_some(),
+                options.checkpoint_dir.is_some(),
+            );
+            let syseco_only = [
+                ("--trace-out", trace_out.is_some()),
+                ("--metrics-out", metrics_out.is_some()),
+                ("--report-out", report_out.is_some()),
+                ("--openmetrics-out", openmetrics_out.is_some()),
+                ("--cache-dir", cache_dir),
+                ("--checkpoint-dir", checkpoint_dir),
+            ];
+            if let Some((flag, _)) = syseco_only
+                .iter()
+                .find(|&&(_, set)| set && engine != "syseco")
+            {
+                return usage(&format!("{flag} requires --engine syseco, got {engine:?}"));
+            }
+            let implementation = load(impl_path)?;
+            let spec = load(spec_path)?;
             let timeout = options.timeout;
-            let telemetry_requested = trace_out.is_some()
+            let telemetry = if trace_out.is_some()
                 || metrics_out.is_some()
                 || report_out.is_some()
-                || openmetrics_out.is_some();
-            if telemetry_requested && engine_name != "syseco" {
-                return Err(format!(
-                    "--trace-out/--metrics-out/--report-out/--openmetrics-out require \
-                     --engine syseco, got {engine_name:?}"
-                ));
-            }
-            if cache_dir.is_some() && engine_name != "syseco" {
-                return Err(format!(
-                    "--cache-dir requires --engine syseco, got {engine_name:?}"
-                ));
-            }
-            if checkpoint_dir.is_some() && engine_name != "syseco" {
-                return Err(format!(
-                    "--checkpoint-dir requires --engine syseco, got {engine_name:?}"
-                ));
-            }
-            let telemetry = if telemetry_requested {
+                || openmetrics_out.is_some()
+            {
                 Telemetry::enabled()
             } else {
                 Telemetry::disabled()
             };
-            let result = match engine_name.as_str() {
-                "syseco" => {
+            let result = match engine {
+                "deltasyn" => {
+                    deltasyn::rectify(&implementation, &spec).map_err(|e| e.to_string())?
+                }
+                "cone" => cone::rectify(&implementation, &spec).map_err(|e| e.to_string())?,
+                _ => {
                     let mut session = Session::new(options).with_telemetry(&telemetry);
                     if progress {
                         session = if json_log {
@@ -389,11 +343,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         .run(&implementation, &spec)
                         .map_err(|e| e.to_string())?
                 }
-                "deltasyn" => {
-                    deltasyn::rectify(&implementation, &spec).map_err(|e| e.to_string())?
-                }
-                "cone" => cone::rectify(&implementation, &spec).map_err(|e| e.to_string())?,
-                other => return Err(format!("unknown engine {other:?}")),
             };
             if let Some(path) = &trace_out {
                 let rendered = if path.ends_with(".jsonl") {
@@ -421,15 +370,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
                 println!("run report written to {path}");
             }
-            println!("engine {engine_name} finished in {:?}", result.runtime);
-            if cache_dir.is_some() {
+            println!("engine {engine} finished in {:?}", result.runtime);
+            if cache_dir {
                 let r = &result.rectify;
                 println!(
                     "cache: {} hit(s), {} miss(es), {} verify-reject(s), {} corrupt segment(s)",
                     r.cache_hits, r.cache_misses, r.cache_verify_rejects, r.cache_corrupt_segments
                 );
             }
-            if checkpoint_dir.is_some() {
+            if checkpoint_dir {
                 let r = &result.rectify;
                 println!(
                     "checkpoint: {} output(s) resumed, {} record(s) written",
@@ -473,7 +422,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 println!("verification: PASS");
             }
             if let Some(path) = out_path {
-                std::fs::write(&path, write_blif(&result.patched))
+                std::fs::write(path, write_blif(&result.patched))
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 println!("patched design written to {path}");
             }
@@ -488,35 +437,26 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "report" => {
-            if args.len() < 2 {
-                return Ok(usage());
-            }
-            let trace_path = &args[1];
+            let [_, trace_path, flags @ ..] = args else {
+                return usage("report takes a trace");
+            };
             let mut metrics_path: Option<String> = None;
             let mut out_path: Option<String> = None;
             let mut options = ReportOptions::default();
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--metrics" => {
-                        metrics_path =
-                            Some(args.get(i + 1).cloned().ok_or("--metrics needs a value")?);
-                        i += 2;
-                    }
-                    "--out" => {
-                        out_path = Some(args.get(i + 1).cloned().ok_or("--out needs a value")?);
-                        i += 2;
-                    }
-                    "--title" => {
-                        options.title =
-                            Some(args.get(i + 1).cloned().ok_or("--title needs a value")?);
-                        i += 2;
-                    }
-                    "--wall-clock" => {
-                        options.wall_clock = true;
-                        i += 1;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+            let mut flags = flags.iter();
+            while let Some(flag) = flags.next() {
+                let mut value = || {
+                    flags
+                        .next()
+                        .cloned()
+                        .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
+                };
+                match flag.as_str() {
+                    "--metrics" => metrics_path = Some(value()?),
+                    "--out" => out_path = Some(value()?),
+                    "--title" => options.title = Some(value()?),
+                    "--wall-clock" => options.wall_clock = true,
+                    other => return usage(&format!("unknown flag {other:?}")),
                 }
             }
             let trace_text = std::fs::read_to_string(trace_path)
@@ -543,6 +483,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        _ => Ok(usage()),
+        other => usage(&format!("unknown command {other:?}")),
     }
 }

@@ -30,18 +30,25 @@
 //! prints each disagreement. A repro carrying a `fault` line re-arms the
 //! same fault plan (requires `--features fault-injection`).
 //!
-//! Exit codes: 0 no disagreements, 1 disagreements found, 2 usage error.
+//! Exit codes: 0 no disagreements (and `--help`), 1 disagreements found,
+//! 2 usage error, an unreadable repro, an infrastructure error, or `chaos`
+//! without fault injection compiled in.
 
 use std::process::ExitCode;
 
 use syseco::fuzz::{parse_repro, write_repro, FuzzConfig, FuzzRunner, Repro};
 
+const USAGE: &str = "\
+usage:
+  syseco-fuzz run --seed N --iters N [--out-dir DIR] [--cache-every N]
+                  [--heavy] [--mutations N]
+  syseco-fuzz chaos --seed N --scenarios N [--out-dir DIR] [--heavy]
+                    [--mutations N]
+  syseco-fuzz replay <file.eco-repro>
+  syseco-fuzz --help";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  syseco-fuzz run --seed N --iters N [--out-dir DIR] [--cache-every N]\n                  \
-         [--heavy] [--mutations N]\n  syseco-fuzz chaos --seed N --scenarios N [--out-dir DIR] [--heavy]\n                    \
-         [--mutations N]\n  syseco-fuzz replay <file.eco-repro>"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -327,6 +334,10 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
         _ => usage(),
     }
 }

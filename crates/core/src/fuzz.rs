@@ -522,25 +522,44 @@ pub mod chaos {
         }
     }
 
-    /// The metrics registry must report what a completed run's stats
-    /// report, and no output may carry two degradation entries.
+    /// The metrics registry must report every count a completed run's
+    /// stats report, and no output may carry two degradation entries.
     fn check_counts(
         stats: &RectifyStats,
         snapshot: &MetricsSnapshot,
         label: &str,
         out: &mut Vec<Disagreement>,
     ) {
+        let sat = &stats.sat;
         for (counter, value) in [
+            (Counter::SatConflicts, sat.conflicts),
+            (Counter::SatDecisions, sat.decisions),
+            (Counter::SatPropagations, sat.propagations),
+            (Counter::SatRestarts, sat.restarts),
+            (Counter::SatLearntClauses, sat.learnt_clauses),
+            (Counter::SatLearntLiterals, sat.learnt_literals),
+            (Counter::CecProofs, stats.cec_proofs),
+            (Counter::CecReused, stats.cec_reused),
+            (Counter::RectifyRefinements, stats.refinements as u64),
+            (Counter::RectifyValidations, stats.validations as u64),
+            (Counter::RectifyPointSets, stats.point_sets_tried as u64),
+            (Counter::RectifyChoices, stats.choices_tried as u64),
+            (Counter::PrefilterScreened, stats.prefilter_screened as u64),
+            (Counter::PrefilterPassed, stats.prefilter_passed as u64),
             (Counter::RectifyRewired, stats.rewire_rectified as u64),
             (Counter::RectifyFallbacks, stats.fallbacks as u64),
             (
                 Counter::RectifyDegradations,
                 stats.degradations.len() as u64,
             ),
-            (Counter::RectifyValidations, stats.validations as u64),
             (Counter::CacheHits, stats.cache_hits),
             (Counter::CacheMisses, stats.cache_misses),
             (Counter::CacheVerifyRejects, stats.cache_verify_rejects),
+            (Counter::CacheCorruptSegments, stats.cache_corrupt_segments),
+            (Counter::CacheIoErrors, stats.cache_io_errors),
+            (Counter::CacheRetries, stats.cache_retries),
+            (Counter::CheckpointHits, stats.checkpoint_hits),
+            (Counter::CheckpointWrites, stats.checkpoint_writes),
         ] {
             let (name, published) = (counter.name(), snapshot.counter(counter));
             if published != value {
@@ -575,15 +594,6 @@ pub mod chaos {
         let run = catch_unwind(AssertUnwindSafe(|| {
             session.run_with_budget(implementation, spec, budget)
         }));
-        // Taking a metrics snapshot after the run proves no registry lock
-        // was left poisoned by an injected panic.
-        let snapshot = catch_unwind(AssertUnwindSafe(|| session.metrics_snapshot())).ok();
-        if snapshot.is_none() {
-            out.push(disagree(
-                "poisoned-metrics",
-                format!("metrics snapshot panicked after the {label} run"),
-            ));
-        }
         let result: Result<EcoResult, EcoError> = match run {
             Ok(r) => r,
             Err(_) => {
@@ -607,9 +617,7 @@ pub mod chaos {
                         format!("verifying the {label} run's patch errored: {e}"),
                     )),
                 }
-                if let Some(snapshot) = &snapshot {
-                    check_counts(&result.rectify, snapshot, label, out);
-                }
+                check_counts(&result.rectify, &session.metrics_snapshot(), label, out);
                 Ok(Some(write_blif(&result.patched)))
             }
             Err(e) => Err(e),

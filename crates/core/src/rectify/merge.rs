@@ -12,9 +12,9 @@ use std::time::Duration;
 
 use eco_netlist::{Circuit, NetId, Pin};
 use eco_sat::cec::ProofCache;
-use eco_telemetry::{ArgValue, MetricsShard, TraceBuffer};
+use eco_telemetry::{ArgValue, TraceBuffer};
 
-use super::{note_proofs, note_sat, OutputTiming, RectifyStats, SearchVerdict, VALIDATION_BUDGET};
+use super::{OutputTiming, RectifyStats, SearchVerdict, VALIDATION_BUDGET};
 use crate::budget::{Budget, Degradation, DegradeAction, DegradeReason};
 use crate::correspond::{Correspondence, OutputPair};
 use crate::error_domain::{classify_outputs_with_stats, miter, Equivalence};
@@ -33,7 +33,6 @@ pub(super) struct Merge<'a> {
     circuit: &'a mut Circuit,
     spec: &'a Circuit,
     budget: &'a Budget,
-    shard: &'a MetricsShard,
     /// Merge rechecks and the verification pass share one overlay.
     proofs: ProofCache<'a>,
     stats: RectifyStats,
@@ -69,7 +68,6 @@ impl<'a> Merge<'a> {
         circuit: &'a mut Circuit,
         spec: &'a Circuit,
         budget: &'a Budget,
-        shard: &'a MetricsShard,
         proofs: ProofCache<'a>,
         stats: RectifyStats,
     ) -> Self {
@@ -78,7 +76,6 @@ impl<'a> Merge<'a> {
             circuit,
             spec,
             budget,
-            shard,
             proofs,
             stats,
             patch,
@@ -256,7 +253,7 @@ impl<'a> Merge<'a> {
             Some(self.budget),
             &mut self.proofs,
         )?;
-        note_sat(&mut self.stats, self.shard, verify_sat);
+        self.stats.sat += verify_sat;
         let mut repaired = 0u64;
         for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
             if matches!(verdict, Equivalence::Equivalent) {
@@ -291,7 +288,8 @@ impl<'a> Merge<'a> {
     /// Folds the merge's proof-cache counters into the statistics and hands
     /// back what the merge built.
     pub(super) fn finish(mut self) -> Merged {
-        note_proofs(&mut self.stats, self.shard, &self.proofs);
+        self.stats.cec_proofs += self.proofs.proofs();
+        self.stats.cec_reused += self.proofs.reused();
         (self.patch, self.stats, self.committed, self.proposals)
     }
 
@@ -308,7 +306,7 @@ impl<'a> Merge<'a> {
         miter.require_difference();
         miter.set_conflict_budget(RECHECK_BUDGET);
         let verdict = miter.next_difference(self.circuit);
-        note_sat(&mut self.stats, self.shard, miter.stats());
+        self.stats.sat += miter.stats();
         Ok(verdict == Equivalence::Equivalent)
     }
 

@@ -43,7 +43,7 @@ use eco_netlist::sim::Compiled;
 use eco_netlist::{topo, Circuit};
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
-use eco_telemetry::{ArgValue, Counter, Histogram, MetricsShard, SpanRecord, TraceBuffer};
+use eco_telemetry::{ArgValue, Counter, SpanRecord, Telemetry, TraceBuffer};
 use eco_timing::{DelayModel, TimingReport};
 
 use crate::budget::{Budget, Degradation, DegradeReason};
@@ -74,8 +74,10 @@ pub const MAX_CANDIDATE_PINS: usize = 48;
 /// Most point-sets tried per search attempt, smallest first: the first
 /// minimal feasible sets of `H(t)` (§4.2).
 pub const MAX_POINT_SETS: usize = 8;
-/// Most candidate rewiring nets ranked per rectification point, the
-/// current driver included (§4.3).
+/// Candidate rewiring nets ranked per rectification point, the current
+/// driver included (§4.3). A list can hold two more: up to two of the
+/// cheapest spec nets join when they rank below the cut, so it has at most
+/// 10 entries.
 pub const MAX_REWIRE_CANDIDATES: usize = 8;
 /// Most rewiring choices decoded from `Ξ(c)` per point-set (§4.4).
 pub const MAX_CHOICES: usize = 6;
@@ -290,87 +292,52 @@ struct SearchResult {
     refined: Vec<Vec<bool>>,
 }
 
-/// Adds one SAT effort reading to the six `sat.*` counters of `shard`.
-fn add_sat_counters(shard: &MetricsShard, s: &SolverStats) {
-    shard.add(Counter::SatConflicts, s.conflicts);
-    shard.add(Counter::SatDecisions, s.decisions);
-    shard.add(Counter::SatPropagations, s.propagations);
-    shard.add(Counter::SatRestarts, s.restarts);
-    shard.add(Counter::SatLearntClauses, s.learnt_clauses);
-    shard.add(Counter::SatLearntLiterals, s.learnt_literals);
-}
-
-/// Folds one coordinator-side SAT effort reading into the run stats and the
-/// metrics shard.
-fn note_sat(stats: &mut RectifyStats, shard: &MetricsShard, s: SolverStats) {
-    stats.sat += s;
-    if shard.is_enabled() {
-        add_sat_counters(shard, &s);
-    }
-}
-
-/// Folds one coordinator-side proof cache's counters into the run stats and
-/// the metrics shard.
-fn note_proofs(stats: &mut RectifyStats, shard: &MetricsShard, proofs: &ProofCache) {
-    stats.cec_proofs += proofs.proofs();
-    stats.cec_reused += proofs.reused();
-    if shard.is_enabled() {
-        shard.add(Counter::CecProofs, proofs.proofs());
-        shard.add(Counter::CecReused, proofs.reused());
-    }
-}
-
-/// Flushes one finished search's local counters into a worker shard: a
-/// handful of relaxed atomic adds at search end, nothing on the hot path.
-/// Its cache hits and rejects are run-level counts, published by
-/// [`publish_run_counters`].
-fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration) {
-    if !shard.is_enabled() {
-        return;
-    }
-    add_sat_counters(shard, &s.sat);
-    shard.add(Counter::CecProofs, s.cec_proofs);
-    shard.add(Counter::CecReused, s.cec_reused);
-    shard.add(Counter::RectifyRefinements, s.refinements as u64);
-    shard.add(Counter::RectifyValidations, s.validations as u64);
-    shard.add(Counter::RectifyPointSets, s.point_sets_tried as u64);
-    shard.add(Counter::RectifyChoices, s.choices_tried as u64);
-    shard.add(Counter::PrefilterScreened, s.prefilter_screened as u64);
-    shard.add(Counter::PrefilterPassed, s.prefilter_passed as u64);
-    shard.observe(Histogram::SearchMicros, search.as_micros() as u64);
-}
-
-/// Publishes the run-level counters of a finished run from its final
-/// stats: the outcome counts, every cache and checkpoint total, and the
-/// faults that fired. The cold path and the whole-run cache replay both
-/// end here, so the registry reports what [`RectifyStats`] reports either
-/// way. The per-search counters are not among them: each search flushes
-/// its own into its worker's shard as it ends.
-pub(crate) fn publish_run_counters(shard: &MetricsShard, stats: &RectifyStats, faults_fired: u64) {
-    if !shard.is_enabled() {
-        return;
-    }
+/// Publishes every counter of a finished run from its final stats: the SAT
+/// effort, the proof cache, the search and screen counts, the outcome
+/// counts, every cache and checkpoint total, and the faults that fired.
+/// This is the engine's only counter writer, called once per run by the
+/// cold path and by the whole-run cache replay alike, so the registry
+/// reports exactly what [`RectifyStats`] reports.
+pub(crate) fn publish_run_counters(telemetry: &Telemetry, stats: &RectifyStats, faults_fired: u64) {
     let merge_conflicts = stats
         .degradations
         .iter()
         .filter(|d| matches!(d.reason, DegradeReason::MergeConflict))
         .count();
-    shard.add(Counter::RectifyRewired, stats.rewire_rectified as u64);
-    shard.add(Counter::RectifyFallbacks, stats.fallbacks as u64);
-    shard.add(
-        Counter::RectifyDegradations,
-        stats.degradations.len() as u64,
-    );
-    shard.add(Counter::RectifyMergeConflicts, merge_conflicts as u64);
-    shard.add(Counter::CacheHits, stats.cache_hits);
-    shard.add(Counter::CacheMisses, stats.cache_misses);
-    shard.add(Counter::CacheVerifyRejects, stats.cache_verify_rejects);
-    shard.add(Counter::CacheCorruptSegments, stats.cache_corrupt_segments);
-    shard.add(Counter::CacheIoErrors, stats.cache_io_errors);
-    shard.add(Counter::CacheRetries, stats.cache_retries);
-    shard.add(Counter::CheckpointHits, stats.checkpoint_hits);
-    shard.add(Counter::CheckpointWrites, stats.checkpoint_writes);
-    shard.add(Counter::FaultInjections, faults_fired);
+    for (counter, n) in [
+        (Counter::SatConflicts, stats.sat.conflicts),
+        (Counter::SatDecisions, stats.sat.decisions),
+        (Counter::SatPropagations, stats.sat.propagations),
+        (Counter::SatRestarts, stats.sat.restarts),
+        (Counter::SatLearntClauses, stats.sat.learnt_clauses),
+        (Counter::SatLearntLiterals, stats.sat.learnt_literals),
+        (Counter::CecProofs, stats.cec_proofs),
+        (Counter::CecReused, stats.cec_reused),
+        (Counter::RectifyRefinements, stats.refinements as u64),
+        (Counter::RectifyValidations, stats.validations as u64),
+        (Counter::RectifyPointSets, stats.point_sets_tried as u64),
+        (Counter::RectifyChoices, stats.choices_tried as u64),
+        (Counter::PrefilterScreened, stats.prefilter_screened as u64),
+        (Counter::PrefilterPassed, stats.prefilter_passed as u64),
+        (Counter::RectifyRewired, stats.rewire_rectified as u64),
+        (Counter::RectifyFallbacks, stats.fallbacks as u64),
+        (
+            Counter::RectifyDegradations,
+            stats.degradations.len() as u64,
+        ),
+        (Counter::RectifyMergeConflicts, merge_conflicts as u64),
+        (Counter::CacheHits, stats.cache_hits),
+        (Counter::CacheMisses, stats.cache_misses),
+        (Counter::CacheVerifyRejects, stats.cache_verify_rejects),
+        (Counter::CacheCorruptSegments, stats.cache_corrupt_segments),
+        (Counter::CacheIoErrors, stats.cache_io_errors),
+        (Counter::CacheRetries, stats.cache_retries),
+        (Counter::CheckpointHits, stats.checkpoint_hits),
+        (Counter::CheckpointWrites, stats.checkpoint_writes),
+        (Counter::FaultInjections, faults_fired),
+    ] {
+        telemetry.add(counter, n);
+    }
 }
 
 /// Runs the full rectification flow of one [`Session`] run, mutating
@@ -411,7 +378,6 @@ pub(crate) fn rewire_rectify_with(
     );
     let t_run = Instant::now();
     let mut tb = telemetry.buffer(0);
-    let shard = telemetry.shard();
     let span_run = tb.start();
     budget.fault_span(SpanPoint::Run)?;
     let corr = Correspondence::build(implementation, spec)?;
@@ -453,8 +419,9 @@ pub(crate) fn rewire_rectify_with(
         Some(budget),
         &mut detect_proofs,
     )?;
-    note_sat(&mut stats, &shard, detect_sat);
-    note_proofs(&mut stats, &shard, &detect_proofs);
+    stats.sat += detect_sat;
+    stats.cec_proofs += detect_proofs.proofs();
+    stats.cec_reused += detect_proofs.reused();
     let proof_base = detect_proofs.freeze();
     for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
         match verdict {
@@ -544,11 +511,7 @@ pub(crate) fn rewire_rectify_with(
     let base: &Circuit = implementation;
     // Neither circuit changes during the search phase: compile each once.
     let (base_sim, spec_sim) = (Compiled::new(base)?, Compiled::new(spec)?);
-    // One metrics shard per worker lane: counters are relaxed atomics, so
-    // the search hot path never takes a lock; the registry folds the shards
-    // at snapshot time.
-    let worker_shards: Vec<MetricsShard> = (0..pool.workers()).map(|_| telemetry.shard()).collect();
-    let results: Vec<SearchResult> = pool.run(order.len(), |w, i| {
+    let results: Vec<SearchResult> = pool.run(order.len(), |i| {
         let pair = &order[i];
         emit(
             observer,
@@ -573,7 +536,7 @@ pub(crate) fn rewire_rectify_with(
             timing: timing.as_ref(),
             budget,
             warm: output_entries.get(i).and_then(|e| e.warm.as_ref()),
-            shard: &worker_shards[w],
+            telemetry,
             stats: SearchStats::default(),
             // Trace lane i+1 belongs to merge slot i regardless of which
             // worker ran it, so the merged trace is independent of
@@ -651,14 +614,7 @@ pub(crate) fn rewire_rectify_with(
     // Merge phase and verification pass: apply the proposals sequentially
     // in the fixed order, then re-classify every output.
     // ------------------------------------------------------------------
-    let mut merge = Merge::new(
-        implementation,
-        spec,
-        budget,
-        &shard,
-        proof_base.overlay(),
-        stats,
-    );
+    let mut merge = Merge::new(implementation, spec, budget, proof_base.overlay(), stats);
     merge.run(&order, verdicts, &mut tb, observer)?;
     merge.verify(&corr, resumed_count, &mut tb)?;
     let (patch, mut stats, committed, output_proposals) = merge.finish();
@@ -741,7 +697,6 @@ mod tests {
     use crate::error_domain::classify_outputs;
     use crate::options::EcoOptions;
     use eco_netlist::GateKind;
-    use eco_telemetry::Telemetry;
     use std::sync::{Arc, Mutex};
 
     /// A whole run with no observer and telemetry off, under `budget` or,
@@ -913,37 +868,14 @@ mod tests {
         let (_patch, stats, trace, _committed) =
             rewire_rectify_with(&session, &mut c, &s, &budget, None, None).unwrap();
         // The run span closes the coordinator lane; the per-output search
-        // span sits on lane 1. Counters made it into both the stats and the
-        // metrics registry.
+        // span sits on lane 1. Counters made it into the stats; the
+        // registry gets them from `Session::run`, once per run.
         assert!(trace.iter().any(|sp| sp.name == "run" && sp.lane == 0));
         assert!(trace.iter().any(|sp| sp.name == "search" && sp.lane == 1));
         assert!(stats.validations > 0);
         assert!(stats.sat.propagations > 0, "{stats:?}");
         assert!(stats.point_sets_tried > 0, "{stats:?}");
         assert!(stats.choices_tried > 0, "{stats:?}");
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            snapshot.counter(Counter::RectifyValidations),
-            stats.validations as u64
-        );
-        assert_eq!(snapshot.counter(Counter::SatConflicts), stats.sat.conflicts);
-        assert_eq!(
-            snapshot.counter(Counter::RectifyPointSets),
-            stats.point_sets_tried as u64
-        );
-        assert_eq!(
-            snapshot.counter(Counter::RectifyChoices),
-            stats.choices_tried as u64
-        );
-        // The search builds no BDD: every `bdd.*` name the registry keeps
-        // reads 0.
-        let bdd: Vec<(&str, u64)> = snapshot
-            .counters()
-            .chain(snapshot.gauges())
-            .filter(|(name, _)| name.starts_with("bdd."))
-            .collect();
-        assert_eq!(bdd.len(), 7, "{bdd:?}");
-        assert!(bdd.iter().all(|&(_, v)| v == 0), "{bdd:?}");
         assert_eq!(stats.per_output.len(), 1);
         assert_eq!(stats.per_output[0].output, "y");
         assert_ne!(stats.per_output[0].action, OutputAction::AlreadyEquivalent);

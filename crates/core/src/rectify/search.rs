@@ -11,15 +11,15 @@ use eco_netlist::sim::Compiled;
 use eco_netlist::{Circuit, Pin};
 use eco_sat::cec::ProofCache;
 use eco_sat::SolverStats;
-use eco_telemetry::{ArgValue, Histogram, MetricsShard, SpanToken, TraceBuffer};
+use eco_telemetry::{ArgValue, Histogram, SpanToken, Telemetry, TraceBuffer};
 use eco_timing::TimingReport;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use super::{
-    flush_search_metrics, SearchResult, SearchStats, SearchVerdict, GOOD_ENOUGH_COST,
-    MAX_CANDIDATE_PINS, MAX_CHOICES, MAX_POINTS, MAX_POINT_SETS, MAX_REFINEMENTS,
-    MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT, VALIDATION_BUDGET,
+    SearchResult, SearchStats, SearchVerdict, GOOD_ENOUGH_COST, MAX_CANDIDATE_PINS, MAX_CHOICES,
+    MAX_POINTS, MAX_POINT_SETS, MAX_REFINEMENTS, MAX_REWIRE_CANDIDATES, MAX_VALIDATIONS_PER_OUTPUT,
+    VALIDATION_BUDGET,
 };
 use crate::budget::{Budget, DegradeReason};
 use crate::choices::find_choices;
@@ -59,7 +59,7 @@ pub(super) struct OutputSearch<'a> {
     pub(super) timing: Option<&'a TimingReport>,
     pub(super) budget: &'a Budget,
     pub(super) warm: Option<&'a WarmStart>,
-    pub(super) shard: &'a MetricsShard,
+    pub(super) telemetry: &'a Telemetry,
     pub(super) stats: SearchStats,
     pub(super) trace: TraceBuffer,
     pub(super) proofs: ProofCache<'a>,
@@ -108,8 +108,8 @@ impl OutputSearch<'_> {
         }
     }
 
-    /// Closes the `search` span, flushes the counters into the worker's
-    /// shard, and hands the outcome to the merge phase.
+    /// Closes the `search` span, records its wall-clock in the `search.us`
+    /// histogram, and hands the outcome and counters to the merge phase.
     pub(super) fn finish(
         mut self,
         verdict: SearchVerdict,
@@ -133,7 +133,8 @@ impl OutputSearch<'_> {
                 ("proposal", ArgValue::U64(u64::from(proposal))),
             ]
         });
-        flush_search_metrics(self.shard, &self.stats, search);
+        self.telemetry
+            .observe(Histogram::SearchMicros, search.as_micros() as u64);
         SearchResult {
             verdict,
             stats: self.stats,
@@ -346,12 +347,12 @@ impl OutputSearch<'_> {
             args.push(("verdict", ArgValue::Str(verdict.into())));
             args
         });
-        if self.shard.is_enabled() {
-            self.shard.observe(
+        if self.telemetry.is_enabled() {
+            self.telemetry.observe(
                 Histogram::ValidateMicros,
                 started.elapsed().as_micros() as u64,
             );
-            self.shard
+            self.telemetry
                 .observe(Histogram::SatConflictsPerCall, sat.conflicts);
         }
     }

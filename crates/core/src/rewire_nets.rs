@@ -158,7 +158,10 @@ fn diff_fraction(a_words: &Simulated, a: NetId, b_words: &Simulated, b: NetId) -
 /// `sim` is `implementation` compiled, `pool` the output's candidate pool
 /// and `ctx` the attempt's simulated samples.
 ///
-/// The first entry is always the trivial candidate (the current driver).
+/// The first entry is always the trivial candidate (the current driver),
+/// then the top `max_candidates - 1` nets by utility, then up to two of
+/// the cheapest useful spec nets (by clone cost) not already listed: at
+/// most `max_candidates + 2` entries.
 /// Implementation candidates are the pool's admitted nets outside the
 /// transitive fanout of the pin's consumer (a rewire to those would create
 /// a cycle); specification candidates come from the cone of `f'`. `timing`
@@ -490,5 +493,71 @@ mod tests {
         let (c, _s, ctx, _g) = setup();
         let cands = candidates(&c, &ctx, Pin::output(0), 3);
         assert!(cands.len() <= 3);
+    }
+
+    /// A list holds the driver, the top `max - 1` nets by utility, then up
+    /// to two of the cheapest spec nets not already listed: `max + 2`
+    /// entries at most, not `max`.
+    #[test]
+    fn list_is_driver_then_top_ranked_then_two_cheapest_spec_nets() {
+        // impl: y = a & b, plus o = a | b, x = a ^ b, n = !(a & b) on
+        // outputs of their own; spec: y = (a ^ b) | !(a & b). On both
+        // samples the driver reads 0 and every other gate 1, so the three
+        // implementation gates win every tie against the spec cone.
+        let mut c = Circuit::new("impl");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let g = c.add_gate(GateKind::And, &[a, b]).unwrap();
+        c.add_output("y", g);
+        let mut s = Circuit::new("spec");
+        let sa = s.add_input("a");
+        let sb = s.add_input("b");
+        let sx = s.add_gate(GateKind::Xor, &[sa, sb]).unwrap();
+        let sn = s.add_gate(GateKind::Nand, &[sa, sb]).unwrap();
+        let sy = s.add_gate(GateKind::Or, &[sx, sn]).unwrap();
+        s.add_output("y", sy);
+        for (name, kind) in [
+            ("o", GateKind::Or),
+            ("x", GateKind::Xor),
+            ("n", GateKind::Nand),
+        ] {
+            let net = c.add_gate(kind, &[a, b]).unwrap();
+            c.add_output(name, net);
+            let net = s.add_gate(kind, &[sa, sb]).unwrap();
+            s.add_output(name, net);
+        }
+        let samples = vec![vec![true, false], vec![false, true]];
+        let ctx = context(&c, &s, sy, &samples);
+        let listed = |max: usize| -> Vec<(NetId, bool)> {
+            candidates(&c, &ctx, Pin::output(0), max)
+                .iter()
+                .map(|cand| (cand.net, cand.from_spec))
+                .collect()
+        };
+        let impl_gate = |name: &str| {
+            let port = c.outputs().iter().find(|p| p.name() == name).unwrap();
+            (port.net(), false)
+        };
+        // max 3: the two best implementation gates, then the 1-gate spec
+        // clones `a ^ b` and `!(a & b)`; the 3-gate `sy` gets no seat.
+        assert_eq!(
+            listed(3),
+            vec![
+                (g, false),
+                impl_gate("o"),
+                impl_gate("x"),
+                (sx, true),
+                (sn, true)
+            ]
+        );
+        // max 8: the cheapest spec nets already rank in, so nothing is
+        // appended and the list stops at `max`.
+        let wide = listed(8);
+        assert_eq!(wide.len(), 8, "{wide:?}");
+        assert_eq!(
+            wide[..4],
+            [(g, false), impl_gate("o"), impl_gate("x"), impl_gate("n")]
+        );
+        assert_eq!(wide[4..7], [(sx, true), (sn, true), (sy, true)]);
     }
 }

@@ -12,101 +12,15 @@
 //!
 //! [`eval_all_bdd`] and [`apply_gate_bdd`] build a circuit's nets as BDDs
 //! over arbitrary input functions, for the benchmark's BDD layer and the
-//! BDD constructions the tests keep as oracles.
+//! BDD constructions the tests keep as oracles. They are the fuzzer's
+//! BDD oracle builder, re-exported.
 
-use eco_bdd::{Bdd, BddError, BddManager};
-use eco_netlist::{topo, Circuit, GateKind};
-
-/// Evaluates every live net of `circuit` as a BDD, with primary input `i`
-/// overloaded by `input_fns[i]` (typically the sampling functions `g(z)`).
-///
-/// Returns one BDD per net, indexed by net.
-///
-/// # Errors
-///
-/// [`BddError::NodeLimit`] when the manager budget is exhausted.
-///
-/// # Panics
-///
-/// Panics on cyclic circuits (well-formedness is established by the engine
-/// before any domain computation).
-pub fn eval_all_bdd(
-    circuit: &Circuit,
-    m: &mut BddManager,
-    input_fns: &[Bdd],
-) -> Result<Vec<Bdd>, BddError> {
-    let order = topo::topo_order(circuit).expect("engine guarantees acyclic circuits");
-    let mut values = vec![m.zero(); circuit.num_nodes()];
-    for id in order {
-        let node = circuit.node(id);
-        values[id.index()] = match node.kind() {
-            GateKind::Input => {
-                let pos = circuit
-                    .input_position(id)
-                    .expect("input node is registered");
-                input_fns[pos]
-            }
-            kind => {
-                let fanins: Vec<Bdd> = node.fanins().iter().map(|f| values[f.index()]).collect();
-                apply_gate_bdd(m, kind, &fanins)?
-            }
-        };
-    }
-    Ok(values)
-}
-
-/// Applies one gate's Boolean operation over BDD operands.
-///
-/// # Errors
-///
-/// [`BddError::NodeLimit`] when the manager budget is exhausted.
-pub fn apply_gate_bdd(m: &mut BddManager, kind: GateKind, fanins: &[Bdd]) -> Result<Bdd, BddError> {
-    Ok(match kind {
-        GateKind::Input => unreachable!("inputs handled by the evaluator"),
-        GateKind::Const0 => m.zero(),
-        GateKind::Const1 => m.one(),
-        GateKind::Buf => fanins[0],
-        GateKind::Not => m.not(fanins[0])?,
-        GateKind::And | GateKind::Nand => {
-            let mut acc = m.one();
-            for &f in fanins {
-                acc = m.and(acc, f)?;
-            }
-            if kind == GateKind::Nand {
-                m.not(acc)?
-            } else {
-                acc
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut acc = m.zero();
-            for &f in fanins {
-                acc = m.or(acc, f)?;
-            }
-            if kind == GateKind::Nor {
-                m.not(acc)?
-            } else {
-                acc
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut acc = m.zero();
-            for &f in fanins {
-                acc = m.xor(acc, f)?;
-            }
-            if kind == GateKind::Xnor {
-                m.not(acc)?
-            } else {
-                acc
-            }
-        }
-        GateKind::Mux => m.ite(fanins[0], fanins[2], fanins[1])?,
-    })
-}
+pub use eco_fuzz::oracle::{apply_gate_bdd, eval_all_bdd};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eco_bdd::{Bdd, BddManager};
     use eco_netlist::{Circuit, GateKind, NetId};
 
     fn sample_circuit() -> Circuit {

@@ -112,8 +112,8 @@ impl Session {
     }
 
     /// Attaches a [`Telemetry`] hub: runs record structured trace spans
-    /// (returned in [`EcoResult::trace`]) and feed the sharded metrics
-    /// registry readable via [`Session::metrics_snapshot`]. The handle is
+    /// (returned in [`EcoResult::trace`]) and feed the metrics registry
+    /// readable via [`Session::metrics_snapshot`]. The handle is
     /// shared — clone-cheap — so the caller can keep one for export while
     /// the session records into it. A disabled hub (the default) costs
     /// nothing: no clock reads, no allocation.
@@ -123,8 +123,8 @@ impl Session {
         self
     }
 
-    /// A point-in-time fold of every metrics shard the attached
-    /// [`Telemetry`] has handed out. Empty when telemetry is disabled.
+    /// A point-in-time copy of the attached [`Telemetry`]'s metrics
+    /// registry. Empty when telemetry is disabled.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.telemetry.snapshot()
     }
@@ -229,7 +229,7 @@ impl Session {
             rectify.cache_io_errors += session.io_errors();
             rectify.cache_retries += session.retries();
         }
-        publish_run_counters(&self.telemetry.shard(), &rectify, budget.faults_fired());
+        publish_run_counters(&self.telemetry, &rectify, budget.faults_fired());
         Ok(EcoResult {
             stats,
             rectify,
@@ -312,7 +312,7 @@ impl Session {
             cache_retries: session.retries(),
             ..Default::default()
         };
-        publish_run_counters(&self.telemetry.shard(), &rectify, budget.faults_fired());
+        publish_run_counters(&self.telemetry, &rectify, budget.faults_fired());
         let stats = patch.stats(&patched);
         Some(EcoResult {
             stats,
@@ -375,6 +375,7 @@ mod tests {
 
     #[test]
     fn session_telemetry_records_spans_and_metrics() {
+        use eco_telemetry::{Counter, Histogram};
         let (c, s) = and_or_pair();
         let telemetry = Telemetry::enabled();
         let session = Session::new(EcoOptions::with_seed(3)).with_telemetry(&telemetry);
@@ -383,16 +384,32 @@ mod tests {
         assert!(result.trace.iter().any(|sp| sp.name == "run"));
         assert!(result.trace.iter().any(|sp| sp.name == "search"));
         let snap = session.metrics_snapshot();
-        assert!(!snap.is_empty());
-        assert_eq!(
-            snap.counter(eco_telemetry::Counter::RectifyValidations),
-            result.rectify.validations as u64
+        let stats = &result.rectify;
+        assert!(
+            stats.validations > 0 && stats.point_sets_tried > 0,
+            "{stats:?}"
         );
-        // No cache: every validation slot went to a screen-passed candidate.
-        assert_eq!(
-            snap.counter(eco_telemetry::Counter::PrefilterPassed),
-            result.rectify.validations as u64
-        );
+        for (counter, value) in [
+            (Counter::RectifyValidations, stats.validations as u64),
+            (Counter::SatConflicts, stats.sat.conflicts),
+            (Counter::RectifyPointSets, stats.point_sets_tried as u64),
+            (Counter::RectifyChoices, stats.choices_tried as u64),
+            // No cache: every validation slot went to a screen-passed
+            // candidate.
+            (Counter::PrefilterPassed, stats.validations as u64),
+        ] {
+            assert_eq!(snap.counter(counter), value, "{}", counter.name());
+        }
+        assert_eq!(snap.histogram_count(Histogram::SearchMicros), 1);
+        // The search builds no BDD: every `bdd.*` name the registry keeps
+        // reads 0.
+        let bdd: Vec<(&str, u64)> = snap
+            .counters()
+            .chain(snap.gauges())
+            .filter(|(name, _)| name.starts_with("bdd."))
+            .collect();
+        assert_eq!(bdd.len(), 7, "{bdd:?}");
+        assert!(bdd.iter().all(|&(_, v)| v == 0), "{bdd:?}");
         // Without telemetry the same run records nothing and costs nothing.
         let bare = Session::new(EcoOptions::with_seed(3)).run(&c, &s).unwrap();
         assert!(bare.trace.is_empty());

@@ -336,52 +336,91 @@ impl Default for BddOracle {
     }
 }
 
-/// Compiles every net of `circuit` to a BDD, inputs taken from `input_fns`
-/// (indexed by primary-input position).
-fn circuit_bdds(
-    m: &mut BddManager,
+/// Evaluates every net of `circuit` as a BDD, with primary input `i`
+/// overloaded by `input_fns[i]`: plain variables for the [`BddOracle`],
+/// any input functions for other callers.
+///
+/// Returns one BDD per net, indexed by net.
+///
+/// # Errors
+///
+/// [`BddError::NodeLimit`] when the manager budget is exhausted.
+///
+/// # Panics
+///
+/// Panics on cyclic circuits.
+pub fn eval_all_bdd(
     circuit: &Circuit,
+    m: &mut BddManager,
     input_fns: &[Bdd],
 ) -> Result<Vec<Bdd>, BddError> {
-    let order = topo::topo_order(circuit).expect("oracle input is well-formed");
-    let mut fns = vec![m.zero(); circuit.num_nodes()];
-    for (pos, &id) in circuit.inputs().iter().enumerate() {
-        fns[id.index()] = input_fns[pos];
-    }
+    let order = topo::topo_order(circuit).expect("circuits evaluated as BDDs are acyclic");
+    let mut values = vec![m.zero(); circuit.num_nodes()];
     for id in order {
         let node = circuit.node(id);
-        let f = match node.kind() {
-            GateKind::Input => continue,
-            GateKind::Const0 => m.zero(),
-            GateKind::Const1 => m.one(),
-            GateKind::Buf => fns[node.fanins()[0].index()],
-            GateKind::Not => m.not(fns[node.fanins()[0].index()])?,
-            GateKind::Mux => {
-                let sel = fns[node.fanins()[0].index()];
-                let d0 = fns[node.fanins()[1].index()];
-                let d1 = fns[node.fanins()[2].index()];
-                m.ite(sel, d1, d0)?
+        values[id.index()] = match node.kind() {
+            GateKind::Input => {
+                let pos = circuit
+                    .input_position(id)
+                    .expect("input node is registered");
+                input_fns[pos]
             }
             kind => {
-                let mut acc = fns[node.fanins()[0].index()];
-                for f in &node.fanins()[1..] {
-                    let g = fns[f.index()];
-                    acc = match kind {
-                        GateKind::And | GateKind::Nand => m.and(acc, g)?,
-                        GateKind::Or | GateKind::Nor => m.or(acc, g)?,
-                        GateKind::Xor | GateKind::Xnor => m.xor(acc, g)?,
-                        _ => unreachable!("n-ary kinds only"),
-                    };
-                }
-                match kind {
-                    GateKind::Nand | GateKind::Nor | GateKind::Xnor => m.not(acc)?,
-                    _ => acc,
-                }
+                let fanins: Vec<Bdd> = node.fanins().iter().map(|f| values[f.index()]).collect();
+                apply_gate_bdd(m, kind, &fanins)?
             }
         };
-        fns[id.index()] = f;
     }
-    Ok(fns)
+    Ok(values)
+}
+
+/// Applies one gate's Boolean operation over BDD operands.
+///
+/// # Errors
+///
+/// [`BddError::NodeLimit`] when the manager budget is exhausted.
+pub fn apply_gate_bdd(m: &mut BddManager, kind: GateKind, fanins: &[Bdd]) -> Result<Bdd, BddError> {
+    Ok(match kind {
+        GateKind::Input => unreachable!("inputs handled by the evaluator"),
+        GateKind::Const0 => m.zero(),
+        GateKind::Const1 => m.one(),
+        GateKind::Buf => fanins[0],
+        GateKind::Not => m.not(fanins[0])?,
+        GateKind::And | GateKind::Nand => {
+            let mut acc = m.one();
+            for &f in fanins {
+                acc = m.and(acc, f)?;
+            }
+            if kind == GateKind::Nand {
+                m.not(acc)?
+            } else {
+                acc
+            }
+        }
+        GateKind::Or | GateKind::Nor => {
+            let mut acc = m.zero();
+            for &f in fanins {
+                acc = m.or(acc, f)?;
+            }
+            if kind == GateKind::Nor {
+                m.not(acc)?
+            } else {
+                acc
+            }
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            let mut acc = m.zero();
+            for &f in fanins {
+                acc = m.xor(acc, f)?;
+            }
+            if kind == GateKind::Xnor {
+                m.not(acc)?
+            } else {
+                acc
+            }
+        }
+        GateKind::Mux => m.ite(fanins[0], fanins[2], fanins[1])?,
+    })
 }
 
 /// Extracts one satisfying assignment of a non-zero BDD by greedy descent.
@@ -415,11 +454,11 @@ impl Oracle for BddOracle {
         let mut m = BddManager::with_node_limit(self.node_limit);
         let impl_vars: Vec<Bdd> = (0..n).map(|i| m.var(i as u32)).collect();
         let spec_vars: Vec<Bdd> = map.impl_pos_of_spec.iter().map(|&p| impl_vars[p]).collect();
-        let impl_fns = match circuit_bdds(&mut m, implementation, &impl_vars) {
+        let impl_fns = match eval_all_bdd(implementation, &mut m, &impl_vars) {
             Ok(f) => f,
             Err(_) => return Ok(unknowns),
         };
-        let spec_fns = match circuit_bdds(&mut m, spec, &spec_vars) {
+        let spec_fns = match eval_all_bdd(spec, &mut m, &spec_vars) {
             Ok(f) => f,
             Err(_) => return Ok(unknowns),
         };

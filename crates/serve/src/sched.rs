@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use eco_telemetry::{Counter, Gauge, Histogram, MetricsShard, Telemetry};
+use eco_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::frame::Message;
 use crate::job::{JobControl, JobRequest, Priority, RejectReason};
@@ -148,7 +148,7 @@ pub struct Scheduler {
     /// Signalled when a job finishes (drain waits on this).
     idle: Condvar,
     config: SchedulerConfig,
-    metrics: MetricsShard,
+    metrics: Telemetry,
 }
 
 impl Scheduler {
@@ -169,7 +169,7 @@ impl Scheduler {
             available: Condvar::new(),
             idle: Condvar::new(),
             config,
-            metrics: telemetry.shard(),
+            metrics: telemetry.clone(),
         }
     }
 

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use eco_telemetry::{Counter, Histogram, MetricsShard, Telemetry};
+use eco_telemetry::{Counter, Histogram, Telemetry};
 
 use crate::frame::{self, FrameError, Message};
 use crate::http;
@@ -131,13 +131,12 @@ impl Server {
     /// Runs the daemon until the shutdown flag is set, then drains and
     /// returns. The calling thread becomes the accept loop.
     pub fn run(self) -> io::Result<()> {
-        let metrics = self.telemetry.shard();
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
                 let scheduler = Arc::clone(&self.scheduler);
                 let runner = Arc::clone(&self.runner);
-                let metrics = self.telemetry.shard();
-                scope.spawn(move || worker_loop(&scheduler, runner.as_ref(), &metrics));
+                let telemetry = &self.telemetry;
+                scope.spawn(move || worker_loop(&scheduler, runner.as_ref(), telemetry));
             }
             if let Some(http) = &self.http_listener {
                 let telemetry = self.telemetry.clone();
@@ -164,13 +163,12 @@ impl Server {
             // connection/http threads (which see the flag).
             self.scheduler.drain();
         });
-        let _ = metrics; // shard retired with the run
         Ok(())
     }
 }
 
 /// One engine worker: claim, run under a panic guard, account, reply.
-fn worker_loop(scheduler: &Scheduler, runner: &dyn JobRunner, metrics: &MetricsShard) {
+fn worker_loop(scheduler: &Scheduler, runner: &dyn JobRunner, telemetry: &Telemetry) {
     while let Some(dispatch) = scheduler.next() {
         let Dispatch {
             job_id,
@@ -196,8 +194,8 @@ fn worker_loop(scheduler: &Scheduler, runner: &dyn JobRunner, metrics: &MetricsS
             }
         };
         let runtime = start.elapsed();
-        metrics.observe(Histogram::ServeJobMicros, runtime.as_micros() as u64);
-        metrics.add(
+        telemetry.observe(Histogram::ServeJobMicros, runtime.as_micros() as u64);
+        telemetry.add(
             match outcome.status {
                 JobStatus::Completed => Counter::ServeCompleted,
                 JobStatus::Degraded => Counter::ServeDegraded,

@@ -299,10 +299,9 @@ mod tests {
     #[test]
     fn metrics_json_lists_every_metric() {
         let t = Telemetry::enabled();
-        let shard = t.shard();
-        shard.add(Counter::SatConflicts, 9);
-        shard.gauge_max(Gauge::BddPeakNodes, 5);
-        shard.observe(crate::Histogram::SearchMicros, 100);
+        t.add(Counter::SatConflicts, 9);
+        t.gauge_max(Gauge::BddPeakNodes, 5);
+        t.observe(crate::Histogram::SearchMicros, 100);
         let out = metrics_json(&t.snapshot());
         assert!(out.contains("\"sat.conflicts\": 9"));
         assert!(out.contains("\"bdd.peak_nodes\": 5"));
@@ -326,11 +325,10 @@ mod tests {
     #[test]
     fn openmetrics_exposes_counters_gauges_histograms_and_eof() {
         let t = Telemetry::enabled();
-        let shard = t.shard();
-        shard.add(Counter::SatConflicts, 9);
-        shard.gauge_max(Gauge::BddPeakNodes, 5);
-        shard.observe(crate::Histogram::SearchMicros, 100);
-        shard.observe(crate::Histogram::SearchMicros, 3);
+        t.add(Counter::SatConflicts, 9);
+        t.gauge_max(Gauge::BddPeakNodes, 5);
+        t.observe(crate::Histogram::SearchMicros, 100);
+        t.observe(crate::Histogram::SearchMicros, 3);
         let out = openmetrics(&t.snapshot());
         assert!(out.contains("# TYPE syseco_sat_conflicts counter\n"));
         assert!(out.contains("syseco_sat_conflicts_total 9\n"));

@@ -356,9 +356,8 @@ mod tests {
     fn round_trips_the_crates_own_exports() {
         use crate::{export, ArgValue, Counter, Telemetry};
         let t = Telemetry::enabled();
-        let shard = t.shard();
-        shard.add(Counter::SatConflicts, 42);
-        shard.observe(crate::Histogram::SearchMicros, 77);
+        t.add(Counter::SatConflicts, 42);
+        t.observe(crate::Histogram::SearchMicros, 77);
         let mut buf = t.buffer(1);
         let tok = buf.start();
         buf.end_with(tok, "search", "rectify", || {

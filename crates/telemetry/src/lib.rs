@@ -1,5 +1,5 @@
-//! Telemetry for syseco: structured tracing spans, a sharded metrics
-//! registry, and exporters (JSONL, Chrome trace, metrics JSON).
+//! Telemetry for syseco: structured tracing spans, a metrics registry,
+//! and exporters (JSONL, Chrome trace, metrics JSON).
 //!
 //! The paper's experimental story (§5) is about *where time goes* —
 //! point-set enumeration, candidate filtering, SAT validation, sampling
@@ -19,10 +19,11 @@
 //!   merge-slot `i`). Buffers are thread-local by construction — each
 //!   worker fills its own — and the caller concatenates them in slot order,
 //!   which keeps the merged trace deterministic for any worker count.
-//! * [`MetricsShard`] is one thread's view of the registry: plain relaxed
-//!   atomic counters, max-gauges, and log₂-bucketed histograms. Shards are
-//!   lock-free on the hot path; [`Telemetry::snapshot`] folds them into a
-//!   [`MetricsSnapshot`] at run end.
+//! * The registry is one block of relaxed atomics per enabled handle:
+//!   counters, max-gauges, and log₂-bucketed histograms. Every clone
+//!   records into it through [`Telemetry::add`], [`Telemetry::gauge_max`]
+//!   and [`Telemetry::observe`], lock-free; [`Telemetry::snapshot`] copies
+//!   it into a [`MetricsSnapshot`].
 //! * [`export`] renders spans as JSONL or Chrome `chrome://tracing` JSON
 //!   and snapshots as metrics JSON, with a hand-rolled writer (no serde).
 //!
@@ -32,10 +33,9 @@
 //! use eco_telemetry::{export, ArgValue, Counter, Telemetry};
 //!
 //! let telemetry = Telemetry::enabled();
-//! let shard = telemetry.shard();
 //! let mut buf = telemetry.buffer(0);
 //! let span = buf.start();
-//! shard.add(Counter::SatConflicts, 17);
+//! telemetry.add(Counter::SatConflicts, 17);
 //! buf.end_with(span, "detect", "rectify", || {
 //!     vec![("outputs", ArgValue::U64(4))]
 //! });
@@ -55,7 +55,7 @@ pub mod profile;
 pub mod report;
 mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricsShard, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
 pub use span::{ArgValue, SpanRecord, SpanToken, TraceBuffer};
 
 use std::sync::Arc;
@@ -78,14 +78,14 @@ struct Inner {
 }
 
 impl Telemetry {
-    /// A no-op handle: buffers record nothing, shards count nothing,
-    /// snapshots are empty. Costs no allocation.
+    /// A no-op handle: buffers and metrics record nothing, snapshots are
+    /// empty. Costs no allocation.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
     }
 
     /// A live handle. The clock epoch (time zero of every span) is taken
-    /// now; all shards handed out share one registry.
+    /// now; every clone records into the same registry.
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
@@ -107,18 +107,33 @@ impl Telemetry {
         TraceBuffer::new(self.inner.as_ref().map(|i| i.epoch), lane)
     }
 
-    /// Registers and returns a fresh metrics shard. Intended use: one
-    /// shard per worker thread, plus one for the coordinator. Disabled
-    /// handles return a no-op shard.
-    pub fn shard(&self) -> MetricsShard {
-        match &self.inner {
-            Some(i) => i.registry.shard(),
-            None => MetricsShard::noop(),
+    /// Adds `n` to a counter.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        if let Some(i) = &self.inner {
+            i.registry.add(counter, n);
         }
     }
 
-    /// Folds every shard registered so far into one snapshot. Disabled
-    /// handles return an all-zero snapshot.
+    /// Raises a gauge to at least `value`.
+    #[inline]
+    pub fn gauge_max(&self, gauge: Gauge, value: u64) {
+        if let Some(i) = &self.inner {
+            i.registry.gauge_max(gauge, value);
+        }
+    }
+
+    /// Records one observation into a histogram's log₂ bucket and its
+    /// exact running sum.
+    #[inline]
+    pub fn observe(&self, histogram: Histogram, value: u64) {
+        if let Some(i) = &self.inner {
+            i.registry.observe(histogram, value);
+        }
+    }
+
+    /// Everything recorded so far, through this handle or any clone.
+    /// Disabled handles return an all-zero snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(i) => i.registry.snapshot(),
@@ -135,10 +150,9 @@ mod tests {
     fn disabled_handle_is_inert_and_allocation_free() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        let shard = t.shard();
-        shard.add(Counter::SatConflicts, 5);
-        shard.gauge_max(Gauge::BddPeakNodes, 100);
-        shard.observe(Histogram::SearchMicros, 1234);
+        t.add(Counter::SatConflicts, 5);
+        t.gauge_max(Gauge::BddPeakNodes, 100);
+        t.observe(Histogram::SearchMicros, 1234);
         assert_eq!(t.snapshot(), MetricsSnapshot::default());
 
         let mut buf = t.buffer(3);
@@ -156,13 +170,11 @@ mod tests {
     fn enabled_handle_records_spans_and_metrics() {
         let t = Telemetry::enabled();
         assert!(t.is_enabled());
-        let shard = t.shard();
-        shard.add(Counter::SatConflicts, 2);
-        shard.add(Counter::SatConflicts, 3);
-        let other = t.shard();
-        other.add(Counter::SatConflicts, 5);
-        other.gauge_max(Gauge::BddPeakNodes, 7);
-        shard.gauge_max(Gauge::BddPeakNodes, 9);
+        t.add(Counter::SatConflicts, 2);
+        t.add(Counter::SatConflicts, 3);
+        t.add(Counter::SatConflicts, 5);
+        t.gauge_max(Gauge::BddPeakNodes, 9);
+        t.gauge_max(Gauge::BddPeakNodes, 7);
         let snap = t.snapshot();
         assert_eq!(snap.counter(Counter::SatConflicts), 10);
         assert_eq!(snap.gauge(Gauge::BddPeakNodes), 9);
@@ -182,7 +194,8 @@ mod tests {
     fn clones_share_the_registry() {
         let t = Telemetry::enabled();
         let c = t.clone();
-        c.shard().add(Counter::RectifyValidations, 4);
-        assert_eq!(t.snapshot().counter(Counter::RectifyValidations), 4);
+        c.add(Counter::RectifyValidations, 4);
+        t.add(Counter::RectifyValidations, 1);
+        assert_eq!(c.snapshot().counter(Counter::RectifyValidations), 5);
     }
 }

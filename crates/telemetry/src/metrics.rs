@@ -1,9 +1,9 @@
-//! The sharded metrics registry: counters, max-gauges, and log₂
-//! histograms, one shard per thread, folded into a snapshot at run end.
+//! The metrics registry: counters, max-gauges, and log₂ histograms in one
+//! block of relaxed atomics per enabled handle, copied into a snapshot on
+//! demand.
 
 use crate::names;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: bucket `b` covers values `v` with
 /// `⌈log₂(v+1)⌉ = b`, i.e. bucket 0 is exactly 0, bucket `b ≥ 1` is
@@ -34,7 +34,7 @@ macro_rules! metric_enum {
 }
 
 metric_enum! {
-    /// Monotonic counters folded by summation.
+    /// Monotonic counters combined by summation.
     Counter {
         /// SAT conflicts across every solver the run created.
         SatConflicts => names::SAT_CONFLICTS,
@@ -128,7 +128,7 @@ metric_enum! {
 }
 
 metric_enum! {
-    /// High-water marks folded by maximum.
+    /// High-water marks combined by maximum.
     Gauge {
         /// Retired: peak BDD node count, always 0.
         BddPeakNodes => names::BDD_PEAK_NODES,
@@ -140,7 +140,7 @@ metric_enum! {
 }
 
 metric_enum! {
-    /// Log₂-bucketed distributions folded by per-bucket summation.
+    /// Log₂-bucketed distributions combined by per-bucket summation.
     Histogram {
         /// Per-output search wall-clock, µs.
         SearchMicros => names::SEARCH_US,
@@ -163,18 +163,19 @@ const NUM_COUNTERS: usize = Counter::ALL.len();
 const NUM_GAUGES: usize = Gauge::ALL.len();
 const NUM_HISTOGRAMS: usize = Histogram::ALL.len();
 
-/// One thread's slice of the registry. All operations are relaxed atomic
-/// read-modify-writes — lock-free, no allocation.
-struct ShardData {
+/// The metrics block behind an enabled [`Telemetry`](crate::Telemetry)
+/// handle, shared by every clone of it. All operations are relaxed atomic
+/// read-modify-writes: lock-free, no allocation.
+pub(crate) struct Registry {
     counters: [AtomicU64; NUM_COUNTERS],
     gauges: [AtomicU64; NUM_GAUGES],
     histograms: [[AtomicU64; NUM_BUCKETS]; NUM_HISTOGRAMS],
     histogram_sums: [AtomicU64; NUM_HISTOGRAMS],
 }
 
-impl Default for ShardData {
+impl Default for Registry {
     fn default() -> Self {
-        ShardData {
+        Registry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             histograms: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
@@ -183,59 +184,36 @@ impl Default for ShardData {
     }
 }
 
-impl std::fmt::Debug for ShardData {
+impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardData").finish_non_exhaustive()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
-/// Handle through which one thread records metrics.
-///
-/// Cheap to clone (an `Arc`); a no-op shard (from a disabled
-/// [`Telemetry`](crate::Telemetry)) skips even the atomic writes.
-#[derive(Debug, Clone)]
-pub struct MetricsShard(Option<Arc<ShardData>>);
-
-impl MetricsShard {
-    /// A shard that records nothing.
-    pub fn noop() -> Self {
-        MetricsShard(None)
-    }
-
-    /// Whether this shard records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Adds `n` to a counter.
+impl Registry {
     #[inline]
-    pub fn add(&self, counter: Counter, n: u64) {
-        if let Some(d) = &self.0 {
-            d.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
-        }
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1 to a counter.
     #[inline]
-    pub fn incr(&self, counter: Counter) {
-        self.add(counter, 1);
+    pub(crate) fn gauge_max(&self, gauge: Gauge, value: u64) {
+        self.gauges[gauge as usize].fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Raises a gauge to at least `value`.
     #[inline]
-    pub fn gauge_max(&self, gauge: Gauge, value: u64) {
-        if let Some(d) = &self.0 {
-            d.gauges[gauge as usize].fetch_max(value, Ordering::Relaxed);
-        }
+    pub(crate) fn observe(&self, histogram: Histogram, value: u64) {
+        self.histograms[histogram as usize][bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.histogram_sums[histogram as usize].fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records one observation into a histogram's log₂ bucket and its
-    /// exact running sum.
-    #[inline]
-    pub fn observe(&self, histogram: Histogram, value: u64) {
-        if let Some(d) = &self.0 {
-            d.histograms[histogram as usize][bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-            d.histogram_sums[histogram as usize].fetch_add(value, Ordering::Relaxed);
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        MetricsSnapshot {
+            counters: self.counters.each_ref().map(load),
+            gauges: self.gauges.each_ref().map(load),
+            histograms: self.histograms.each_ref().map(|h| h.each_ref().map(load)),
+            histogram_sums: self.histogram_sums.each_ref().map(load),
         }
     }
 }
@@ -251,56 +229,7 @@ pub(crate) fn bucket_of(value: u64) -> usize {
     .min(NUM_BUCKETS - 1)
 }
 
-/// The shard store behind an enabled [`Telemetry`](crate::Telemetry)
-/// handle. The mutex guards only shard registration and snapshotting —
-/// never the recording hot path.
-#[derive(Debug, Default)]
-pub(crate) struct Registry {
-    shards: Mutex<Vec<Arc<ShardData>>>,
-}
-
-impl Registry {
-    pub(crate) fn shard(&self) -> MetricsShard {
-        let data = Arc::new(ShardData::default());
-        // Recover from poisoning: the guarded Vec is only ever pushed to,
-        // so a worker that panicked mid-registration cannot have left it
-        // inconsistent — and metrics must stay takeable after a contained
-        // per-output panic.
-        self.shards
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Arc::clone(&data));
-        MetricsShard(Some(data))
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for shard in self
-            .shards
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-        {
-            for (i, c) in shard.counters.iter().enumerate() {
-                snap.counters[i] += c.load(Ordering::Relaxed);
-            }
-            for (i, g) in shard.gauges.iter().enumerate() {
-                snap.gauges[i] = snap.gauges[i].max(g.load(Ordering::Relaxed));
-            }
-            for (i, h) in shard.histograms.iter().enumerate() {
-                for (b, count) in h.iter().enumerate() {
-                    snap.histograms[i][b] += count.load(Ordering::Relaxed);
-                }
-            }
-            for (i, s) in shard.histogram_sums.iter().enumerate() {
-                snap.histogram_sums[i] += s.load(Ordering::Relaxed);
-            }
-        }
-        snap
-    }
-}
-
-/// A folded, point-in-time view of every shard.
+/// A point-in-time copy of the registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: [u64; NUM_COUNTERS],
@@ -321,12 +250,12 @@ impl Default for MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The folded value of one counter.
+    /// The value of one counter.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize]
     }
 
-    /// The folded value of one gauge.
+    /// The value of one gauge.
     pub fn gauge(&self, gauge: Gauge) -> u64 {
         self.gauges[gauge as usize]
     }
@@ -354,7 +283,7 @@ impl MetricsSnapshot {
     /// bucket 0 is exactly 0. Returns 0.0 for an empty histogram.
     ///
     /// The estimate is deterministic (pure integer/f64 arithmetic on the
-    /// folded bucket counts) but coarse by construction: the true value is
+    /// bucket counts) but coarse by construction: the true value is
     /// somewhere within the matched power-of-two bucket.
     pub fn histogram_quantile(&self, histogram: Histogram, q: f64) -> f64 {
         let buckets = &self.histograms[histogram as usize];
@@ -441,16 +370,15 @@ mod tests {
     #[test]
     fn zero_duration_samples_land_in_bucket_zero_only() {
         let reg = Registry::default();
-        let shard = reg.shard();
-        shard.observe(Histogram::SearchMicros, 0);
-        shard.observe(Histogram::SearchMicros, 0);
+        reg.observe(Histogram::SearchMicros, 0);
+        reg.observe(Histogram::SearchMicros, 0);
         let snap = reg.snapshot();
         let buckets = snap.histogram_buckets(Histogram::SearchMicros);
         assert_eq!(buckets[0], 2, "a zero duration is exactly bucket 0");
         assert!(buckets[1..].iter().all(|&c| c == 0), "and nothing else");
         // Bucket 0 is exclusive to zero: the smallest non-zero sample is
         // already bucket 1.
-        shard.observe(Histogram::SearchMicros, 1);
+        reg.observe(Histogram::SearchMicros, 1);
         let snap = reg.snapshot();
         assert_eq!(snap.histogram_buckets(Histogram::SearchMicros)[0], 2);
         assert_eq!(snap.histogram_buckets(Histogram::SearchMicros)[1], 1);
@@ -465,9 +393,8 @@ mod tests {
         assert_eq!(bucket_of(1 << 63), NUM_BUCKETS - 1);
         assert_eq!(bucket_of(u64::MAX), NUM_BUCKETS - 1);
         let reg = Registry::default();
-        let shard = reg.shard();
         for v in [1u64 << 62, 1 << 63, u64::MAX] {
-            shard.observe(Histogram::SatConflictsPerCall, v);
+            reg.observe(Histogram::SatConflictsPerCall, v);
         }
         let snap = reg.snapshot();
         let buckets = snap.histogram_buckets(Histogram::SatConflictsPerCall);
@@ -476,17 +403,15 @@ mod tests {
     }
 
     #[test]
-    fn shards_fold_by_sum_max_and_bucket() {
+    fn records_combine_by_sum_max_and_bucket() {
         let reg = Registry::default();
-        let a = reg.shard();
-        let b = reg.shard();
-        a.add(Counter::SatConflicts, 3);
-        b.add(Counter::SatConflicts, 4);
-        a.gauge_max(Gauge::BddPeakNodes, 10);
-        b.gauge_max(Gauge::BddPeakNodes, 8);
-        a.observe(Histogram::ValidateMicros, 5);
-        b.observe(Histogram::ValidateMicros, 5);
-        b.observe(Histogram::ValidateMicros, 0);
+        reg.add(Counter::SatConflicts, 3);
+        reg.add(Counter::SatConflicts, 4);
+        reg.gauge_max(Gauge::BddPeakNodes, 10);
+        reg.gauge_max(Gauge::BddPeakNodes, 8);
+        reg.observe(Histogram::ValidateMicros, 5);
+        reg.observe(Histogram::ValidateMicros, 5);
+        reg.observe(Histogram::ValidateMicros, 0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::SatConflicts), 7);
         assert_eq!(snap.gauge(Gauge::BddPeakNodes), 10);
@@ -497,14 +422,13 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_shards_lose_nothing() {
-        let reg = std::sync::Arc::new(Registry::default());
+    fn concurrent_writers_lose_nothing() {
+        let reg = Registry::default();
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let shard = reg.shard();
-                scope.spawn(move || {
+                scope.spawn(|| {
                     for _ in 0..1000 {
-                        shard.incr(Counter::RectifyChoices);
+                        reg.add(Counter::RectifyChoices, 1);
                     }
                 });
             }
@@ -541,13 +465,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_are_exact_and_fold_across_shards() {
+    fn histogram_sums_are_exact() {
         let reg = Registry::default();
-        let a = reg.shard();
-        let b = reg.shard();
-        a.observe(Histogram::SearchMicros, 100);
-        a.observe(Histogram::SearchMicros, 23);
-        b.observe(Histogram::SearchMicros, 7);
+        reg.observe(Histogram::SearchMicros, 100);
+        reg.observe(Histogram::SearchMicros, 23);
+        reg.observe(Histogram::SearchMicros, 7);
         let snap = reg.snapshot();
         assert_eq!(snap.histogram_sum(Histogram::SearchMicros), 130);
         assert_eq!(snap.histogram_sum(Histogram::ValidateMicros), 0);
@@ -556,7 +478,6 @@ mod tests {
     #[test]
     fn quantiles_interpolate_within_log2_buckets() {
         let reg = Registry::default();
-        let shard = reg.shard();
         // Empty histogram: all quantiles are 0.
         assert_eq!(
             reg.snapshot()
@@ -566,7 +487,7 @@ mod tests {
         // 100 observations of exactly 64 (bucket 7 = [64, 127]): every
         // quantile must land inside that bucket's range.
         for _ in 0..100 {
-            shard.observe(Histogram::SearchMicros, 64);
+            reg.observe(Histogram::SearchMicros, 64);
         }
         let snap = reg.snapshot();
         let (p50, p90, p99) = snap.histogram_percentiles(Histogram::SearchMicros);
@@ -579,15 +500,14 @@ mod tests {
     #[test]
     fn quantiles_rank_across_buckets() {
         let reg = Registry::default();
-        let shard = reg.shard();
         // 90 small values (bucket 1, exactly 1) and 10 large (bucket 11,
         // [1024, 2047]): p50 must sit in the small bucket, p99 in the
         // large one.
         for _ in 0..90 {
-            shard.observe(Histogram::SatConflictsPerCall, 1);
+            reg.observe(Histogram::SatConflictsPerCall, 1);
         }
         for _ in 0..10 {
-            shard.observe(Histogram::SatConflictsPerCall, 1500);
+            reg.observe(Histogram::SatConflictsPerCall, 1500);
         }
         let snap = reg.snapshot();
         let p50 = snap.histogram_quantile(Histogram::SatConflictsPerCall, 0.50);
@@ -595,7 +515,7 @@ mod tests {
         assert_eq!(p50, 1.0, "bucket 1 holds only the value 1");
         assert!((1024.0..=2047.0).contains(&p99), "p99 {p99} must be large");
         // Zero-only histograms stay at 0 for every quantile.
-        shard.observe(Histogram::ValidateMicros, 0);
+        reg.observe(Histogram::ValidateMicros, 0);
         let snap = reg.snapshot();
         assert_eq!(
             snap.histogram_quantile(Histogram::ValidateMicros, 0.99),

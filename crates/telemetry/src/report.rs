@@ -4,7 +4,7 @@
 //! [`Profile`] and a [`MetricsDoc`] through [`render`] to produce a
 //! human-readable post-mortem of one rectification run: a flamegraph-style
 //! hot-path table, a per-output cost ranking, a degradation/recovery
-//! narrative, and the folded metrics with quantile estimates.
+//! narrative, and the run's metrics with quantile estimates.
 //!
 //! **Determinism contract:** the default report contains no wall-clock
 //! data — only span counts, deterministic work annotations, counters,
@@ -522,16 +522,15 @@ mod tests {
 
     fn sample_metrics() -> MetricsDoc {
         let t = Telemetry::enabled();
-        let shard = t.shard();
-        shard.add(Counter::SatConflicts, 53);
-        shard.add(Counter::RectifyValidations, 5);
-        shard.add(Counter::CacheRetries, 2);
-        shard.add(Counter::CecProofs, 1);
-        shard.add(Counter::CecReused, 3);
-        shard.gauge_max(Gauge::BddPeakNodes, 1234);
-        shard.observe(Histogram::SearchMicros, 40);
-        shard.observe(Histogram::SearchMicros, 50);
-        shard.observe(Histogram::SatConflictsPerCall, 11);
+        t.add(Counter::SatConflicts, 53);
+        t.add(Counter::RectifyValidations, 5);
+        t.add(Counter::CacheRetries, 2);
+        t.add(Counter::CecProofs, 1);
+        t.add(Counter::CecReused, 3);
+        t.gauge_max(Gauge::BddPeakNodes, 1234);
+        t.observe(Histogram::SearchMicros, 40);
+        t.observe(Histogram::SearchMicros, 50);
+        t.observe(Histogram::SatConflictsPerCall, 11);
         MetricsDoc::from(&t.snapshot())
     }
 
@@ -604,9 +603,8 @@ mod tests {
     #[test]
     fn metrics_doc_round_trips_through_metrics_json() {
         let t = Telemetry::enabled();
-        let shard = t.shard();
-        shard.add(Counter::BddApplyHits, 17);
-        shard.observe(Histogram::ValidateMicros, 99);
+        t.add(Counter::BddApplyHits, 17);
+        t.observe(Histogram::ValidateMicros, 99);
         let snap = t.snapshot();
         let direct = MetricsDoc::from(&snap);
         let parsed = parse_metrics_json(&export::metrics_json(&snap)).unwrap();

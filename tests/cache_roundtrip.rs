@@ -132,8 +132,8 @@ fn run_cached(case: &EcoCase, dir: &Path, telemetry: &Telemetry) -> EcoResult {
 }
 
 /// The metrics registry and `EcoResult::rectify` are one source of counts:
-/// after a cold run, and after the warm run that replays its record, the
-/// run-level counters read what the returned stats report.
+/// after a cold run, and after the warm run that replays its record, every
+/// engine counter reads what the returned stats report.
 #[test]
 fn cold_and_warm_runs_publish_the_counts_they_report() {
     let case = two_revision_case();
@@ -145,7 +145,22 @@ fn cold_and_warm_runs_publish_the_counts_they_report() {
         assert!(stats.rewire_rectified > 0, "{label} run: {stats:?}");
         assert_eq!(stats.cache_hits, u64::from(label == "warm"), "{label} run");
         let snapshot = telemetry.snapshot();
+        let sat = &stats.sat;
         for (counter, value) in [
+            (Counter::SatConflicts, sat.conflicts),
+            (Counter::SatDecisions, sat.decisions),
+            (Counter::SatPropagations, sat.propagations),
+            (Counter::SatRestarts, sat.restarts),
+            (Counter::SatLearntClauses, sat.learnt_clauses),
+            (Counter::SatLearntLiterals, sat.learnt_literals),
+            (Counter::CecProofs, stats.cec_proofs),
+            (Counter::CecReused, stats.cec_reused),
+            (Counter::RectifyRefinements, stats.refinements as u64),
+            (Counter::RectifyValidations, stats.validations as u64),
+            (Counter::RectifyPointSets, stats.point_sets_tried as u64),
+            (Counter::RectifyChoices, stats.choices_tried as u64),
+            (Counter::PrefilterScreened, stats.prefilter_screened as u64),
+            (Counter::PrefilterPassed, stats.prefilter_passed as u64),
             (Counter::RectifyRewired, stats.rewire_rectified as u64),
             (Counter::RectifyFallbacks, stats.fallbacks as u64),
             (
@@ -155,6 +170,11 @@ fn cold_and_warm_runs_publish_the_counts_they_report() {
             (Counter::CacheHits, stats.cache_hits),
             (Counter::CacheMisses, stats.cache_misses),
             (Counter::CacheVerifyRejects, stats.cache_verify_rejects),
+            (Counter::CacheCorruptSegments, stats.cache_corrupt_segments),
+            (Counter::CacheIoErrors, stats.cache_io_errors),
+            (Counter::CacheRetries, stats.cache_retries),
+            (Counter::CheckpointHits, stats.checkpoint_hits),
+            (Counter::CheckpointWrites, stats.checkpoint_writes),
         ] {
             let name = counter.name();
             assert_eq!(snapshot.counter(counter), value, "{label} run: {name}");

@@ -2,10 +2,13 @@
 //! "Exit codes"): scripts and CI pipelines branch on these, so each code
 //! is pinned by an integration test.
 //!
-//! * `syseco`: 0 success, 1 verification failure, 2 usage, 3 degraded
-//!   but honest.
+//! * `syseco`: 0 success, 1 verification failure (or fatal error), 2
+//!   usage, 3 degraded but honest.
+//! * `syseco-fuzz`: 0 no disagreements, (1 disagreements,) 2 usage.
 //! * `syseco-serve`: 0 clean drain, (1 fatal,) 2 usage.
 //! * `syseco-load`: 0 all jobs accounted, (1 violation,) 2 usage.
+//!
+//! `--help` is not an error: every binary exits 0 on it.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -71,22 +74,42 @@ fn syseco_exit_code_contract() {
         ),
         1
     );
-    // 2: usage errors — no arguments, an unknown subcommand, and a
-    // timeout that is not positive or that no deadline can hold.
+    // 2: usage errors — no arguments, an unknown subcommand, and every
+    // flag `rectify` cannot act on, from an unknown flag to a timeout that
+    // is not positive or that no deadline can hold.
     assert_eq!(code(&mut Command::new(syseco)), 2);
     assert_eq!(code(Command::new(syseco).arg("bogus")), 2);
-    for timeout in ["0", "1e20"] {
+    for flags in [
+        &["--bogus"][..],
+        &["--seed", "x"],
+        &["--seed"],
+        &["--timeout", "abc"],
+        &["--timeout", "0"],
+        &["--timeout", "1e20"],
+        &["--engine", "foo"],
+        &["--log-format", "xml"],
+        &["--cache", "bogus"],
+        &["--engine", "cone", "--cache-dir", "D"],
+    ] {
         assert_eq!(
             code(
                 Command::new(syseco)
                     .arg("rectify")
                     .arg(&impl_path)
                     .arg(&spec_path)
-                    .args(["--timeout", timeout])
+                    .args(flags)
             ),
             2,
-            "--timeout {timeout}"
+            "rectify {flags:?}"
         );
+    }
+    assert_eq!(
+        code(Command::new(syseco).args(["report", "t.jsonl", "--bogus"])),
+        2
+    );
+    // --help is not an error.
+    for help in ["--help", "-h"] {
+        assert_eq!(code(Command::new(syseco).arg(help)), 0, "{help}");
     }
     // 3: the run finishes degraded-but-honest under an expired budget.
     assert_eq!(
@@ -101,6 +124,17 @@ fn syseco_exit_code_contract() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fuzz_help_is_code_0_and_usage_errors_are_code_2() {
+    let fuzz = env!("CARGO_BIN_EXE_syseco-fuzz");
+    for help in ["--help", "-h"] {
+        assert_eq!(code(Command::new(fuzz).arg(help)), 0, "{help}");
+    }
+    assert_eq!(code(&mut Command::new(fuzz)), 2);
+    assert_eq!(code(Command::new(fuzz).arg("bogus")), 2);
+    assert_eq!(code(Command::new(fuzz).args(["run", "--seed", "x"])), 2);
 }
 
 #[test]

@@ -100,10 +100,10 @@ fn injected_worker_panic_degrades_only_that_cone() {
     result.patched.check_well_formed().unwrap();
 }
 
-/// A contained worker panic must not poison the sharded metrics registry
-/// (or any other shared lock): taking a snapshot afterwards works, shows
-/// the run's activity, and the same telemetry handle keeps serving
-/// subsequent runs.
+/// A contained worker panic must not break the metrics registry (or
+/// poison any shared lock): taking a snapshot afterwards works, shows the
+/// run's activity, and the same telemetry handle keeps serving subsequent
+/// runs.
 #[cfg(feature = "fault-injection")]
 #[test]
 fn worker_panic_leaves_metrics_registry_usable() {
@@ -121,7 +121,7 @@ fn worker_panic_leaves_metrics_registry_usable() {
         .run_with_budget(&case.implementation, &case.spec, &budget)
         .expect("the panicking cone degrades, the run completes");
 
-    // The registry lock survived the panic: a snapshot both succeeds and
+    // The registry survived the panic: a snapshot both succeeds and
     // reflects the completed run.
     let snapshot = session.metrics_snapshot();
     assert!(
@@ -132,7 +132,7 @@ fn worker_panic_leaves_metrics_registry_usable() {
     );
 
     // And a clean follow-up run on the same telemetry handle still works,
-    // registering fresh shards and folding them into the next snapshot.
+    // adding its counts to the same registry.
     session
         .run_with_budget(&case.implementation, &case.spec, &Budget::unlimited())
         .expect("clean run after a contained panic");
